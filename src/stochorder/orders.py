@@ -58,14 +58,15 @@ class NumericCDF:
 
     ``kind`` is "step" (right-continuous, e.g. an ECDF) or "linear"
     (continuous distribution tabulated pointwise). ``tail_tol`` records how
-    much upper-tail mass the construction may have truncated.
+    much upper-tail mass the construction may have truncated, and ``meta``
+    how the table was built.
     """
 
     grid: np.ndarray
     values: np.ndarray
     kind: str = "linear"
     tail_tol: float = 0.0
-    meta: str = ""
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -112,9 +113,12 @@ def ecdf(samples: Sequence[float]) -> NumericCDF:
     arr = np.sort(np.asarray(samples, dtype=float))
     if arr.size == 0:
         raise ParameterError("ecdf needs at least one sample")
+    # sorting puts -inf first and +inf and NaN last
+    if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
+        raise ParameterError("ecdf needs finite samples")
     grid, counts = np.unique(arr, return_counts=True)
     values = np.cumsum(counts) / arr.size
-    return NumericCDF(grid, values, kind="step", meta=f"ecdf n={arr.size}")
+    return NumericCDF(grid, values, kind="step", meta={"n": int(arr.size)})
 
 
 def st_compare_empirical(
@@ -174,18 +178,56 @@ def _upper_quantile(d: Dist, q: float) -> float:
     raise ParameterError(f"cannot locate quantiles of {d!r}")
 
 
-def _cell_masses(d: Dist, w: float, edges: np.ndarray) -> np.ndarray:
-    """Probability of w*X falling in each grid cell."""
+def _edge_cdf_tables(cdf, w: float, top: float, m: int):
+    """Yield ``cdf(edges / w)`` for ``edges = linspace(0, top, m + 1)``,
+    then for 2m cells, 4m cells, and so on.
+
+    A table ends at its first value that is exactly 1.0; every edge past it
+    has the value 1.0 too. Each level evaluates only its odd edges up to
+    that point: the even edges are the edges of the level before.
+    """
+    table = _saturated_prefix(np.asarray(cdf(np.linspace(0.0, top, m + 1) / w), float))
+    while True:
+        yield table
+        m *= 2
+        k = len(table)
+        fine = np.empty(2 * k - 1)
+        fine[::2] = table
+        fine[1::2] = cdf(np.linspace(0.0, top, m + 1)[1 : 2 * k - 1 : 2] / w)
+        table = _saturated_prefix(fine)
+
+
+def _saturated_prefix(table: np.ndarray) -> np.ndarray:
+    hit = np.flatnonzero(table == 1.0)
+    return table[: hit[0] + 1].copy() if hit.size else table
+
+
+def _midpoint_masses(d: Dist, w: float, edges: np.ndarray) -> np.ndarray:
+    """Midpoint rule on the density, for components without a CDF."""
     x_edges = edges / w
-    cdf = getattr(d, "cdf", None)
-    if callable(cdf):
-        vals = np.asarray(cdf(x_edges), dtype=float)
-        return np.diff(vals)
-    # midpoint rule on the density
     mids = 0.5 * (x_edges[:-1] + x_edges[1:])
     lo, hi = d.support
     f = np.array([float(d.pdf(x)) if lo < x < hi else 0.0 for x in mids])
     return f * np.diff(x_edges)
+
+
+def _level_masses(d: Dist, w: float, top: float, m: int):
+    """Yield the probabilities of w*X falling in each of m cells of
+    [0, top], then of 2m cells, and so on, cut after the last nonzero cell."""
+    cdf = getattr(d, "cdf", None)
+    if callable(cdf):
+        for table in _edge_cdf_tables(cdf, w, top, m):
+            yield _nonzero_prefix(np.diff(table))
+    else:
+        while True:
+            yield _nonzero_prefix(_midpoint_masses(d, w, np.linspace(0.0, top, m + 1)))
+            m *= 2
+
+
+def _nonzero_prefix(masses: np.ndarray) -> np.ndarray:
+    np.clip(masses, 0.0, None, out=masses)
+    nz = np.flatnonzero(masses)
+    return masses[: nz[-1] + 1] if nz.size else masses[:1]
 
 
 def convolve_weighted(
@@ -201,7 +243,28 @@ def convolve_weighted(
     Each component's cell masses are placed at cell midpoints; placing half
     of each atom's mass at its own abscissa makes the tabulated CDF a
     second-order approximation, and the grid step is halved until two
-    successive levels agree to ``refine_tol`` in sup norm.
+    successive levels agree to ``refine_tol`` in sup norm. The result's
+    ``meta`` holds the number of ``levels``, the final cell count ``m`` and
+    width ``h``, the last level-to-level ``gap``, the truncation point
+    ``top`` and the ``mean`` of the tabulated sum.
+
+    A component with a CDF is tabulated at the cell edges, and its table is
+    carried from one level to the next. Two invariants keep every level
+    equal to a from-scratch tabulation:
+
+    - Even-edge reuse is exact. The even edges of
+      ``linspace(0, top, 2m + 1)`` are bit for bit the edges of
+      ``linspace(0, top, m + 1)``, because ``top / (2m)`` halves
+      ``top / m`` exactly; only the odd edges are evaluated.
+    - The saturation skip assumes a nondecreasing computed CDF: past the
+      first edge where it is exactly 1.0, every edge is taken as 1.0
+      without being evaluated.
+
+    Each component's cell masses are cut after their last nonzero cell
+    before the FFT, and the sum's masses are padded back with zeros, so the
+    convolution is the same; only its roundoff differs. A component without
+    a CDF (a ``DensitySpec`` with ``cdf=None``) is tabulated afresh at each
+    level by the midpoint rule on its density.
     """
     w = as_weight_vector(weights).as_array()
     if len(w) != len(dists):
@@ -218,16 +281,18 @@ def convolve_weighted(
     if not np.isfinite(top) or top <= 0:
         raise NumericError(f"cannot truncate support (T={top})")
 
+    components = [_level_masses(d, wi, top, initial_grid) for d, wi in active]
     prev: NumericCDF | None = None
     m = initial_grid
     gap = math.inf
-    for _ in range(max_levels + 1):
-        cur = _convolve_level(active, top, m)
+    for levels in range(1, max_levels + 2):
+        cur = _convolve_level([next(c) for c in components], top, m, tail_tol, levels)
         if prev is not None:
             gap = float(
                 np.max(np.abs(cur.evaluate(prev.grid) - prev.values))
             )
             if gap < refine_tol:
+                cur.meta["gap"] = gap
                 return cur
         prev = cur
         m *= 2
@@ -237,21 +302,18 @@ def convolve_weighted(
     )
 
 
-def _convolve_level(active, top: float, m: int) -> NumericCDF:
-    n = len(active)
+def _convolve_level(
+    masses: list[np.ndarray], top: float, m: int, tail_tol: float, levels: int
+) -> NumericCDF:
+    n = len(masses)
+    size = m + n if n > 1 else m
     h = top / m
-    edges = np.linspace(0.0, top, m + 1)
-    pmf = None
-    for d, wi in active:
-        comp = np.clip(_cell_masses(d, wi, edges), 0.0, None)
-        if pmf is None:
-            pmf = comp
-        else:
-            pmf = signal.fftconvolve(pmf, comp)[: m + n]
-            np.clip(pmf, 0.0, None, out=pmf)
-    assert pmf is not None
-    pmf = pmf[: m + n]
-    positions = (np.arange(len(pmf)) + 0.5 * n) * h
+    pmf = masses[0]
+    for comp in masses[1:]:
+        pmf = signal.fftconvolve(pmf, comp)[:size]
+        np.clip(pmf, 0.0, None, out=pmf)
+    pmf = np.concatenate([pmf, np.zeros(size - len(pmf))])
+    positions = (np.arange(size) + 0.5 * n) * h
     values = np.cumsum(pmf) - 0.5 * pmf
     values = np.minimum.accumulate(np.minimum(values[::-1], 1.0))[::-1]
     values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
@@ -260,8 +322,10 @@ def _convolve_level(active, top: float, m: int) -> NumericCDF:
         positions,
         values,
         kind="linear",
-        tail_tol=len(active) * TAIL_TOL,
-        meta=f"convolution grid m={m} h={h:.3g} mean~{mean:.6g}",
+        tail_tol=n * tail_tol,
+        meta={
+            "levels": levels, "m": m, "h": h, "gap": math.inf, "top": top, "mean": mean,
+        },
     )
 
 
@@ -316,4 +380,4 @@ def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:
             prev = t
         vals[i] = min(acc, 1.0)
     vals = np.maximum.accumulate(vals)
-    return NumericCDF(pts, vals, kind="linear", meta="quadrature")
+    return NumericCDF(pts, vals, kind="linear", meta={"points": int(pts.size)})

@@ -310,6 +310,8 @@ def check_convexity_conditions(
 def classify_pq(p: float, q: float) -> PQRegion:
     """Region of the power-pair parameter plane; boundary equalities are
     included exactly as written."""
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise ParameterError("p and q must be finite")
     if p == 0 or q == 0:
         raise ParameterError("p and q must be nonzero")
     if p < 0 and q < 0:

@@ -107,6 +107,8 @@ class TestConvolve:
         assert code == 0
         res = json.loads(capsys.readouterr().out)["result"]
         assert res["comparison"]["relation"] == "a_dominates"
+        assert res["meta"]["m"] + 2 == res["grid_points"]
+        assert res["meta"]["gap"] < 1e-7
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "x,F"
         assert len(lines) == res["grid_points"] + 1

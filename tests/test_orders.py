@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stochorder import (
     DensitySpec,
+    GammaPower,
     GeneralizedGamma,
     NumericCDF,
     NumericError,
@@ -20,6 +21,13 @@ from stochorder import (
     quadrature_cdf,
     st_compare_empirical,
     st_compare_exact,
+)
+from stochorder.orders import (
+    INITIAL_GRID,
+    TAIL_TOL,
+    _convolve_level,
+    _edge_cdf_tables,
+    _level_masses,
 )
 
 EXP1 = GeneralizedGamma(1, 1, 1)
@@ -61,6 +69,10 @@ class TestEcdf:
         with pytest.raises(ParameterError):
             ecdf([])
 
+    def test_infinite_samples_rejected(self):
+        with pytest.raises(ParameterError):
+            ecdf([1.0, math.inf, -math.inf])
+
     def test_exponential_cdf_value(self):
         n = 100_000
         f = ecdf(EXP1.sample(n, seed=2))
@@ -79,6 +91,13 @@ class TestCompareEmpirical:
         x = EXP1.sample(100_000, seed=3)
         v = st_compare_empirical(x + 1.0, x)
         assert v.relation is Relation.A_DOMINATES
+
+    def test_nan_sample_rejected(self):
+        x = EXP1.sample(1000, seed=1)
+        y = x.copy()
+        y[10] = math.nan
+        with pytest.raises(ParameterError):
+            st_compare_empirical(x, y)
 
     def test_band_formula(self):
         assert dkw_epsilon(100_000, 0.01) == pytest.approx(
@@ -155,6 +174,80 @@ class TestConvolveWeighted:
         )
         f = convolve_weighted([spec], [1.0])
         assert f.evaluate(1.0) == pytest.approx(1 - math.exp(-1), abs=1e-5)
+
+    def test_tail_tol_passed_through(self):
+        f = convolve_weighted([EXP1, EXP1], [1.0, 1.0], tail_tol=1e-6)
+        assert f.tail_tol == 2e-6
+        assert f.meta["top"] == pytest.approx(2 * EXP1.ppf(1 - 1e-6))
+
+    def test_meta_diagnostics(self):
+        f = convolve_weighted([EXP1, EXP1], [4.0, 1.0])
+        meta = f.meta
+        assert list(meta) == ["levels", "m", "h", "gap", "top", "mean"]
+        assert meta["levels"] >= 2
+        assert meta["m"] == INITIAL_GRID * 2 ** (meta["levels"] - 1)
+        assert meta["h"] == meta["top"] / meta["m"]
+        assert 0 <= meta["gap"] < 1e-7
+        assert meta["mean"] == pytest.approx(5.0, rel=1e-6)
+
+    def test_grid_length(self):
+        one = convolve_weighted([EXP1], [1.0])
+        assert len(one.grid) == one.meta["m"]
+        two = convolve_weighted([EXP1, EXP1], [4.0, 1.0])
+        assert len(two.grid) == two.meta["m"] + 2
+
+    def test_from_dist_matches_dist(self):
+        d = GeneralizedGamma(2, 1.5, 0.7)
+        spec = DensitySpec.from_dist(d)
+        f = convolve_weighted([d, d], [1.5, 0.5])
+        g = convolve_weighted([spec, spec], [1.5, 0.5])
+        assert np.array_equal(f.grid, g.grid)
+        assert np.array_equal(f.values, g.values)
+
+
+def _oracle_top(d, weights):
+    return sum(w * d.ppf(1.0 - TAIL_TOL) for w in weights)
+
+
+class TestOracleLevels:
+    """The per-level tables and convolutions against a from-scratch build."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [GeneralizedGamma(0.8, 1.1, 1), GammaPower(-0.3, 4, 1), EXP1],
+        ids=["gengamma-singular", "gammapower-negative", "exponential"],
+    )
+    def test_edge_tables_equal_fresh_cdf(self, d):
+        weights = (100.0, 1.0)
+        top = _oracle_top(d, weights)
+        saturated = False
+        for w in weights:
+            tables = _edge_cdf_tables(d.cdf, w, top, INITIAL_GRID)
+            m = INITIAL_GRID
+            for _ in range(6):
+                table = next(tables)
+                fresh = d.cdf(np.linspace(0.0, top, m + 1) / w)
+                carried = np.concatenate([table, np.ones(m + 1 - len(table))])
+                assert np.array_equal(carried, fresh), (w, m)
+                saturated = saturated or len(table) < m + 1
+                m *= 2
+        assert saturated
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trimmed_fft_matches_full_length(self, n):
+        d = GeneralizedGamma(0.8, 1.1, 1)
+        weights = [100.0, 1.0, 7.0][:n]
+        top = _oracle_top(d, weights)
+        m = INITIAL_GRID
+        masses = [next(_level_masses(d, w, top, m)) for w in weights]
+        if n > 1:
+            assert any(len(c) < m for c in masses)
+        full = [np.concatenate([c, np.zeros(m - len(c))]) for c in masses]
+        trimmed = _convolve_level(masses, top, m, TAIL_TOL, 1)
+        untrimmed = _convolve_level(full, top, m, TAIL_TOL, 1)
+        assert len(trimmed.grid) == (m if n == 1 else m + n)
+        assert np.array_equal(trimmed.grid, untrimmed.grid)
+        assert np.max(np.abs(trimmed.values - untrimmed.values)) <= 1e-14
 
 
 class TestCompareExact:

@@ -178,6 +178,10 @@ class TestClassifyPQ:
         with pytest.raises(ParameterError):
             classify_pq(0.0, 2.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ParameterError):
+            classify_pq(math.nan, 2.0)
+
     @given(
         st.floats(-5, 5).filter(lambda t: abs(t) > 1e-3 and abs(t - 1) > 1e-3),
         st.floats(-5, 5).filter(lambda t: abs(t) > 1e-3 and abs(t - 1) > 1e-3),
