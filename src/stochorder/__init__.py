@@ -54,11 +54,9 @@ from .distributions import (
     LogConcavityResult,
     LRResult,
     LRVerdict,
-    density,
     gamma_power_logconcave,
     log_concavity_classify,
     lr_compare,
-    sample,
     transformed_density,
 )
 from .orders import (

@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import StochOrderError
+from .errors import ParameterError, StochOrderError
 from .majorization import MajorizationMode, check_majorize, t_transform_chain
 from .transforms import (
     ConditionVariant,
@@ -25,18 +25,14 @@ from .transforms import (
     check_convexity_conditions,
     classify_pq,
 )
-from .distributions import (
-    GammaPower,
-    GeneralizedGamma,
-    log_concavity_classify,
-    lr_compare,
-)
+from .distributions import log_concavity_classify, lr_compare
 from .orders import convolve_weighted, st_compare_exact
 from .harness import (
     HARNESS_CONDITION_GRID,
     Scenario,
     SuiteConfig,
     check_hypotheses,
+    dist_from_spec,
     run_counterexample,
     run_suite,
     transform_from_spec,
@@ -70,22 +66,24 @@ def _parse_vector(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}")
 
 
+def _text_spec(text: str) -> list[str]:
+    """``name:x,y,...`` as the spec ``[name, x, y, ...]``."""
+    name, _, args = text.partition(":")
+    return [name] + (args.split(",") if args else [])
+
+
 def _parse_transform_arg(text: str):
-    name, _, arg = text.partition(":")
-    spec = [name] + ([arg] if arg else [])
-    return transform_from_spec(spec)
+    try:
+        return transform_from_spec(_text_spec(text))
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_dist_arg(text: str):
-    name, _, args = text.partition(":")
-    vals = [float(t) for t in args.split(",")] if args else []
-    if name == "gengamma" and len(vals) == 3:
-        return GeneralizedGamma(*vals)
-    if name == "gammapower" and len(vals) == 3:
-        return GammaPower(*vals)
-    raise argparse.ArgumentTypeError(
-        f"distribution must be gengamma:p,alpha,lam or gammapower:r,alpha,lam, got {text!r}"
-    )
+    try:
+        return dist_from_spec(_text_spec(text))
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_variant(text: str) -> ConditionVariant:
@@ -282,7 +280,7 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    dists = [_parse_dist_arg(t) for t in args.dists.split(";")]
+    dists = [dist_from_spec(_text_spec(t)) for t in args.dists.split(";")]
     cdf = convolve_weighted(dists, args.weights)
     config = {
         "dists": [d.label for d in dists],
@@ -335,7 +333,7 @@ def _cmd_verify(args) -> int:
             args.output,
         )
         return 2
-    report = verify_iid_theorem(s) if s.is_iid else verify_noniid_theorem(s)
+    report = verify_iid_theorem(s, hyp) if s.is_iid else verify_noniid_theorem(s, hyp)
     _emit(report.to_dict(), config, args.output)
     return 0 if report.consistent else 2
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import DomainError, NumericError, ParameterError
-from .transforms import Direction, Transform
+from .transforms import Transform, second_differences
 
 _NORMALIZATION_TOL = 1e-6
 _LOGCC_GRID_N = 512
@@ -140,19 +140,6 @@ class GeneralizedGamma:
         return self.as_gamma_power().sample(n, seed)
 
 
-def density(d: GeneralizedGamma, x: float) -> float:
-    """Density value at ``x > 0``, computed in log space."""
-    if x <= 0:
-        raise DomainError(f"density needs x > 0, got {x}")
-    return float(d.pdf(x))
-
-
-def sample(d: GeneralizedGamma | GammaPower, n: int, seed: int) -> np.ndarray:
-    """``n`` independent draws via the gamma-power representation;
-    deterministic given ``seed``."""
-    return d.sample(n, seed)
-
-
 @dataclass(frozen=True)
 class DensitySpec:
     """A density on an interval, normalization-checked at construction.
@@ -261,14 +248,12 @@ def log_concavity_classify(
     lo = float(transformed.ppf(_LOGCC_TAIL))
     hi = float(transformed.ppf(1.0 - _LOGCC_TAIL))
     xs = np.geomspace(min(lo, hi), max(lo, hi), _LOGCC_GRID_N)
-    h = transformed.logpdf(xs)
-    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
-    dd = ((h[2:] - h[1:-1]) / (x2 - x1) - (h[1:-1] - h[:-2]) / (x1 - x0)) / (x2 - x0)
+    dd = second_differences(xs, transformed.logpdf(xs))
     i = int(np.argmax(dd))
     if dd[i] > _LOGCC_TOL:
         return LogConcavityResult(
             LogConcavity.NOT_LOG_CONCAVE,
-            witness=float(x1[i]),
+            witness=float(xs[i + 1]),
             detail=f"positive log-density curvature {float(dd[i]):.3g}",
         )
     return LogConcavityResult(LogConcavity.UNKNOWN, detail="no violation found on grid")
@@ -334,8 +319,8 @@ def lr_compare(d1: Dist, d2: Dist, grid_n: int = 256, tol: float = 1e-9) -> LRRe
         if lo > 0
         else np.linspace(lo, hi, grid_n)
     )
-    f1 = np.asarray([float(_pdf_of(d1)(x)) for x in xs])
-    f2 = np.asarray([float(_pdf_of(d2)(x)) for x in xs])
+    f1 = np.asarray([float(d1.pdf(x)) for x in xs])
+    f2 = np.asarray([float(d2.pdf(x)) for x in xs])
     ok = (f1 > 0) & (f2 > 0)
     xs, f1, f2 = xs[ok], f1[ok], f2[ok]
     if len(xs) < 3:
@@ -353,10 +338,6 @@ def lr_compare(d1: Dist, d2: Dist, grid_n: int = 256, tol: float = 1e-9) -> LRRe
             detail="ratio both rises and falls on grid",
         )
     return LRResult(LRVerdict.UNKNOWN, detail="grid evidence one-sided only")
-
-
-def _pdf_of(d: Dist):
-    return d.pdf
 
 
 def _effective_support(d: Dist, tail: float = _LOGCC_TAIL) -> tuple[float, float]:
@@ -377,7 +358,7 @@ def transformed_density(d: Dist, psi: Transform) -> DensitySpec:
     d1 = np.array([psi.d1(float(t)) for t in probe])
     if not np.all(np.isfinite(d1)) or np.any(d1 == 0):
         raise NumericError(f"{psi.label}: derivative vanishes on transformed support")
-    pdf_x = _pdf_of(d)
+    pdf_x = d.pdf
 
     def pdf_y(y):
         return float(pdf_x(psi.eval(float(y)))) * abs(psi.d1(float(y)))

@@ -13,13 +13,13 @@ case the i-th smallest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, OrderError, ParameterError
+from .errors import DomainError, NumericError, OrderError, ParameterError, StochOrderError
 from .majorization import (
     MajorizationMode,
     WeightVector,
@@ -35,6 +35,7 @@ from .transforms import (
     make_exp,
     make_log_shift,
     make_power,
+    second_differences,
 )
 from .distributions import (
     DensitySpec,
@@ -162,7 +163,7 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         try:
             return cls(
-                dists=tuple(_dist_from_spec(s) for s in data["dists"]),
+                dists=tuple(dist_from_spec(s) for s in data["dists"]),
                 phi=transform_from_spec(data["phi"]),
                 psi=transform_from_spec(data["psi"]),
                 variant=ConditionVariant(data["variant"]),
@@ -176,6 +177,10 @@ class Scenario:
             )
         except KeyError as exc:
             raise ParameterError(f"scenario is missing field {exc}") from exc
+        except StochOrderError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed scenario: {exc}") from exc
 
 
 def _dist_to_spec(d: Dist) -> list:
@@ -186,24 +191,44 @@ def _dist_to_spec(d: Dist) -> list:
     raise ParameterError(f"cannot serialize distribution {d!r}")
 
 
-def _dist_from_spec(spec: Sequence) -> Dist:
-    name = spec[0]
-    if name == "gengamma":
-        return GeneralizedGamma(float(spec[1]), float(spec[2]), float(spec[3]))
-    if name == "gammapower":
-        return GammaPower(float(spec[1]), float(spec[2]), float(spec[3]))
-    raise ParameterError(f"unknown distribution spec {spec!r}")
+def _spec_fields(spec, arity: dict[str, int], what: str) -> tuple[str, list[float]]:
+    """Name and numeric fields of a spec ``[name, *numbers]``, checked
+    against the number of fields each known name takes."""
+    if isinstance(spec, str) or not isinstance(spec, Sequence) or not spec \
+            or not isinstance(spec[0], str) or spec[0] not in arity:
+        raise ParameterError(f"unknown {what} spec {spec!r}; choose from {sorted(arity)}")
+    name, fields = spec[0], list(spec[1:])
+    if len(fields) != arity[name]:
+        raise ParameterError(
+            f"{what} {name!r} takes {arity[name]} numeric field(s), "
+            f"got {len(fields)} in {list(spec)!r}"
+        )
+    values = []
+    for f in fields:
+        try:
+            v = math.nan if isinstance(f, bool) else float(f)
+        except (TypeError, ValueError, OverflowError):
+            v = math.nan
+        if not math.isfinite(v):
+            raise ParameterError(f"{what} {name!r}: {f!r} is not a finite number")
+        values.append(v)
+    return name, values
+
+
+def dist_from_spec(spec: Sequence) -> Dist:
+    """Distribution from ``["gengamma", p, alpha, lam]`` or
+    ``["gammapower", r, alpha, lam]``; the inverse of ``_dist_to_spec``.
+    Numeric fields may be numbers or their text."""
+    name, values = _spec_fields(spec, {"gengamma": 3, "gammapower": 3}, "distribution")
+    return (GeneralizedGamma if name == "gengamma" else GammaPower)(*values)
 
 
 def transform_from_spec(spec: Sequence) -> Transform:
-    name = spec[0]
-    if name == "exp":
-        return make_exp()
+    """Transform from ``["exp"]``, ``["power", r]`` or ``["logshift"]``."""
+    name, values = _spec_fields(spec, {"exp": 0, "power": 1, "logshift": 0}, "transform")
     if name == "power":
-        return make_power(float(spec[1]))
-    if name == "logshift":
-        return make_log_shift()
-    raise ParameterError(f"unknown transform spec {spec!r}")
+        return make_power(values[0])
+    return make_exp() if name == "exp" else make_log_shift()
 
 
 @dataclass(frozen=True)
@@ -289,14 +314,13 @@ def _density_log_concavity(spec: DensitySpec, grid_n: int = 512) -> HypothesisCh
     xs, h = xs[finite], h[finite]
     if len(xs) < 3:
         return HypothesisCheck(CheckStatus.UNKNOWN, "density vanishes on grid")
-    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
-    dd = ((h[2:] - h[1:-1]) / (x2 - x1) - (h[1:-1] - h[:-2]) / (x1 - x0)) / (x2 - x0)
+    dd = second_differences(xs, h)
     i = int(np.argmax(dd))
     if dd[i] > _SPEC_LOGCC_TOL:
         return HypothesisCheck(
             CheckStatus.FAIL,
             f"log-density curvature {float(dd[i]):.3g} > 0",
-            witness=(float(x1[i]),),
+            witness=(float(xs[i + 1]),),
         )
     return HypothesisCheck(CheckStatus.UNKNOWN, "no violation found on grid")
 
@@ -324,8 +348,10 @@ def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisChe
                 witness=(res.witness,) if res.witness is not None else None,
             )
         # generic fallback: density of psi^{-1}(X) by change of variables
-        spec = transformed_density(d, psi)
-        check = _density_log_concavity(spec)
+        try:
+            check = _density_log_concavity(transformed_density(d, psi))
+        except NumericError as exc:
+            return HypothesisCheck(CheckStatus.UNKNOWN, f"density scan failed: {exc}")
         if check.status is not CheckStatus.PASS:
             return check
     return HypothesisCheck(CheckStatus.PASS, "log-concave for every component")
@@ -363,26 +389,20 @@ def check_hypotheses(
     inv_a = _inverse_weights(s.phi, s.a)
     inv_b = _inverse_weights(s.phi, s.b)
 
-    if s.premise_mode is MajorizationMode.FULL:
-        ok = check_majorize(inv_b, inv_a, MajorizationMode.FULL)
+    mode, full = s.premise_mode, s.premise_mode is MajorizationMode.FULL
+    licensed = _licensed_weak_mode(s.variant, s.phi)
+    if not full and mode is not licensed:
         maj = HypothesisCheck(
-            CheckStatus.PASS if ok else CheckStatus.FAIL,
-            "full majorization premise" if ok else "premise order fails",
+            CheckStatus.FAIL,
+            f"mode {mode.value} not licensed here (expected {licensed.value})",
+        )
+    elif check_majorize(inv_b, inv_a, mode):
+        maj = HypothesisCheck(
+            CheckStatus.PASS,
+            "full majorization premise" if full else f"weak premise ({mode.value})",
         )
     else:
-        licensed = _licensed_weak_mode(s.variant, s.phi)
-        if s.premise_mode is not licensed:
-            maj = HypothesisCheck(
-                CheckStatus.FAIL,
-                f"mode {s.premise_mode.value} not licensed here "
-                f"(expected {licensed.value})",
-            )
-        else:
-            ok = check_majorize(inv_b, inv_a, s.premise_mode)
-            maj = HypothesisCheck(
-                CheckStatus.PASS if ok else CheckStatus.FAIL,
-                f"weak premise ({s.premise_mode.value})" if ok else "premise order fails",
-            )
+        maj = HypothesisCheck(CheckStatus.FAIL, "premise order fails")
 
     try:
         rep = check_convexity_conditions(s.phi, s.psi, s.variant, condition_grid)
@@ -449,32 +469,41 @@ def _run_comparison(
     )
 
 
-def _require_pass(hyp: HypothesisReport) -> None:
+def _require_pass(s: Scenario, hyp: Optional[HypothesisReport]) -> HypothesisReport:
+    """The scenario's hypothesis report (computed unless given), which must
+    pass."""
+    if hyp is None:
+        hyp = check_hypotheses(s)
     bad = hyp.first_not_passing()
     if bad is not None:
         name, check = bad
         raise OrderError(
             f"hypothesis {name} is {check.status.value}: {check.detail}"
         )
+    return hyp
 
 
-def verify_iid_theorem(s: Scenario) -> TheoremReport:
-    """Conclusion test for identically distributed components."""
+def verify_iid_theorem(
+    s: Scenario, hyp: Optional[HypothesisReport] = None
+) -> TheoremReport:
+    """Conclusion test for identically distributed components. ``hyp`` is
+    the scenario's hypothesis report, if it is already computed."""
     if not s.is_iid:
         raise ParameterError("verify_iid_theorem requires identical dists")
-    hyp = check_hypotheses(s)
-    _require_pass(hyp)
+    hyp = _require_pass(s, hyp)
     return _run_comparison(s, hyp, s.a.as_array(), s.b.as_array())
 
 
-def verify_noniid_theorem(s: Scenario) -> TheoremReport:
-    """Conclusion test for an lr-decreasing chain of components.
+def verify_noniid_theorem(
+    s: Scenario, hyp: Optional[HypothesisReport] = None
+) -> TheoremReport:
+    """Conclusion test for an lr-decreasing chain of components. ``hyp`` is
+    the scenario's hypothesis report, if it is already computed.
 
     The convex case pairs the i-th largest coefficient with the i-th
     variable of the chain; the concave case pairs the i-th smallest.
     """
-    hyp = check_hypotheses(s)
-    _require_pass(hyp)
+    hyp = _require_pass(s, hyp)
     if s.variant is ConditionVariant.CONVEX_CASE:
         a_used = np.sort(s.a.as_array())[::-1]
         b_used = np.sort(s.b.as_array())[::-1]
@@ -624,9 +653,32 @@ def _weaken(
     return np.array([phi.eval(float(t)) for t in v])
 
 
-def _conjugate(x: float) -> float:
-    """The exponent paired with x by 1/x + 1/y = 1."""
-    return 1.0 / (1.0 - 1.0 / x)
+class _Preset(NamedTuple):
+    """One suite preset: a phi/psi family on the boundary 1/p + 1/q = 1,
+    the theorem's case, the ranges of the family exponent and of the
+    component shape alpha, and how the components differ."""
+
+    family: str                    # "exp", "a1", "a2", "a3" or "logshift"
+    variant: ConditionVariant
+    exponent: tuple[float, float]
+    alpha: tuple[float, float]
+    chain: Optional[str] = None    # None (identical), "rate" or "shape"
+
+
+_CONVEX, _CONCAVE = ConditionVariant.CONVEX_CASE, ConditionVariant.CONCAVE_CASE
+# alpha >= 3 keeps the inverse-power tail of the a1 components short enough
+# for the convolution oracle
+_PRESETS = {
+    "exp_exp": _Preset("exp", _CONVEX, (1.0, 3.0), (1.0, 4.0)),
+    "power_a1": _Preset("a1", _CONVEX, (1.05, 1.45), (3.0, 5.0)),
+    "power_a2": _Preset("a2", _CONVEX, (0.72, 0.95), (1.0, 2.0)),
+    "power_a3": _Preset("a3", _CONCAVE, (1.2, 4.0), (1.0, 4.0)),
+    "logshift": _Preset("logshift", _CONCAVE, (2.0, 4.0), (1.0, 4.0)),
+    "noniid_exp": _Preset("exp", _CONVEX, (1.0, 3.0), (1.0, 4.0), "rate"),
+    "noniid_a1": _Preset("a1", _CONVEX, (1.05, 1.45), (3.0, 5.0), "shape"),
+    "noniid_a2": _Preset("a2", _CONVEX, (0.72, 0.95), (1.0, 4.0), "rate"),
+    "noniid_a3": _Preset("a3", _CONCAVE, (1.2, 4.0), (1.0, 4.0), "rate"),
+}
 
 
 @dataclass(frozen=True)
@@ -635,191 +687,49 @@ class SuiteConfig:
     master_seed: int = 42
     n_samples: int = 100_000
     delta: float = 0.01
-    presets: tuple[str, ...] = (
-        "exp_exp",
-        "power_a1",
-        "power_a2",
-        "power_a3",
-        "logshift",
-        "noniid_exp",
-        "noniid_a1",
-        "noniid_a2",
-        "noniid_a3",
-    )
+    presets: tuple[str, ...] = tuple(_PRESETS)
+
+    def __post_init__(self):
+        if self.n_scenarios < 1:
+            raise ParameterError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
+        if not self.presets or any(p not in _PRESETS for p in self.presets):
+            raise ParameterError(
+                f"presets must be chosen from {sorted(_PRESETS)}, got {list(self.presets)}"
+            )
 
     def to_dict(self) -> dict:
-        return {
-            "n_scenarios": self.n_scenarios,
-            "master_seed": self.master_seed,
-            "n_samples": self.n_samples,
-            "delta": self.delta,
-            "presets": list(self.presets),
-        }
+        return {**asdict(self), "presets": list(self.presets)}
 
 
-def _gen_exp_exp(rng, n):
-    phi = make_exp()
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUB
-        b = _weaken(rng, b, phi, mode)
-    d = GeneralizedGamma(
-        p=float(rng.uniform(1.0, 3.0)),
-        alpha=float(rng.uniform(1.0, 4.0)),
-        lam=float(rng.uniform(0.5, 2.0)),
-    )
-    return (d,) * n, phi, phi, ConditionVariant.CONVEX_CASE, a, b, mode
+def _family_transforms(family: str, x: Optional[float]) -> tuple[Transform, Transform]:
+    """phi and psi of a preset family at its exponent draw x."""
+    if family == "exp":
+        phi = make_exp()
+        return phi, phi
+    if family == "a1":  # phi = t^(1/q) with q in (0, 1); conjugate psi, p < 0
+        return make_power(x), make_power(1.0 - x)
+    psi = make_power(1.0 / x)  # x = p
+    if family == "logshift":
+        return make_log_shift(), psi
+    return make_power(1.0 - 1.0 / x), psi  # a2: q < 0; a3: q > 1
 
 
-def _gen_power_a1(rng, n):
-    inv_q = float(rng.uniform(1.05, 1.45))     # phi exponent; q in (0, 1)
-    inv_p = 1.0 - inv_q                        # conjugate; p < 0
-    phi = make_power(inv_q)
-    psi = make_power(inv_p)
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUB
-        b = _weaken(rng, b, phi, mode)
-    # X = G**inv_p with alpha >= 3 keeps the inverse-power tail short enough
-    # for the convolution oracle
-    d = GammaPower(
-        r=inv_p,
-        alpha=float(rng.uniform(3.0, 5.0)),
-        lam=float(rng.uniform(0.5, 2.0)),
-    )
-    return (d,) * n, phi, psi, ConditionVariant.CONVEX_CASE, a, b, mode
-
-
-def _gen_power_a2(rng, n):
-    p = float(rng.uniform(0.72, 0.95))         # psi exponent 1/p in (1.05, 1.4)
-    inv_q = 1.0 - 1.0 / p                      # phi exponent; q < 0
-    phi = make_power(inv_q)
-    psi = make_power(1.0 / p)
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUP
-        b = _weaken(rng, b, phi, mode)
-    d = GeneralizedGamma(
-        p=p,
-        alpha=float(rng.uniform(1.0, 2.0)),
-        lam=float(rng.uniform(0.5, 2.0)),
-    )
-    return (d,) * n, phi, psi, ConditionVariant.CONVEX_CASE, a, b, mode
-
-
-def _gen_power_a3(rng, n):
-    p = float(rng.uniform(1.2, 4.0))
-    inv_q = 1.0 - 1.0 / p                      # in (0, 1); q > 1
-    phi = make_power(inv_q)
-    psi = make_power(1.0 / p)
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUP
-        b = _weaken(rng, b, phi, mode)
-    d = GeneralizedGamma(
-        p=p,
-        alpha=float(rng.uniform(1.0, 4.0)),
-        lam=float(rng.uniform(0.5, 2.0)),
-    )
-    return (d,) * n, phi, psi, ConditionVariant.CONCAVE_CASE, a, b, mode
-
-
-def _gen_logshift(rng, n):
-    phi = make_log_shift()
-    p = float(rng.uniform(2.0, 4.0))
-    psi = make_power(1.0 / p)
-    a, b = _weights_pair(rng, phi, n, lo=1.0, hi=10.0)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUP
-        b = _weaken(rng, b, phi, mode)
-    d = GeneralizedGamma(
-        p=p,
-        alpha=float(rng.uniform(1.0, 4.0)),
-        lam=float(rng.uniform(0.5, 2.0)),
-    )
-    return (d,) * n, phi, psi, ConditionVariant.CONCAVE_CASE, a, b, mode
-
-
-def _lr_chain_gengamma(rng, n, p, alpha_lo=1.0):
-    """Chain of same-power distributions, lr-decreasing by increasing rate."""
-    alpha = float(rng.uniform(alpha_lo, alpha_lo + 3.0))
-    lams = np.sort(rng.uniform(0.5, 2.0, size=n))
-    return tuple(GeneralizedGamma(p=p, alpha=alpha, lam=float(l)) for l in lams)
-
-
-def _gen_noniid_exp(rng, n):
-    phi = make_exp()
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUB
-        b = _weaken(rng, b, phi, mode)
-    dists = _lr_chain_gengamma(rng, n, p=float(rng.uniform(1.0, 3.0)))
-    return dists, phi, phi, ConditionVariant.CONVEX_CASE, a, b, mode
-
-
-def _gen_noniid_a1(rng, n):
-    inv_q = float(rng.uniform(1.05, 1.45))
-    inv_p = 1.0 - inv_q
-    phi = make_power(inv_q)
-    psi = make_power(inv_p)
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUB
-        b = _weaken(rng, b, phi, mode)
-    # negative power flips the lr order, so ascending shapes give a
-    # decreasing chain
-    alphas = np.sort(rng.uniform(3.0, 5.0, size=n))
-    lam = float(rng.uniform(0.5, 2.0))
-    dists = tuple(GammaPower(r=inv_p, alpha=float(al), lam=lam) for al in alphas)
-    return dists, phi, psi, ConditionVariant.CONVEX_CASE, a, b, mode
-
-
-def _gen_noniid_a2(rng, n):
-    p = float(rng.uniform(0.72, 0.95))
-    inv_q = 1.0 - 1.0 / p
-    phi = make_power(inv_q)
-    psi = make_power(1.0 / p)
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUP
-        b = _weaken(rng, b, phi, mode)
-    dists = _lr_chain_gengamma(rng, n, p=p)
-    return dists, phi, psi, ConditionVariant.CONVEX_CASE, a, b, mode
-
-
-def _gen_noniid_a3(rng, n):
-    p = float(rng.uniform(1.2, 4.0))
-    inv_q = 1.0 - 1.0 / p
-    phi = make_power(inv_q)
-    psi = make_power(1.0 / p)
-    a, b = _weights_pair(rng, phi, n)
-    mode = MajorizationMode.FULL
-    if rng.random() < 0.5:
-        mode = MajorizationMode.WEAK_SUP
-        b = _weaken(rng, b, phi, mode)
-    dists = _lr_chain_gengamma(rng, n, p=p)
-    return dists, phi, psi, ConditionVariant.CONCAVE_CASE, a, b, mode
-
-
-_PRESET_GENERATORS = {
-    "exp_exp": _gen_exp_exp,
-    "power_a1": _gen_power_a1,
-    "power_a2": _gen_power_a2,
-    "power_a3": _gen_power_a3,
-    "logshift": _gen_logshift,
-    "noniid_exp": _gen_noniid_exp,
-    "noniid_a1": _gen_noniid_a1,
-    "noniid_a2": _gen_noniid_a2,
-    "noniid_a3": _gen_noniid_a3,
-}
+def _components(
+    rng: np.random.Generator, row: _Preset, power: float, n: int
+) -> tuple[Dist, ...]:
+    """Identical components, or an lr-decreasing chain in rate or shape."""
+    make = GammaPower if row.family == "a1" else GeneralizedGamma
+    if row.chain == "shape":
+        # the negative power of a1 flips the lr order, so ascending shapes
+        # give a decreasing chain
+        alphas = np.sort(rng.uniform(*row.alpha, size=n))
+        lam = float(rng.uniform(0.5, 2.0))
+        return tuple(make(power, float(al), lam) for al in alphas)
+    alpha = float(rng.uniform(*row.alpha))
+    if row.chain == "rate":  # ascending rates: lr-decreasing
+        lams = np.sort(rng.uniform(0.5, 2.0, size=n))
+        return tuple(make(power, alpha, float(l)) for l in lams)
+    return (make(power, alpha, float(rng.uniform(0.5, 2.0))),) * n
 
 
 def generate_scenario(
@@ -829,19 +739,33 @@ def generate_scenario(
     delta: float = 0.01,
     label: str = "",
 ) -> Scenario:
-    """Randomized scenario for a named preset; deterministic per seed."""
-    if preset not in _PRESET_GENERATORS:
+    """Randomized scenario for a named preset; deterministic per seed.
+
+    The weak premise, when drawn, is the one the preset's case licenses.
+    The exp family draws its exponent after the weights, the others before.
+    """
+    if preset not in _PRESETS:
         raise ParameterError(
-            f"unknown preset {preset!r}; choose from {sorted(_PRESET_GENERATORS)}"
+            f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}"
         )
+    row = _PRESETS[preset]
     rng = np.random.default_rng(seed_seq)
     n = int(rng.integers(2, 5))
-    dists, phi, psi, variant, a, b, mode = _PRESET_GENERATORS[preset](rng, n)
+    x = None if row.family == "exp" else float(rng.uniform(*row.exponent))
+    phi, psi = _family_transforms(row.family, x)
+    lo = 1.0 if row.family == "logshift" else 0.1
+    a, b = _weights_pair(rng, phi, n, lo=lo)
+    mode = MajorizationMode.FULL
+    if rng.random() < 0.5:
+        mode = _licensed_weak_mode(row.variant, phi)
+        b = _weaken(rng, b, phi, mode)
+    if x is None:
+        x = float(rng.uniform(*row.exponent))
     return Scenario(
-        dists=dists,
+        dists=_components(rng, row, 1.0 - x if row.family == "a1" else x, n),
         phi=phi,
         psi=psi,
-        variant=variant,
+        variant=row.variant,
         a=tuple(a),
         b=tuple(b),
         premise_mode=mode,
@@ -915,9 +839,9 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
             report.records.append(record)
             continue
         tr = (
-            verify_iid_theorem(s)
+            verify_iid_theorem(s, hyp)
             if s.is_iid
-            else verify_noniid_theorem(s)
+            else verify_noniid_theorem(s, hyp)
         )
         record["status"] = "consistent" if tr.consistent else "inconsistent"
         record["report"] = tr.to_dict()

@@ -325,6 +325,13 @@ def classify_pq(p: float, q: float) -> PQRegion:
     return PQRegion.NONE
 
 
+def second_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Second divided differences of ys over the (possibly nonuniform) grid
+    xs, one per interior point xs[1:-1]; positive where ys curves upward."""
+    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
+    return ((ys[2:] - ys[1:-1]) / (x2 - x1) - (ys[1:-1] - ys[:-2]) / (x1 - x0)) / (x2 - x0)
+
+
 DEFAULT_COMPARE_GRID = GridSpec(1e-3, 1e3, 256)
 
 
@@ -355,10 +362,8 @@ def compare_transforms(
     #        (iii) dec/inc -> convex, (iv) dec/dec -> concave
     want_convex = phi2.direction is Direction.INCREASING
 
-    # second divided differences on the nonuniform grid
-    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
-    dd = ((g[2:] - g[1:-1]) / (x2 - x1) - (g[1:-1] - g[:-2]) / (x1 - x0)) / (x2 - x0)
-    scale = tol * (1.0 + np.abs(g[1:-1])) / ((x1 - x0) * (x2 - x0))
+    dd = second_differences(xs, g)
+    scale = tol * (1.0 + np.abs(g[1:-1])) / ((xs[1:-1] - xs[:-2]) * (xs[2:] - xs[:-2]))
     if want_convex:
         ok = bool(np.all(dd >= -scale))
     else:

@@ -191,3 +191,50 @@ class TestSuite:
 
     def test_unknown_preset_exit_one(self, capsys):
         assert run(["suite", "--n", "1", "--presets", "bogus"]) == 1
+
+
+class TestMalformedInput:
+    """Bad specs are rejected where they enter, with exit code 1 and a
+    one-line message, never a traceback or a silent default."""
+
+    def verify_with(self, tmp_path, capsys, **fields):
+        data = TestVerify().scenario_dict([4.0, 1.0], [2.0, 2.0])
+        data.update(fields)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        code = run(["verify", "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("stochorder: error:") and err.count("\n") == 1
+
+    def test_power_transform_without_exponent(self):
+        with pytest.raises(SystemExit) as e:
+            run(["conditions", "--phi", "power", "--psi", "exp"])
+        assert e.value.code == 1
+
+    def test_dist_spec_too_short(self, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, dists=[["gengamma", 1]] * 2)
+
+    def test_dist_spec_not_numeric(self, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, dists=[["gengamma", "x", 1, 1]] * 2)
+
+    def test_dist_spec_too_long(self, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, dists=[["gengamma", 1, 1, 1, 99]] * 2)
+
+    def test_transform_spec_too_long(self, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, phi=["power", 2, 7])
+
+    def test_unknown_variant(self, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, variant="convexx")
+
+    def test_unknown_premise_mode(self, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, premise_mode="bogus")
+
+    def test_convolve_short_dist_spec(self, capsys):
+        assert run(["convolve", "--dists", "gengamma:1,1", "--weights", "1"]) == 1
+        assert capsys.readouterr().err.startswith("stochorder: error:")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_suite_without_scenarios(self, n, capsys):
+        assert run(["suite", "--n", n]) == 1
+        assert capsys.readouterr().err.startswith("stochorder: error:")

@@ -8,13 +8,11 @@ from scipy import integrate
 
 from stochorder import (
     DensitySpec,
-    DomainError,
     GammaPower,
     GeneralizedGamma,
     LogConcavity,
     LRVerdict,
     ParameterError,
-    density,
     dkw_epsilon,
     ecdf,
     gamma_power_logconcave,
@@ -22,7 +20,6 @@ from stochorder import (
     lr_compare,
     make_exp,
     make_power,
-    sample,
     transformed_density,
 )
 
@@ -32,19 +29,15 @@ positive = st.floats(0.3, 4.0)
 class TestDensity:
     def test_exponential_value(self):
         d = GeneralizedGamma(1, 1, 1)
-        assert density(d, 0.5) == pytest.approx(math.exp(-0.5))
+        assert d.pdf(0.5) == pytest.approx(math.exp(-0.5))
 
     def test_weibull_value(self):
         d = GeneralizedGamma(2, 1, 1)
-        assert density(d, 1.0) == pytest.approx(2 * math.exp(-1))
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            density(GeneralizedGamma(1, 1, 1), 0.0)
+        assert d.pdf(1.0) == pytest.approx(2 * math.exp(-1))
 
     def test_normalization_by_quadrature(self):
         d = GeneralizedGamma(2, 3.7, 0.4)
-        total, _ = integrate.quad(lambda x: density(d, x), 1e-12, 50, limit=200)
+        total, _ = integrate.quad(d.pdf, 1e-12, 50, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     @given(positive, positive, positive)
@@ -94,7 +87,7 @@ class TestGammaPower:
 
 class TestSampling:
     def test_gamma_mean(self):
-        draws = sample(GeneralizedGamma(1, 2, 1), 1_000_000, seed=3)
+        draws = GeneralizedGamma(1, 2, 1).sample(1_000_000, seed=3)
         assert np.mean(draws) == pytest.approx(2.0, abs=0.01)
 
     def test_determinism(self):
@@ -112,7 +105,7 @@ class TestSampling:
 
     def test_invalid_n(self):
         with pytest.raises(ParameterError):
-            sample(GeneralizedGamma(1, 1, 1), 0, seed=0)
+            GeneralizedGamma(1, 1, 1).sample(0, seed=0)
 
 
 class TestDensitySpec:

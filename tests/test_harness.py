@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stochorder import (
     CheckStatus,
     ConditionVariant,
+    DensitySpec,
     DomainError,
     GammaPower,
     GeneralizedGamma,
@@ -18,12 +22,20 @@ from stochorder import (
     check_transform_preservation,
     generate_scenario,
     make_exp,
+    make_log_shift,
     make_power,
     pairwise_exchange_check,
     run_counterexample,
     run_suite,
     verify_iid_theorem,
     verify_noniid_theorem,
+)
+from stochorder import harness
+from stochorder.harness import (
+    _check_log_concavity,
+    _dist_to_spec,
+    dist_from_spec,
+    transform_from_spec,
 )
 
 CONVEX = ConditionVariant.CONVEX_CASE
@@ -315,3 +327,159 @@ class TestSuite:
             predicted = rec["report"]["predicted"]
             bad = "b_dominates" if predicted == "a" else "a_dominates"
             assert oracle["relation"] != bad, rec["preset"]
+
+
+GOLDEN = Path(__file__).with_name("golden_scenarios.json")
+
+
+def _assert_same(got, want, where="scenario"):
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{k}]")
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for k in want:
+            _assert_same(got[k], want[k], f"{where}.{k}")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+class TestGoldenScenarios:
+    """Every preset draws the same scenario from the same seed as the nine
+    hand-written generators it replaced (fixture: nine presets x seeds 1, 42
+    and 2024)."""
+
+    @pytest.mark.parametrize("preset", SuiteConfig().presets)
+    def test_preset_matches_fixture(self, preset):
+        golden = json.loads(GOLDEN.read_text())[preset]
+        for seed, want in golden.items():
+            s = generate_scenario(preset, np.random.SeedSequence(int(seed)))
+            # through JSON so that tuples compare as the fixture's lists
+            _assert_same(json.loads(json.dumps(s.to_dict())), want, f"{preset}@{seed}")
+
+    def test_fixture_covers_every_preset(self):
+        assert sorted(json.loads(GOLDEN.read_text())) == sorted(SuiteConfig().presets)
+
+
+class TestLogConcavityFallback:
+    """The generic second-difference scan used for components without an
+    analytic rule."""
+
+    def test_fallback_refutes_small_shape(self):
+        spec = DensitySpec.from_dist(GeneralizedGamma(0.5, 0.5, 1))
+        check = _check_log_concavity([spec], make_power(1.0))
+        assert check.status is CheckStatus.FAIL
+        assert check.witness == (pytest.approx(1.26538433930064, rel=1e-12),)
+        assert check.detail == "log-density curvature 1.81 > 0"
+
+    def test_fallback_cannot_certify(self):
+        spec = DensitySpec.from_dist(GeneralizedGamma(1, 2, 1))
+        check = _check_log_concavity([spec], make_power(1.0))
+        assert check.status is CheckStatus.UNKNOWN
+
+    def test_fallback_failure_is_unknown_not_raised(self):
+        # psi^-1(X) = exp(X) - e has almost no mass inside the quantile
+        # support, so the transformed density fails its normalization check
+        check = _check_log_concavity([GeneralizedGamma(1, 1, 1)], make_log_shift())
+        assert check.status is CheckStatus.UNKNOWN
+        assert "density integrates to" in check.detail
+
+
+class TestHypothesesEvaluatedOnce:
+    def test_run_suite_checks_each_scenario_once(self, monkeypatch):
+        calls = {"check_hypotheses": 0, "generate_scenario": 0}
+
+        def counting(name):
+            orig = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counting("check_hypotheses")
+        counting("generate_scenario")
+        cfg = SuiteConfig(n_scenarios=2, master_seed=5, n_samples=5_000)
+        report = run_suite(cfg)
+        assert report.n_run == 2
+        assert calls == {"check_hypotheses": 2, "generate_scenario": 2}
+
+    def test_given_report_is_used(self):
+        s = exp_scenario([4.0, 1.0], [2.0, 2.0], seed=5)
+        hyp = check_hypotheses(s)
+        assert verify_iid_theorem(s, hyp).hypothesis is hyp
+        assert verify_noniid_theorem(s, hyp=hyp).hypothesis is hyp
+
+    def test_given_failing_report_still_gates(self):
+        bad = check_hypotheses(exp_scenario([2.0, 2.0], [3.0, 1.0]))
+        with pytest.raises(OrderError):
+            verify_iid_theorem(exp_scenario([4.0, 1.0], [2.0, 2.0]), bad)
+
+
+class TestSuiteConfig:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_suite_rejected(self, n):
+        with pytest.raises(ParameterError):
+            SuiteConfig(n_scenarios=n)
+
+    @pytest.mark.parametrize("presets", [(), ("exp_exp", "nope")])
+    def test_bad_presets_rejected(self, presets):
+        with pytest.raises(ParameterError):
+            SuiteConfig(presets=presets)
+
+
+class TestSpecParsers:
+    def test_dist_roundtrip(self):
+        for d in (GeneralizedGamma(2.0, 1.5, 0.7), GammaPower(-0.25, 4.0, 1.0)):
+            assert dist_from_spec(_dist_to_spec(d)) == d
+
+    @pytest.mark.parametrize("spec", [
+        ["gengamma", 1],
+        ["gengamma", 1, 1, 1, 99],
+        ["gengamma", "x", 1, 1],
+        ["gengamma", True, 1, 1],
+        ["gammapower", 1, 1, None],
+        ["gammapower", 10**400, 1, 1],
+        ["gengamma", "nan", 1, 1],
+        ["cauchy", 0, 1],
+        [],
+        "gengamma",
+    ])
+    def test_bad_dist_spec(self, spec):
+        with pytest.raises(ParameterError):
+            dist_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        ["power"],
+        ["power", 2, 7],
+        ["power", "two"],
+        ["exp", 1],
+        ["logshift", 0],
+        ["sine"],
+        [],
+    ])
+    def test_bad_transform_spec(self, spec):
+        with pytest.raises(ParameterError):
+            transform_from_spec(spec)
+
+    def test_numeric_strings_accepted(self):
+        # the CLI hands over the text of each field
+        assert dist_from_spec(["gengamma", "1", "2", "0.5"]) == GeneralizedGamma(1, 2, 0.5)
+        assert transform_from_spec(["power", "0.5"]).kind == ("power", 0.5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("variant", "convexx"),
+        ("premise_mode", "bogus"),
+        ("n_samples", "many"),
+        ("a", 3),
+    ])
+    def test_bad_scenario_field(self, field, value):
+        data = exp_scenario([4.0, 1.0], [2.0, 2.0]).to_dict()
+        data[field] = value
+        with pytest.raises(ParameterError):
+            Scenario.from_dict(data)
