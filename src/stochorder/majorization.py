@@ -9,8 +9,11 @@ keeps only the top-sum family with reversed inequality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,6 +90,22 @@ def _slack(tol: float, *sums: float) -> float:
     return tol * (1.0 + max(abs(s) for s in sums))
 
 
+def _sorted_values(v: VectorLike) -> list[float]:
+    """Nondecreasing plain floats of ``v``, under the checks of
+    :class:`WeightVector`: at least one entry, every entry finite."""
+    if isinstance(v, WeightVector):
+        return sorted(v.values)
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    vals = [float(v)] if isinstance(v, Real) else [float(t) for t in v]
+    if not vals:
+        raise ParameterError("WeightVector needs at least one entry")
+    if not all(map(math.isfinite, vals)):
+        raise ParameterError(f"non-finite entry in {tuple(vals)}")
+    vals.sort()
+    return vals
+
+
 def check_majorize(
     x: VectorLike,
     y: VectorLike,
@@ -95,34 +114,34 @@ def check_majorize(
 ) -> bool:
     """True iff ``x`` is (weakly) majorized by ``y`` in the given mode.
 
-    All sum comparisons carry a relative slack ``tol * (1 + |sum|)``.
+    All sum comparisons of ``a`` against ``b`` carry the relative slack
+    ``tol * (1 + max(|a|, |b|))``.
     """
     if tol < 0:
         raise ParameterError("tol must be >= 0")
-    xa = as_weight_vector(x).as_array()
-    ya = as_weight_vector(y).as_array()
-    if xa.shape != ya.shape:
-        raise DimensionError(f"length mismatch: {len(xa)} vs {len(ya)}")
-    xs = np.sort(xa)
-    ys = np.sort(ya)
-    bx = np.cumsum(xs)
-    by = np.cumsum(ys)
-
-    def bottom_family(upto: int) -> bool:
-        return all(
-            bx[j] >= by[j] - _slack(tol, bx[j], by[j]) for j in range(upto)
-        )
-
-    if mode is MajorizationMode.WEAK_SUP:
-        return bottom_family(len(xs))
+    xs = _sorted_values(x)
+    ys = _sorted_values(y)
+    if len(xs) != len(ys):
+        raise DimensionError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    # each test is a negated ``<=``/``>=``, so a NaN from sums that overflow
+    # to inf fails it
     if mode is MajorizationMode.WEAK_SUB:
         # top sums: sum_{i>=j} x_(i) <= sum_{i>=j} y_(i)
-        tx = np.cumsum(xs[::-1])
-        ty = np.cumsum(ys[::-1])
-        return all(tx[j] <= ty[j] + _slack(tol, tx[j], ty[j]) for j in range(len(xs)))
-    # FULL
-    total_ok = abs(bx[-1] - by[-1]) <= _slack(tol, bx[-1], by[-1])
-    return total_ok and bottom_family(len(xs) - 1)
+        for a, b in zip(accumulate(reversed(xs)), accumulate(reversed(ys))):
+            if not a <= b + tol * (1.0 + max(abs(a), abs(b))):
+                return False
+        return True
+    bx = list(accumulate(xs))
+    by = list(accumulate(ys))
+    if mode is not MajorizationMode.WEAK_SUP:  # FULL: the totals agree
+        a, b = bx.pop(), by.pop()
+        if not abs(a - b) <= tol * (1.0 + max(abs(a), abs(b))):
+            return False
+    # bottom sums: sum_{i<=j} x_(i) >= sum_{i<=j} y_(i)
+    for a, b in zip(bx, by):
+        if not a >= b - tol * (1.0 + max(abs(a), abs(b))):
+            return False
+    return True
 
 
 def t_transform_chain(

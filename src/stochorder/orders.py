@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, signal
+from scipy import fft, integrate, optimize
 
 from .errors import NumericError, ParameterError
 from .distributions import DensitySpec, Dist
@@ -116,8 +116,11 @@ def ecdf(samples: Sequence[float]) -> NumericCDF:
     # sorting puts -inf first and +inf and NaN last
     if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
         raise ParameterError("ecdf needs finite samples")
-    grid, counts = np.unique(arr, return_counts=True)
-    values = np.cumsum(counts) / arr.size
+    # distinct values from the sorted array: each run's first entry is the
+    # grid point, and the count up to its last entry is the CDF value
+    new = arr[1:] != arr[:-1]
+    grid = arr[np.concatenate(([True], new))]
+    values = (np.flatnonzero(np.concatenate((new, [True]))) + 1) / arr.size
     return NumericCDF(grid, values, kind="step", meta={"n": int(arr.size)})
 
 
@@ -302,6 +305,17 @@ def convolve_weighted(
     )
 
 
+def _full_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two 1-D float arrays, computed as
+    ``scipy.signal.fftconvolve`` does: a length-1 factor scales the other,
+    otherwise real FFTs at the next fast length."""
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    full = len(a) + len(b) - 1
+    nfft = fft.next_fast_len(full, True)
+    return fft.irfft(fft.rfft(a, nfft) * fft.rfft(b, nfft), nfft)[:full]
+
+
 def _convolve_level(
     masses: list[np.ndarray], top: float, m: int, tail_tol: float, levels: int
 ) -> NumericCDF:
@@ -310,7 +324,7 @@ def _convolve_level(
     h = top / m
     pmf = masses[0]
     for comp in masses[1:]:
-        pmf = signal.fftconvolve(pmf, comp)[:size]
+        pmf = _full_convolution(pmf, comp)[:size]
         np.clip(pmf, 0.0, None, out=pmf)
     pmf = np.concatenate([pmf, np.zeros(size - len(pmf))])
     positions = (np.arange(size) + 0.5 * n) * h

@@ -235,24 +235,16 @@ def _eval_grid(fn, pts: np.ndarray, label: str) -> np.ndarray:
     return out
 
 
-def _product_margin(lhs_factors: tuple[float, ...], rhs_factors: tuple[float, ...]) -> float:
-    """Log-scale margin of rhs - lhs for products of scalar factors.
+def _log_abs_and_sign(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log|f|`` and the sign (-1, 0 or 1) of each value; a zero gets log
+    0.0 and is marked by its sign 0.
 
-    <= 0 means the product condition lhs >= rhs holds at the point. Sign
-    failures (lhs <= 0 < rhs) report +inf.
-    """
-    sign_l = math.prod(math.copysign(1.0, f) if f != 0 else 0.0 for f in lhs_factors)
-    log_l = sum(math.log(abs(f)) if f != 0 else -math.inf for f in lhs_factors)
-    log_r = sum(
-        math.log(abs(f)) if f != 0 else -math.inf for f in rhs_factors
-    )
-    if log_r == -math.inf:  # rhs is zero
-        if sign_l > 0 or log_l == -math.inf:
-            return 0.0 if log_l == -math.inf else -math.inf
-        return math.inf  # lhs < 0 = rhs
-    if sign_l <= 0 or log_l == -math.inf:
-        return math.inf
-    return log_r - log_l
+    The logs come from ``math.log`` one value at a time, since numpy's
+    vectorized log may differ from it in the last bit."""
+    fs = vals.tolist()
+    logs = [math.log(abs(f)) if f != 0 else 0.0 for f in fs]
+    signs = [math.copysign(1.0, f) if f != 0 else 0.0 for f in fs]
+    return np.array(logs), np.array(signs)
 
 
 def check_convexity_conditions(
@@ -280,21 +272,27 @@ def check_convexity_conditions(
     ia = int(np.argmax(viol_a))
     worst_a = float(viol_a[ia])
 
-    worst_b = -math.inf
-    worst_b_pt = (float(us[0]), float(vs[0]))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            m = _product_margin(
-                (phi2_u[i], psi2_v[j], phi_u[i], psi_v[j]),
-                (phi1_u[i], psi1_v[j], phi1_u[i], psi1_v[j]),
-            )
-            if m > worst_b:
-                worst_b = m
-                worst_b_pt = (float(u), float(v))
-                if m == math.inf:
-                    break
-        if worst_b == math.inf:
-            break
+    # log-scale margin of rhs - lhs for the products lhs = phi'' psi'' phi psi
+    # and rhs = (phi' psi')^2; <= 0 means lhs >= rhs holds at the point, and
+    # a sign failure (lhs <= 0 < rhs) is +inf
+    l2u, s2u = _log_abs_and_sign(phi2_u)
+    l2v, s2v = _log_abs_and_sign(psi2_v)
+    l0u, s0u = _log_abs_and_sign(phi_u)
+    l0v, s0v = _log_abs_and_sign(psi_v)
+    l1u, s1u = _log_abs_and_sign(phi1_u)
+    l1v, s1v = _log_abs_and_sign(psi1_v)
+    # the four logs are added left to right at every point, the order a
+    # point-by-point sum uses, so each margin is bit-identical to it
+    log_l = ((l2u[:, None] + l2v) + l0u[:, None]) + l0v
+    log_r = ((l1u[:, None] + l1v) + l1u[:, None]) + l1v
+    sign_l = (s2u * s0u)[:, None] * (s2v * s0v)
+    rhs_zero = (s1u == 0)[:, None] | (s1v == 0)
+    margin = np.where(sign_l > 0, log_r - log_l, math.inf)
+    margin[rhs_zero & (sign_l > 0)] = -math.inf
+    margin[rhs_zero & (sign_l == 0)] = 0.0
+    # argmax takes the first worst point in row-major order
+    ib, jb = divmod(int(np.argmax(margin)), margin.shape[1])
+    worst_b = float(margin[ib, jb])
 
     return ConditionReport(
         condition_a_holds=worst_a <= _COND_A_RTOL * (1.0 + float(np.max(np.abs(phi2_u)))),
@@ -302,7 +300,7 @@ def check_convexity_conditions(
         worst_violation_a=worst_a,
         worst_point_a=(float(us[ia]), float(vs[0])),
         worst_violation_b=worst_b,
-        worst_point_b=worst_b_pt,
+        worst_point_b=(float(us[ib]), float(vs[jb])),
         grid_spec=grid.describe(),
     )
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,104 @@ class TestCheckMajorize:
         if check_majorize(x, y, FULL):
             assert check_majorize(x, y, SUB)
             assert check_majorize(x, y, SUP)
+
+
+def _transfer(draw, v):
+    """A T-transform in integers: move 0..(big - small) units from the
+    larger of two coordinates to the smaller, so the result is majorized
+    by ``v``."""
+    v = list(v)
+    i, j = draw(st.lists(st.integers(0, len(v) - 1), min_size=2, max_size=2, unique=True))
+    if v[i] < v[j]:
+        i, j = j, i
+    d = draw(st.integers(0, v[i] - v[j]))
+    v[i] -= d
+    v[j] += d
+    return v
+
+
+@st.composite
+def majorized_chains(draw):
+    """Integer vectors with x <=_m y <=_m z."""
+    n = draw(st.integers(2, 5))
+    z = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    y = _transfer(draw, z)
+    return _transfer(draw, y), y, z
+
+
+int_triples = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(*(st.lists(st.integers(0, 3), min_size=n, max_size=n),) * 3)
+)
+
+
+class TestMajorizationProperties:
+    @given(int_vectors, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_under_permutation_of_either_argument(self, pair, rnd):
+        x, y = pair
+        px, py = rnd.sample(x, len(x)), rnd.sample(y, len(y))
+        for mode in (FULL, SUB, SUP):
+            want = check_majorize(x, y, mode)
+            assert check_majorize(px, y, mode) == want
+            assert check_majorize(x, py, mode) == want
+
+    @given(majorized_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_transitive_along_t_transform_chains(self, chain):
+        x, y, z = chain
+        assert check_majorize(x, y, FULL)
+        assert check_majorize(y, z, FULL)
+        assert check_majorize(x, z, FULL)
+
+    @given(int_triples)
+    @settings(max_examples=300, deadline=None)
+    def test_transitive_in_every_mode(self, triple):
+        x, y, z = triple
+        for mode in (FULL, SUB, SUP):
+            if check_majorize(x, y, mode) and check_majorize(y, z, mode):
+                assert check_majorize(x, z, mode)
+
+    @given(int_vectors, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_antisymmetric_up_to_permutation(self, pair, rnd):
+        x, y = pair
+        for mode in (FULL, SUB, SUP):
+            if check_majorize(x, y, mode) and check_majorize(y, x, mode):
+                assert sorted(x) == sorted(y)
+            px = rnd.sample(x, len(x))
+            assert check_majorize(x, px, mode) and check_majorize(px, x, mode)
+
+
+class TestCheckMajorizeInputs:
+    @pytest.mark.parametrize(
+        "x",
+        [(1, 3, 2), [1.0, 3.0, 2.0], np.array([1, 3, 2]), WeightVector((1.0, 3.0, 2.0))],
+        ids=["int_tuple", "list", "ndarray", "weight_vector"],
+    )
+    def test_vector_forms_agree(self, x):
+        assert check_majorize([2, 2, 2], x)
+        assert not check_majorize(x, [2, 2, 2])
+        assert check_majorize(x, (3, 2, 1)) and check_majorize((3, 2, 1), x)
+
+    @pytest.mark.parametrize("scalar", [2, 2.0, np.float64(2.0), np.int64(2), np.array(2.0)])
+    def test_scalar_is_a_one_entry_vector(self, scalar):
+        assert check_majorize(scalar, [2])
+        assert check_majorize([1], scalar, SUB)
+        assert not check_majorize([1], scalar, SUP)
+
+    @pytest.mark.parametrize(
+        "bad", [[], (), np.array([]), [1.0, math.nan], [math.inf, 1.0], [-math.inf], math.nan]
+    )
+    def test_empty_and_non_finite_rejected(self, bad):
+        for mode in (FULL, SUB, SUP):
+            with pytest.raises(ParameterError):
+                check_majorize(bad, [1.0, 2.0], mode)
+            with pytest.raises(ParameterError):
+                check_majorize([1.0, 2.0], bad, mode)
+
+    def test_bad_entry_reported_before_length_mismatch(self):
+        with pytest.raises(ParameterError):
+            check_majorize([1.0, 2.0, 3.0], [math.nan])
 
 
 def _random_majorized_pair(rng, n):

@@ -65,6 +65,11 @@ class TestEcdf:
         assert f.evaluate(4.999) == 0.0
         assert f.evaluate(5.0) == 1.0
 
+    def test_ties_collapse_to_one_step(self):
+        f = ecdf([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])
+        assert f.grid.tolist() == [1.0, 2.0, 3.0]
+        assert f.values.tolist() == [2 / 6, 3 / 6, 6 / 6]
+
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             ecdf([])

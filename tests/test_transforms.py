@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from stochorder import (
     ConditionVariant,
@@ -144,6 +145,49 @@ class TestConvexityConditions:
             make_log_shift(), psi_small, CONCAVE, SMALL_GRID
         )
         assert not rep_bad.condition_b_holds
+
+    # condition (b) on the suite's 24x24 grid, pinned bit for bit because
+    # the suite's byte-identical reports carry these values
+    HARNESS_GRID = GridSpec(1e-2, 1e2, 24)
+
+    def test_condition_b_finite_margin_pinned(self):
+        # power pairs have the constant ratio (p-1)(q-1)/(pq) = 1/3, so the
+        # margin is log 3 up to roundoff, which picks the worst point
+        rep = check_convexity_conditions(
+            make_power(2.0), make_power(3.0), CONVEX, self.HARNESS_GRID
+        )
+        assert not rep.condition_b_holds
+        assert rep.worst_violation_b == 1.0986122886681144
+        assert rep.worst_point_b == (30.07882518043099, 100.0)
+
+    def test_condition_b_sign_failure_pinned(self):
+        # phi'' > 0 > psi'': every point is a sign failure, the first wins
+        rep = check_convexity_conditions(
+            make_power(2.0), make_power(0.5), CONVEX, self.HARNESS_GRID
+        )
+        assert not rep.condition_b_holds
+        assert rep.worst_violation_b == math.inf
+        assert rep.worst_point_b == (0.01, 0.01)
+
+    def test_condition_b_first_point_in_row_major_order_wins(self):
+        # phi'' = sin u: every row with sin u < 0 is all sign failures; the
+        # first such row lies just past pi, and its first point wins
+        wobble = make_transform(
+            eval=lambda u: 2 * u - math.sin(u),
+            inverse=lambda y: optimize.brentq(
+                lambda u: 2 * u - math.sin(u) - y, 0.0, y, xtol=1e-15
+            ),
+            direction=Direction.INCREASING,
+            d1=lambda u: 2 - math.cos(u),
+            d2=math.sin,
+        )
+        rep = check_convexity_conditions(
+            wobble, make_power(2.0), CONVEX, self.HARNESS_GRID
+        )
+        us = self.HARNESS_GRID.points()
+        first_row = us[us > math.pi][0]
+        assert rep.worst_violation_b == math.inf
+        assert rep.worst_point_b == (float(first_row), 0.01)
 
     def test_overflowing_grid_raises(self):
         with pytest.raises(NumericError):
