@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from stochorder import GeneralizedGamma, convolve_weighted, run_counterexample
+from stochorder import run_counterexample
 
 
 def main() -> int:
@@ -35,9 +35,7 @@ def main() -> int:
     print(f"relation={v.relation.value} crossings={v.crossing_count} "
           f"mean_gap={v.meta['mean_gap']:.2e}")
 
-    dist = GeneralizedGamma(1.0, args.alpha, 1.0)
-    fa = convolve_weighted([dist] * len(a), a)
-    fb = convolve_weighted([dist] * len(b), b)
+    fa, fb = report.cdfs
     hi = min(fa.grid[-1], fb.grid[-1])
     xs = np.linspace(0.0, hi, args.points)
     va, vb = fa.evaluate(xs), fb.evaluate(xs)

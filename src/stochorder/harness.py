@@ -49,6 +49,7 @@ from .distributions import (
     transformed_density,
 )
 from .orders import (
+    NumericCDF,
     OrderVerdict,
     Relation,
     convolve_weighted,
@@ -239,6 +240,11 @@ class TheoremReport:
     consistent: bool
     predicted: str            # "a" or "b"
     label: str = ""
+    # the oracle CDFs of the A- and B-sums, where the caller wants them
+    # (run_counterexample); never part of the report
+    cdfs: Optional[tuple[NumericCDF, NumericCDF]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -592,6 +598,7 @@ def run_counterexample(
         consistent=consistent,
         predicted="crossing",
         label=f"counterexample alpha={alpha:g}",
+        cdfs=(fa, fb),
     )
 
 

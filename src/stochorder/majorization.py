@@ -115,32 +115,34 @@ def check_majorize(
     """True iff ``x`` is (weakly) majorized by ``y`` in the given mode.
 
     All sum comparisons of ``a`` against ``b`` carry the relative slack
-    ``tol * (1 + max(|a|, |b|))``.
+    ``tol * (1 + max(|a|, |b|))``. Equal inputs (up to order) are always
+    majorized, also where their sums overflow to inf.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ParameterError("tol must be >= 0")
     xs = _sorted_values(x)
     ys = _sorted_values(y)
     if len(xs) != len(ys):
         raise DimensionError(f"length mismatch: {len(xs)} vs {len(ys)}")
     # each test is a negated ``<=``/``>=``, so a NaN from sums that overflow
-    # to inf fails it
+    # to inf fails it; a failed test then answers whether the sorted inputs
+    # are equal, which keeps the order reflexive at no cost to passing tests
     if mode is MajorizationMode.WEAK_SUB:
         # top sums: sum_{i>=j} x_(i) <= sum_{i>=j} y_(i)
         for a, b in zip(accumulate(reversed(xs)), accumulate(reversed(ys))):
             if not a <= b + tol * (1.0 + max(abs(a), abs(b))):
-                return False
+                return xs == ys
         return True
     bx = list(accumulate(xs))
     by = list(accumulate(ys))
     if mode is not MajorizationMode.WEAK_SUP:  # FULL: the totals agree
         a, b = bx.pop(), by.pop()
         if not abs(a - b) <= tol * (1.0 + max(abs(a), abs(b))):
-            return False
+            return xs == ys
     # bottom sums: sum_{i<=j} x_(i) >= sum_{i<=j} y_(i)
     for a, b in zip(bx, by):
         if not a >= b - tol * (1.0 + max(abs(a), abs(b))):
-            return False
+            return xs == ys
     return True
 
 

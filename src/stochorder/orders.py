@@ -137,10 +137,12 @@ def st_compare_empirical(
     band = dkw_epsilon(len(np.atleast_1d(samples_a)), delta) + dkw_epsilon(
         len(np.atleast_1d(samples_b)), delta
     )
-    grid = np.union1d(fa.grid, fb.grid)
-    d = fa.evaluate(grid) - fb.evaluate(grid)
-    max_pos = float(np.max(d))
-    max_neg = float(np.max(-d))
+    # F_A - F_B on the union of the two grids, taken at each grid apart: a
+    # step ECDF evaluated at its own grid returns its own values
+    da = fa.values - fb.evaluate(fa.grid)
+    db = fa.evaluate(fb.grid) - fb.values
+    max_pos = float(max(np.max(da), np.max(db)))
+    max_neg = float(max(np.max(-da), np.max(-db)))
     relation = _relation_from_devs(max_pos, max_neg, band)
     return OrderVerdict(
         relation,
@@ -196,8 +198,11 @@ def _edge_cdf_tables(cdf, w: float, top: float, m: int):
         k = len(table)
         fine = np.empty(2 * k - 1)
         fine[::2] = table
-        fine[1::2] = cdf(np.linspace(0.0, top, m + 1)[1 : 2 * k - 1 : 2] / w)
+        # the odd edges are bit for bit linspace(0, top, m + 1)[1 : 2k - 1 : 2],
+        # which is arange(m + 1) * (top / m) with its last entry set to top
+        fine[1::2] = cdf(np.arange(1, 2 * k - 1, 2) * (top / m) / w)
         table = _saturated_prefix(fine)
+        del fine  # a suspended generator keeps its locals alive
 
 
 def _saturated_prefix(table: np.ndarray) -> np.ndarray:
@@ -229,6 +234,8 @@ def _level_masses(d: Dist, w: float, top: float, m: int):
 
 def _nonzero_prefix(masses: np.ndarray) -> np.ndarray:
     np.clip(masses, 0.0, None, out=masses)
+    if masses[-1] > 0:  # the common case, without a scan
+        return masses
     nz = np.flatnonzero(masses)
     return masses[: nz[-1] + 1] if nz.size else masses[:1]
 
@@ -291,9 +298,9 @@ def convolve_weighted(
     for levels in range(1, max_levels + 2):
         cur = _convolve_level([next(c) for c in components], top, m, tail_tol, levels)
         if prev is not None:
-            gap = float(
-                np.max(np.abs(cur.evaluate(prev.grid) - prev.values))
-            )
+            dev = cur.evaluate(prev.grid)
+            dev -= prev.values
+            gap = float(np.max(np.abs(dev, out=dev)))
             if gap < refine_tol:
                 cur.meta["gap"] = gap
                 return cur
@@ -305,15 +312,24 @@ def convolve_weighted(
     )
 
 
-def _full_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two 1-D float arrays, computed as
-    ``scipy.signal.fftconvolve`` does: a length-1 factor scales the other,
-    otherwise real FFTs at the next fast length."""
-    if len(a) == 1 or len(b) == 1:
-        return a * b
-    full = len(a) + len(b) - 1
+def _product_pmf(masses: list[np.ndarray], size: int) -> np.ndarray:
+    """First ``size`` masses of the convolution of ``masses`` as one
+    spectral product: one real FFT per component at a common length no
+    shorter than the full linear convolution, one inverse FFT. Length-1
+    masses are scale factors and take no transform."""
+    arrays = [c for c in masses if len(c) > 1]
+    scale = math.prod(float(c[0]) for c in masses if len(c) == 1)
+    if len(arrays) < 2:
+        return (arrays[0] if arrays else np.ones(1)) * scale
+    full = sum(len(c) - 1 for c in arrays) + 1
     nfft = fft.next_fast_len(full, True)
-    return fft.irfft(fft.rfft(a, nfft) * fft.rfft(b, nfft), nfft)[:full]
+    spectrum = fft.rfft(arrays[0], nfft)
+    for c in arrays[1:]:
+        spectrum *= fft.rfft(c, nfft)
+    if scale != 1.0:
+        spectrum *= scale
+    # the copy made by clip frees the nfft-long inverse transform
+    return np.clip(fft.irfft(spectrum, nfft)[: min(size, full)], 0.0, None)
 
 
 def _convolve_level(
@@ -322,16 +338,24 @@ def _convolve_level(
     n = len(masses)
     size = m + n if n > 1 else m
     h = top / m
-    pmf = masses[0]
-    for comp in masses[1:]:
-        pmf = _full_convolution(pmf, comp)[:size]
-        np.clip(pmf, 0.0, None, out=pmf)
+    pmf = _product_pmf(masses, size)
     pmf = np.concatenate([pmf, np.zeros(size - len(pmf))])
-    positions = (np.arange(size) + 0.5 * n) * h
-    values = np.cumsum(pmf) - 0.5 * pmf
-    values = np.minimum.accumulate(np.minimum(values[::-1], 1.0))[::-1]
-    values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
-    mean = float(np.sum(positions * pmf))
+    positions = np.arange(size, dtype=float)
+    positions += 0.5 * n
+    positions *= h
+    scratch = positions * pmf
+    mean = float(np.sum(scratch))
+    values = np.cumsum(pmf)
+    values -= np.multiply(pmf, 0.5, out=scratch)
+    if np.all(values[1:] >= values[:-1]):
+        # the fix-ups below leave a nondecreasing table as its clip
+        np.clip(values, 0.0, 1.0, out=values)
+    else:
+        reverse = values[::-1]
+        np.minimum(reverse, 1.0, out=reverse)
+        np.minimum.accumulate(reverse, out=reverse)
+        np.clip(values, 0.0, 1.0, out=values)
+        np.maximum.accumulate(values, out=values)
     return NumericCDF(
         positions,
         values,

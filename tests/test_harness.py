@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,11 @@ from stochorder import (
     pairwise_exchange_check,
     run_counterexample,
     run_suite,
+    st_compare_exact,
     verify_iid_theorem,
     verify_noniid_theorem,
 )
+import stochorder
 from stochorder import harness
 from stochorder.harness import (
     _check_log_concavity,
@@ -271,6 +275,33 @@ class TestCounterexample:
     def test_short_vectors_rejected(self):
         with pytest.raises(ParameterError):
             run_counterexample(1.0, (2.0, 1.0), (1.5, 1.5))
+
+    def test_report_keeps_the_compared_cdfs(self):
+        rep = run_counterexample(1.0, (2.0, 1.0, 1.0), (1.5, 1.5, 1.0))
+        fa, fb = rep.cdfs
+        again = st_compare_exact(fa, fb)
+        assert (again.max_pos_dev, again.max_neg_dev) == (
+            rep.verdict.max_pos_dev, rep.verdict.max_neg_dev)
+        assert "cdfs" not in rep.to_dict()
+
+    def test_crossing_demo_convolves_each_sum_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness.convolve_weighted
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "convolve_weighted", counted)
+        monkeypatch.setattr(stochorder, "convolve_weighted", counted)
+        out = tmp_path / "crossing.csv"
+        script = Path(__file__).parents[1] / "scripts" / "crossing_demo.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--points", "7", "--out", str(out)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(script), run_name="__main__")
+        assert done.value.code == 0
+        assert len(calls) == 2
+        assert len(out.read_text().splitlines()) == 8
 
 
 class TestLogReduction:

@@ -81,6 +81,26 @@ class TestCheckMajorize:
         with pytest.raises(ParameterError):
             check_majorize([1], [1], tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ParameterError):
+            check_majorize([1], [1], tol=math.nan)
+
+    @pytest.mark.parametrize("mode", [FULL, SUB, SUP])
+    def test_reflexive_where_sums_overflow(self, mode):
+        # the partial sums reach inf, and inf - inf is NaN in the slack test
+        x = [1e308, 1e308]
+        assert check_majorize(x, x, mode)
+        assert check_majorize(x, x[::-1], mode, tol=0.0)
+        if mode is not SUB:  # the bottom sums differ before they overflow
+            assert not check_majorize([1e307, 1e308], x, mode)
+        # different vectors whose sums both overflow are not taken as equal:
+        # the totals are 2.7e308 and 2.5e308
+        big, small = [1e308, 1.7e308], [1e308, 1.5e308]
+        if mode is SUP:
+            big, small = small, big
+        assert not check_majorize(big, small, mode)
+        assert not check_majorize(big, small, mode, tol=0.0)
+
     @given(int_vectors)
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_integer_brute_force(self, pair):

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +24,17 @@ from stochorder import (
     st_compare_empirical,
     st_compare_exact,
 )
+from stochorder.harness import dist_from_spec
 from stochorder.orders import (
     INITIAL_GRID,
     TAIL_TOL,
     _convolve_level,
     _edge_cdf_tables,
     _level_masses,
+    _product_pmf,
 )
+
+GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
 
 EXP1 = GeneralizedGamma(1, 1, 1)
 
@@ -125,6 +131,21 @@ class TestCompareEmpirical:
         }
         assert w.relation is swapped.get(v.relation, v.relation)
         assert w.max_pos_dev == pytest.approx(v.max_neg_dev)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_devs_equal_union_grid_formula(self, seed, n_a, n_b):
+        # few distinct values, so most grid points are shared by both samples
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 12, size=n_a) * 0.25
+        y = rng.integers(0, 12, size=n_b) * 0.25 + rng.integers(0, 2) * 0.5
+        fa, fb = ecdf(x), ecdf(y)
+        grid = np.union1d(fa.grid, fb.grid)
+        d = fa.evaluate(grid) - fb.evaluate(grid)
+        v = st_compare_empirical(x, y)
+        # repr tells the signs of zero apart
+        assert repr(v.max_pos_dev) == repr(float(np.max(d)))
+        assert repr(v.max_neg_dev) == repr(float(np.max(-d)))
 
 
 class TestConvolveWeighted:
@@ -253,6 +274,100 @@ class TestOracleLevels:
         assert len(trimmed.grid) == (m if n == 1 else m + n)
         assert np.array_equal(trimmed.grid, untrimmed.grid)
         assert np.max(np.abs(trimmed.values - untrimmed.values)) <= 1e-14
+
+    @pytest.mark.parametrize("m", [4096, 8192, 2**20])
+    @pytest.mark.parametrize("top", [1.0, 13.37, 135.2087, 1e-3])
+    def test_odd_edges_equal_linspace_slice(self, m, top):
+        for k in (2, m // 4 + 1, m // 2 + 1):
+            odd = np.arange(1, 2 * k - 1, 2) * (top / m)
+            assert np.array_equal(odd, np.linspace(0.0, top, m + 1)[1 : 2 * k - 1 : 2])
+
+
+def _random_masses(lengths, seed):
+    rng = np.random.default_rng(seed)
+    masses = []
+    for n in lengths:
+        c = rng.random(n) / n
+        c[rng.random(n) < 0.2] = 0.0
+        c[-1] = 1.0 / n  # cut after the last nonzero cell, as the oracle does
+        masses.append(c)
+    return masses
+
+
+def _pairwise_pmf(masses, size):
+    """The convolution of ``masses`` by direct sums, one pair at a time,
+    each partial result cut to ``size``."""
+    pmf = masses[0]
+    for comp in masses[1:]:
+        pmf = np.convolve(pmf, comp)[:size]
+    return pmf
+
+
+class TestLevelProduct:
+    """A level's cell masses as one spectral product against the pairwise
+    chain, and the level's bookkeeping against its array formulas."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [(5,), (1,), (700, 1), (1, 1), (1, 300), (300, 40), (1, 9, 1), (1, 1, 1),
+         (1024, 1024, 3), (600, 1, 1024), (64, 1, 500, 17), (1, 1, 1, 1),
+         (1024, 900, 1, 1024), (1024, 1024, 1024, 1024), (2, 3, 5, 7)],
+    )
+    def test_product_matches_pairwise(self, lengths):
+        m = 1024
+        size = m + len(lengths) if len(lengths) > 1 else m
+        masses = _random_masses(lengths, seed=sum(lengths))
+        product = _product_pmf([c.copy() for c in masses], size)
+        pairwise = _pairwise_pmf([c.copy() for c in masses], size)
+        assert len(product) == len(pairwise) <= size
+        assert np.all(product >= 0.0)
+        assert np.max(np.abs(product - pairwise)) <= 1e-14
+
+    @pytest.mark.parametrize("dip", [False, True], ids=["nondecreasing", "dip"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_level_bookkeeping_equals_array_formulas(self, n, dip):
+        m = 1024
+        top = 37.5
+        rng = np.random.default_rng(n)
+        # cumulative sums above 1, and with a negative mass a dip, so that
+        # every monotone fix-up acts
+        pmf = rng.random(m) * (2.2 / m)
+        pmf[100:110] = 0.0
+        if dip:
+            pmf[500] = -0.01
+        masses = [pmf.copy()] + [np.ones(1)] * (n - 1)
+        got = _convolve_level(masses, top, m, TAIL_TOL, 3)
+        size = m + n if n > 1 else m
+        want = np.concatenate([pmf, np.zeros(size - m)])
+        h = top / m
+        positions = (np.arange(size) + 0.5 * n) * h
+        values = np.cumsum(want) - 0.5 * want
+        values = np.minimum.accumulate(np.minimum(values[::-1], 1.0))[::-1]
+        values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+        assert np.array_equal(got.grid, positions)
+        assert np.array_equal(got.values, values)
+        assert got.meta["mean"] == float(np.sum(positions * want))
+        assert got.meta["h"] == h
+
+
+def _golden_oracle_cases():
+    pins = json.loads(GOLDEN_ORACLE.read_text())
+    return [pytest.param(pins[preset], id=preset) for preset in sorted(pins)]
+
+
+class TestOracleGolden:
+    """One seed-42 suite oracle call per preset against pinned diagnostics
+    and values (``golden_oracle.json``)."""
+
+    @pytest.mark.parametrize("want", _golden_oracle_cases())
+    def test_matches_pinned(self, want):
+        f = convolve_weighted([dist_from_spec(s) for s in want["dists"]], want["weights"])
+        assert (f.meta["levels"], f.meta["m"]) == (want["levels"], want["m"])
+        assert f.meta["top"] == want["top"]
+        assert len(f.grid) == want["grid_points"]
+        assert abs(f.meta["gap"] - want["gap"]) <= 1e-14
+        got = f.values[want["index"]]
+        assert np.max(np.abs(got - np.array(want["values"]))) <= 1e-14
 
 
 class TestCompareExact:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from stochorder import transforms
 from stochorder import (
     ConditionVariant,
     Direction,
@@ -42,6 +43,38 @@ class TestTransformConstruction:
     def test_power_zero_rejected(self):
         with pytest.raises(ParameterError):
             make_power(0.0)
+
+    @pytest.mark.parametrize("r", [-993.786, -990.0, 990.0])
+    def test_steep_power_passes_its_derivative_check(self, r):
+        # the analytic derivatives are exact; a plain central difference
+        # missed f'' by 1% at x = 0.5 and rejected the map
+        t = make_power(r)
+        assert t.d2(1.0) == r * (r - 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_exp, make_log_shift]
+        + [lambda r=r: make_power(r) for r in (-1000.0, -97.0, -2.5, -0.3, 0.4, 3.0, 97.0, 1000.0)],
+    )
+    def test_second_difference_error_bounded(self, make):
+        # the extrapolation cancels the h^2 term but multiplies the roundoff
+        # by about 6; both stay far below the 1% validation tolerance
+        t = make()
+        worst = max(
+            abs(transforms._fd2(t.eval, x) - t.d2(x)) / (1.0 + abs(t.d2(x)))
+            for x in transforms._VALIDATION_GRID
+        )
+        assert worst < 1e-4
+
+    def test_wrong_second_derivative_rejected(self):
+        with pytest.raises(NumericError):
+            make_transform(
+                eval=lambda x: x**3,
+                inverse=lambda y: y ** (1 / 3),
+                direction=Direction.INCREASING,
+                d1=lambda x: 3 * x**2,
+                d2=lambda x: 6.1 * x,
+            )
 
     def test_log_shift_values(self):
         t = make_log_shift()
