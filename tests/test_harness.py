@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from stochorder import (
     GammaPower,
     GeneralizedGamma,
     MajorizationMode,
+    NumericError,
     OrderError,
     ParameterError,
     PreservationCase,
@@ -22,6 +24,7 @@ from stochorder import (
     SuiteConfig,
     check_hypotheses,
     check_transform_preservation,
+    convolve_weighted,
     generate_scenario,
     make_exp,
     make_log_shift,
@@ -29,6 +32,7 @@ from stochorder import (
     pairwise_exchange_check,
     run_counterexample,
     run_suite,
+    st_compare_empirical,
     st_compare_exact,
     verify_iid_theorem,
     verify_noniid_theorem,
@@ -224,6 +228,125 @@ class TestVerifyNonIID:
         assert rep.oracle_verdict.relation in (
             Relation.A_DOMINATES, Relation.INCONCLUSIVE
         )
+
+
+def _serial_report(s, a_used, b_used):
+    """The comparison of ``_run_comparison`` done one step after another
+    on the calling thread."""
+    predicted = "a" if s.variant is CONVEX else "b"
+    seq_a, seq_b = np.random.SeedSequence(s.seed).spawn(2)
+    verdict = st_compare_empirical(
+        harness._sample_weighted_sum(s.dists, a_used, s.n_samples, seq_a),
+        harness._sample_weighted_sum(s.dists, b_used, s.n_samples, seq_b),
+        s.delta,
+    )
+    oracle = st_compare_exact(
+        convolve_weighted(s.dists, a_used), convolve_weighted(s.dists, b_used)
+    )
+    side = (lambda v: v.max_pos_dev) if predicted == "a" else (lambda v: v.max_neg_dev)
+    return harness.TheoremReport(
+        hypothesis=check_hypotheses(s),
+        verdict=verdict,
+        oracle_verdict=oracle,
+        consistent=side(verdict) <= verdict.band and side(oracle) <= oracle.band,
+        predicted=predicted,
+        label=s.label,
+    )
+
+
+class TestOracleThread:
+    """The B-sum oracle runs on a second thread; the report and the errors
+    are those of the serial order."""
+
+    SCENARIO = dict(a=[4.0, 1.0], b=[2.0, 2.0], seed=5, n_samples=20_000)
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @staticmethod
+    def _fail_convolve(monkeypatch, failing, on_call=None):
+        """``harness.convolve_weighted`` raising NumericError("<name>") for
+        the weights named in ``failing`` (a dict name -> weights)."""
+        real = harness.convolve_weighted
+
+        def convolve(dists, weights, *args, **kwargs):
+            for name, w in failing.items():
+                if np.array_equal(np.asarray(weights, float), w):
+                    if on_call is not None:
+                        on_call(name)
+                    raise NumericError(name)
+            return real(dists, weights, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "convolve_weighted", convolve)
+
+    def test_b_sum_on_a_second_thread(self, monkeypatch):
+        real = harness.convolve_weighted
+        threads = []
+
+        def convolve(dists, weights, *args, **kwargs):
+            threads.append((tuple(weights), threading.get_ident()))
+            return real(dists, weights, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "convolve_weighted", convolve)
+        verify_iid_theorem(exp_scenario(**self.SCENARIO))
+        idents = dict(threads)
+        assert idents[(4.0, 1.0)] == threading.get_ident()
+        assert idents[(2.0, 2.0)] != threading.get_ident()
+
+    def test_b_sum_error_surfaces(self, monkeypatch):
+        self._fail_convolve(monkeypatch, {"B": np.array([2.0, 2.0])})
+        with pytest.raises(NumericError, match="B"):
+            verify_iid_theorem(exp_scenario(**self.SCENARIO))
+
+    def test_a_sum_error_before_b_sum_error(self, monkeypatch):
+        self._fail_convolve(
+            monkeypatch, {"A": np.array([4.0, 1.0]), "B": np.array([2.0, 2.0])}
+        )
+        with pytest.raises(NumericError, match="A"):
+            verify_iid_theorem(exp_scenario(**self.SCENARIO))
+
+    def test_sampling_error_before_b_sum_error(self, monkeypatch):
+        b_failed = threading.Event()
+        self._fail_convolve(
+            monkeypatch, {"B": np.array([2.0, 2.0])}, on_call=lambda name: b_failed.set()
+        )
+
+        def sample(*args):
+            # raise only once the B-sum has already failed on its thread
+            assert b_failed.wait(30)
+            raise ParameterError("sampling")
+
+        monkeypatch.setattr(harness, "_sample_weighted_sum", sample)
+        with pytest.raises(ParameterError, match="sampling"):
+            verify_iid_theorem(exp_scenario(**self.SCENARIO))
+
+    def test_iid_report_equals_serial(self):
+        s = exp_scenario(**self.SCENARIO, label="iid")
+        want = _serial_report(s, s.a.as_array(), s.b.as_array())
+        assert verify_iid_theorem(s).to_dict() == want.to_dict()
+
+    def test_noniid_report_equals_serial(self):
+        s = Scenario(
+            dists=tuple(GeneralizedGamma(1, 1, lam) for lam in (1.0, 2.0, 3.0)),
+            phi=make_exp(), psi=make_exp(), variant=CONVEX,
+            a=(8.0, 2.0, 1.0), b=(4.0, 4.0, 1.0), seed=9, n_samples=20_000,
+            label="noniid",
+        )
+        a_used = np.sort(s.a.as_array())[::-1]
+        b_used = np.sort(s.b.as_array())[::-1]
+        assert verify_noniid_theorem(s).to_dict() == _serial_report(s, a_used, b_used).to_dict()
+
+    def test_no_thread_beyond_the_oracle_size(self, monkeypatch):
+        assert harness.ORACLE_MAX_N == 4
+        s = exp_scenario([16.0, 1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 1.0], n_samples=2000)
+        monkeypatch.setattr(
+            harness, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("pool opened")
+        )
+        rep = verify_iid_theorem(s)
+        assert rep.oracle_verdict is None
 
 
 class TestPairwiseExchange:

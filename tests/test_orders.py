@@ -412,6 +412,94 @@ class TestCompareExact:
         assert emp.relation in (Relation.A_DOMINATES, Relation.INCONCLUSIVE)
 
 
+def _union_grid_comparison(fa, fb, tol):
+    """The comparison on the sorted union of the two grids: the reference
+    for ``st_compare_exact`` and ``crossing_count``."""
+    grid = np.union1d(fa.grid, fb.grid)
+    d = fa.evaluate(grid) - fb.evaluate(grid)
+    signs = np.sign(d[np.abs(d) > tol])
+    crossings = int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
+    return float(np.max(d)), float(np.max(-d)), crossings, len(grid)
+
+
+def _random_pair(seed):
+    """Two CDF tables on oracle-like grids (k + n/2) * h: linear or step,
+    equal or unequal spacings, even or odd n, often with shared knots, and
+    B near A so that many differences sit close to the tolerance."""
+    rng = np.random.default_rng(seed)
+    h_a = rng.uniform(0.05, 2.0)
+    h_b = h_a * rng.choice([1.0, 2.0, 0.5, 1.5, rng.uniform(0.3, 3.0)])
+    n_a, n_b = rng.integers(1, 5, size=2)
+    grid_a = (np.arange(rng.integers(1, 80)) + 0.5 * n_a) * h_a
+    if rng.random() < 0.2:
+        # a run of A's own knots, so that every knot of B is shared
+        start = rng.integers(0, len(grid_a))
+        grid_b = grid_a[start : start + rng.integers(1, 80)].copy()
+    else:
+        grid_b = (np.arange(rng.integers(1, 80)) + 0.5 * n_b) * h_b
+    kind_a, kind_b = rng.choice(["linear", "step"], size=2)
+    values_a = np.sort(rng.random(len(grid_a)))
+    values_a[rng.random(len(grid_a)) < 0.2] = 1.0
+    values_a = np.maximum.accumulate(values_a)
+    fa = NumericCDF(grid_a, values_a, kind=kind_a)
+    noise = rng.choice([0.0, 1e-7, 1e-5, 0.1]) * rng.standard_normal(len(grid_b))
+    values_b = np.maximum.accumulate(np.clip(fa.evaluate(grid_b) + noise, 0.0, 1.0))
+    return fa, NumericCDF(grid_b, values_b, kind=kind_b)
+
+
+class TestCompareExactWithoutUnionGrid:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1e-6, 1e-3, 0.05]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_union_grid_formula(self, seed, tol):
+        fa, fb = _random_pair(seed)
+        max_pos, max_neg, crossings, points = _union_grid_comparison(fa, fb, tol)
+        v = st_compare_exact(fa, fb, tol)
+        # repr tells the signs of zero apart
+        assert repr(v.max_pos_dev) == repr(max_pos)
+        assert repr(v.max_neg_dev) == repr(max_neg)
+        assert v.crossing_count == crossings
+        assert crossing_count(fa, fb, tol) == crossings
+        assert v.meta["grid_points"] == points
+
+    def test_shared_knots_counted_once(self):
+        grid = np.arange(1.0, 9.0)
+        fa = NumericCDF(grid, grid / 8)
+        fb = NumericCDF(grid[2:6], np.array([0.1, 0.9, 0.95, 1.0]))
+        assert st_compare_exact(fa, fb).meta["grid_points"] == 8
+        assert st_compare_exact(fb, fa).meta["grid_points"] == 8
+
+    def test_oracle_tables(self):
+        fa = convolve_weighted([EXP1] * 3, [2.0, 1.0, 1.0])
+        fb = convolve_weighted([EXP1] * 3, [1.5, 1.5, 1.0])
+        max_pos, max_neg, crossings, points = _union_grid_comparison(fa, fb, 1e-6)
+        v = st_compare_exact(fa, fb)
+        assert (v.max_pos_dev, v.max_neg_dev, v.crossing_count) == (max_pos, max_neg, crossings)
+        assert v.meta["grid_points"] == points
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_swap_symmetry(self, seed):
+        fa, fb = _random_pair(seed)
+        v = st_compare_exact(fa, fb)
+        w = st_compare_exact(fb, fa)
+        swapped = v.swapped()
+        assert w.relation is swapped.relation
+        assert w.max_pos_dev == swapped.max_pos_dev
+        assert w.max_neg_dev == swapped.max_neg_dev
+        assert w.crossing_count == v.crossing_count
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_self_comparison_never_strict(self, seed):
+        fa, _ = _random_pair(seed)
+        copy = NumericCDF(fa.grid.copy(), fa.values.copy(), kind=fa.kind)
+        for other in (fa, copy):
+            v = st_compare_exact(fa, other)
+            assert v.relation not in (Relation.A_DOMINATES, Relation.B_DOMINATES)
+            assert v.max_pos_dev == 0.0 and v.max_neg_dev == 0.0
+            assert v.crossing_count == 0
+
+
 class TestQuadratureCDF:
     def test_matches_closed_form(self):
         pts = np.linspace(0.1, 6.0, 30)
