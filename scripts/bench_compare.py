@@ -89,6 +89,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs per side")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())

@@ -19,13 +19,11 @@ from .errors import (
 )
 from .majorization import (
     MajorizationMode,
-    PreservationCase,
     TChain,
     WeightVector,
     as_weight_vector,
     brute_force_majorize,
     check_majorize,
-    check_transform_preservation,
     sort_increasing,
     t_transform_chain,
     weak_completion,
@@ -34,13 +32,11 @@ from .transforms import (
     ConditionReport,
     ConditionVariant,
     Direction,
-    Dominance,
     GridSpec,
     PQRegion,
     Transform,
     check_convexity_conditions,
     classify_pq,
-    compare_transforms,
     make_exp,
     make_log_shift,
     make_power,

@@ -312,6 +312,8 @@ def _cmd_convolve(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.scenario) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ParameterError(f"scenario file must hold a JSON object, not {type(data).__name__}")
     if args.seed is not None:
         data["seed"] = args.seed
     if args.samples is not None:

@@ -145,8 +145,9 @@ class DensitySpec:
     """A density on an interval, normalization-checked at construction.
 
     ``support`` bounds may be +-inf conceptually but are stored as effective
-    integration bounds. Optional analytic ``cdf``/``ppf`` accelerate the
-    convolution oracle; without them callers fall back to quadrature.
+    integration bounds. The convolution oracle takes a spec only with a
+    ``cdf`` and a ``ppf`` (as :meth:`from_dist` gives it); a density-only
+    spec serves the numeric log-concavity scan and ``quadrature_cdf``.
     """
 
     pdf: Callable

@@ -140,6 +140,8 @@ class Scenario:
             )
         if self.n_samples < 1000:
             raise ParameterError("n_samples must be >= 1000")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
 
@@ -182,7 +184,7 @@ class Scenario:
             raise ParameterError(f"scenario is missing field {exc}") from exc
         except StochOrderError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed scenario: {exc}") from exc
 
 
@@ -715,6 +717,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.n_scenarios < 1:
             raise ParameterError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
+        if self.master_seed < 0:
+            raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.presets or any(p not in _PRESETS for p in self.presets):
             raise ParameterError(
                 f"presets must be chosen from {sorted(_PRESETS)}, got {list(self.presets)}"

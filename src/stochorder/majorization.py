@@ -265,48 +265,6 @@ def weak_completion(
     raise ParameterError("weak_completion mode must be WEAK_SUB or WEAK_SUP")
 
 
-class PreservationCase(Enum):
-    """The four monotone/convexity cases of weak-order preservation."""
-
-    I_CONVEX = "increasing_convex"
-    I_CONCAVE = "increasing_concave"
-    D_CONVEX = "decreasing_convex"
-    D_CONCAVE = "decreasing_concave"
-
-
-_CASE_ORDERS = {
-    # case -> (premise mode, conclusion mode)
-    PreservationCase.I_CONVEX: (MajorizationMode.WEAK_SUB, MajorizationMode.WEAK_SUB),
-    PreservationCase.I_CONCAVE: (MajorizationMode.WEAK_SUP, MajorizationMode.WEAK_SUP),
-    PreservationCase.D_CONVEX: (MajorizationMode.WEAK_SUP, MajorizationMode.WEAK_SUB),
-    PreservationCase.D_CONCAVE: (MajorizationMode.WEAK_SUB, MajorizationMode.WEAK_SUP),
-}
-
-
-def check_transform_preservation(
-    g,
-    x: VectorLike,
-    y: VectorLike,
-    case: PreservationCase,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Apply ``g`` elementwise and check the concluded weak order.
-
-    ``g`` may be a :class:`~stochorder.transforms.Transform` or any scalar
-    callable. The premise order of the chosen case must hold between ``x``
-    and ``y``.
-    """
-    premise, conclusion = _CASE_ORDERS[case]
-    xa = as_weight_vector(x).as_array()
-    ya = as_weight_vector(y).as_array()
-    if not check_majorize(xa, ya, premise, tol):
-        raise OrderError(f"premise {premise.value} fails for case {case.value}")
-    fn = getattr(g, "eval", g)
-    gx = np.array([fn(t) for t in xa], dtype=float)
-    gy = np.array([fn(t) for t in ya], dtype=float)
-    return check_majorize(gx, gy, conclusion, tol)
-
-
 def brute_force_majorize(
     x: Iterable[int], y: Iterable[int], mode: MajorizationMode
 ) -> bool:

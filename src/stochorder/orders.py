@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import fft, integrate, optimize
+from scipy import fft, integrate
 
 from .errors import NumericError, ParameterError
 from .distributions import DensitySpec, Dist
@@ -169,20 +169,6 @@ def _relation_from_devs(max_pos: float, max_neg: float, band: float) -> Relation
     return Relation.INCONCLUSIVE
 
 
-def _upper_quantile(d: Dist, q: float) -> float:
-    ppf = getattr(d, "ppf", None)
-    if callable(ppf):
-        return float(ppf(q))
-    if isinstance(d, DensitySpec):
-        if d.cdf is not None:
-            lo, hi = d.support
-            if d.cdf(hi) <= q:
-                return hi
-            return float(optimize.brentq(lambda t: d.cdf(t) - q, lo, hi))
-        return d.support[1]
-    raise ParameterError(f"cannot locate quantiles of {d!r}")
-
-
 def _edge_cdf_tables(cdf, w: float, top: float, m: int):
     """Yield ``cdf(edges / w)`` for ``edges = linspace(0, top, m + 1)``,
     then for 2m cells, 4m cells, and so on.
@@ -210,26 +196,11 @@ def _saturated_prefix(table: np.ndarray) -> np.ndarray:
     return table[: hit[0] + 1].copy() if hit.size else table
 
 
-def _midpoint_masses(d: Dist, w: float, edges: np.ndarray) -> np.ndarray:
-    """Midpoint rule on the density, for components without a CDF."""
-    x_edges = edges / w
-    mids = 0.5 * (x_edges[:-1] + x_edges[1:])
-    lo, hi = d.support
-    f = np.array([float(d.pdf(x)) if lo < x < hi else 0.0 for x in mids])
-    return f * np.diff(x_edges)
-
-
 def _level_masses(d: Dist, w: float, top: float, m: int):
     """Yield the probabilities of w*X falling in each of m cells of
     [0, top], then of 2m cells, and so on, cut after the last nonzero cell."""
-    cdf = getattr(d, "cdf", None)
-    if callable(cdf):
-        for table in _edge_cdf_tables(cdf, w, top, m):
-            yield _nonzero_prefix(np.diff(table))
-    else:
-        while True:
-            yield _nonzero_prefix(_midpoint_masses(d, w, np.linspace(0.0, top, m + 1)))
-            m *= 2
+    for table in _edge_cdf_tables(d.cdf, w, top, m):
+        yield _nonzero_prefix(np.diff(table))
 
 
 def _nonzero_prefix(masses: np.ndarray) -> np.ndarray:
@@ -258,7 +229,7 @@ def convolve_weighted(
     width ``h``, the last level-to-level ``gap``, the truncation point
     ``top`` and the ``mean`` of the tabulated sum.
 
-    A component with a CDF is tabulated at the cell edges, and its table is
+    Each component's CDF is tabulated at the cell edges, and its table is
     carried from one level to the next. Two invariants keep every level
     equal to a from-scratch tabulation:
 
@@ -272,13 +243,18 @@ def convolve_weighted(
 
     Each component's cell masses are cut after their last nonzero cell
     before the FFT, and the sum's masses are padded back with zeros, so the
-    convolution is the same; only its roundoff differs. A component without
-    a CDF (a ``DensitySpec`` with ``cdf=None``) is tabulated afresh at each
-    level by the midpoint rule on its density.
+    convolution is the same; only its roundoff differs. Every component
+    needs a callable ``cdf`` and ``ppf``: the ppf at ``1 - tail_tol`` sets
+    the truncation point. A density-only component (a ``DensitySpec``
+    without them) is rejected.
     """
     w = as_weight_vector(weights).as_array()
     if len(w) != len(dists):
         raise ParameterError("weights and dists lengths differ")
+    for d in dists:
+        if not (callable(getattr(d, "cdf", None)) and callable(getattr(d, "ppf", None))):
+            label = getattr(d, "label", d)
+            raise ParameterError(f"convolution oracle needs a cdf and a ppf: {label}")
     if np.any(w < 0) or not np.any(w > 0):
         raise ParameterError("weights must be nonnegative with at least one positive")
     active = [(d, float(wi)) for d, wi in zip(dists, w) if wi > 0]
@@ -287,7 +263,7 @@ def convolve_weighted(
         if lo < -1e-12:
             raise ParameterError("convolution oracle assumes nonnegative support")
 
-    top = sum(wi * _upper_quantile(d, 1.0 - tail_tol) for d, wi in active)
+    top = sum(wi * float(d.ppf(1.0 - tail_tol)) for d, wi in active)
     if not np.isfinite(top) or top <= 0:
         raise NumericError(f"cannot truncate support (T={top})")
 

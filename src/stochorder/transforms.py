@@ -1,7 +1,6 @@
 """Strictly monotone scalar transforms on (0, inf), the Hessian-style
 convexity conditions coupling a transform pair, the (p, q) region
-classifier for the power family, and the pairwise transform-dominance
-check.
+classifier for the power family, and second divided differences on a grid.
 
 The two scalar conditions checked on a grid are
 
@@ -53,11 +52,6 @@ class PQRegion(Enum):
     A2 = "A2"
     A3 = "A3"
     NONE = "NONE"
-
-
-class Dominance(Enum):
-    PHI2_BETTER = "phi2_better"
-    UNDETERMINED = "undetermined"
 
 
 def _fd1(f: Callable[[float], float], x: float) -> float:
@@ -336,42 +330,3 @@ def second_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     xs, one per interior point xs[1:-1]; positive where ys curves upward."""
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     return ((ys[2:] - ys[1:-1]) / (x2 - x1) - (ys[1:-1] - ys[:-2]) / (x1 - x0)) / (x2 - x0)
-
-
-DEFAULT_COMPARE_GRID = GridSpec(1e-3, 1e3, 256)
-
-
-def compare_transforms(
-    phi1: Transform,
-    phi2: Transform,
-    variant: ConditionVariant,
-    grid: GridSpec = DEFAULT_COMPARE_GRID,
-    tol: float = 1e-9,
-) -> Dominance:
-    """Pairwise dominance: does phi2 admit a weaker premise than phi1?
-
-    Forms g = phi2^{-1} o phi1 (negated in the concave case) and checks the
-    shape condition selected by the two declared directions: convexity of g
-    when the directions agree with cases (i)/(iii), concavity for (ii)/(iv).
-    A grid check can only certify PHI2_BETTER, never refute it.
-    """
-    xs = grid.points()
-    sign = 1.0 if variant is ConditionVariant.CONVEX_CASE else -1.0
-    g = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        y = phi1.eval(float(x))
-        g[i] = sign * phi2.inverse(y)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("composition left the representable domain")
-
-    # cases: (i) inc/inc -> convex, (ii) inc/dec -> concave,
-    #        (iii) dec/inc -> convex, (iv) dec/dec -> concave
-    want_convex = phi2.direction is Direction.INCREASING
-
-    dd = second_differences(xs, g)
-    scale = tol * (1.0 + np.abs(g[1:-1])) / ((xs[1:-1] - xs[:-2]) * (xs[2:] - xs[:-2]))
-    if want_convex:
-        ok = bool(np.all(dd >= -scale))
-    else:
-        ok = bool(np.all(dd <= scale))
-    return Dominance.PHI2_BETTER if ok else Dominance.UNDETERMINED

@@ -238,3 +238,27 @@ class TestMalformedInput:
     def test_suite_without_scenarios(self, n, capsys):
         assert run(["suite", "--n", n]) == 1
         assert capsys.readouterr().err.startswith("stochorder: error:")
+
+    def assert_one_line_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("stochorder: error:") and err.count("\n") == 1
+
+    def test_suite_negative_seed(self, capsys):
+        self.assert_one_line_error(run(["suite", "--n", "1", "--seed", "-1"]), capsys)
+
+    def test_verify_negative_seed(self, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, seed=-3)
+
+    def test_verify_infinite_sample_count(self, tmp_path, capsys):
+        # json reads 1e400 as inf, which has no integer value
+        path = tmp_path / "s.json"
+        text = json.dumps(TestVerify().scenario_dict([4.0, 1.0], [2.0, 2.0]))
+        path.write_text(text.replace('"n_samples": 20000', '"n_samples": 1e400'))
+        self.assert_one_line_error(run(["verify", "--scenario", str(path)]), capsys)
+
+    def test_verify_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("[1, 2]")
+        code = run(["verify", "--scenario", str(path), "--seed", "3"])
+        self.assert_one_line_error(code, capsys)

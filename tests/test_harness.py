@@ -1,4 +1,5 @@
 import json
+import math
 import runpy
 import sys
 import threading
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     CheckStatus,
@@ -18,12 +21,11 @@ from stochorder import (
     NumericError,
     OrderError,
     ParameterError,
-    PreservationCase,
     Relation,
     Scenario,
     SuiteConfig,
     check_hypotheses,
-    check_transform_preservation,
+    check_majorize,
     convolve_weighted,
     generate_scenario,
     make_exp,
@@ -427,16 +429,43 @@ class TestCounterexample:
         assert len(out.read_text().splitlines()) == 8
 
 
+class TestBenchCompare:
+    def test_one_pair_rejected_before_any_run(self, tmp_path, capsys):
+        # quartiles need two runs per side; the checkouts here hold no
+        # benchmark, so reaching any run would fail differently
+        script = Path(__file__).parents[1] / "scripts" / "bench_compare.py"
+        main = runpy.run_path(str(script))["main"]
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as done:
+            main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                  "--workload", "suite", "--pairs", "1", "--first-seed", "1",
+                  "--output", str(out)])
+        assert done.value.code == 2
+        assert "--pairs must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestLogReduction:
-    def test_log_reduction_flips_weak_order(self):
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+                st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+            )
+        ),
+        st.floats(-4.0, -0.25),
+    )
+    @example(([2.0, 2.0], [1.0, 3.0]), -2.0)
+    @settings(max_examples=100, deadline=None)
+    def test_log_reduction_flips_weak_order(self, pair, q):
         # g(x) = log(x) / q with q < 0 is decreasing and convex, so a
         # bottom-sum premise on the original coordinates becomes a top-sum
         # conclusion on the transformed ones
-        q = -2.0
-        assert check_transform_preservation(
-            lambda t: np.log(t) / q, [2.0, 2.0], [1.0, 3.0],
-            PreservationCase.D_CONVEX,
-        )
+        x, y = pair
+        if check_majorize(x, y, MajorizationMode.WEAK_SUP, tol=0.0):
+            gx = [math.log(t) / q for t in x]
+            gy = [math.log(t) / q for t in y]
+            assert check_majorize(gx, gy, MajorizationMode.WEAK_SUB)
 
 
 class TestSuite:

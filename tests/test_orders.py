@@ -12,6 +12,7 @@ from stochorder import (
     DensitySpec,
     GammaPower,
     GeneralizedGamma,
+    LRVerdict,
     NumericCDF,
     NumericError,
     ParameterError,
@@ -20,6 +21,7 @@ from stochorder import (
     crossing_count,
     dkw_epsilon,
     ecdf,
+    lr_compare,
     quadrature_cdf,
     st_compare_empirical,
     st_compare_exact,
@@ -193,13 +195,18 @@ class TestConvolveWeighted:
                               max_levels=1, refine_tol=1e-12)
 
     def test_densityspec_without_cdf(self):
-        spec = DensitySpec(
-            pdf=lambda x: math.exp(-x),
-            support=(0.0, 40.0),
-            label="exponential",
+        # the oracle tabulates CDFs and truncates at a quantile, so a
+        # component given only by its density is rejected on entry
+        density_only = DensitySpec(
+            pdf=lambda x: math.exp(-x), support=(0.0, 40.0), label="exponential"
         )
-        f = convolve_weighted([spec], [1.0])
-        assert f.evaluate(1.0) == pytest.approx(1 - math.exp(-1), abs=1e-5)
+        no_ppf = DensitySpec(
+            pdf=lambda x: math.exp(-x), support=(0.0, 40.0), label="exponential",
+            cdf=lambda x: -np.expm1(-np.asarray(x)),
+        )
+        for spec in (density_only, no_ppf):
+            with pytest.raises(ParameterError, match="cdf and a ppf"):
+                convolve_weighted([EXP1, spec], [1.0, 1.0])
 
     def test_tail_tol_passed_through(self):
         f = convolve_weighted([EXP1, EXP1], [1.0, 1.0], tail_tol=1e-6)
@@ -368,6 +375,34 @@ class TestOracleGolden:
         assert abs(f.meta["gap"] - want["gap"]) <= 1e-14
         got = f.values[want["index"]]
         assert np.max(np.abs(got - np.array(want["values"]))) <= 1e-14
+
+
+class TestLrOrderImpliesStOrder:
+    """X >=_lr Y implies X >=_st Y, and both orders survive a common scale
+    w > 0. Same-power gamma pairs with a larger shape or a smaller rate are
+    lr-ordered by ``lr_compare``'s analytic rule; the oracle must then find
+    F_X <= F_Y within its 1e-6 tolerance. Integer shapes keep the densities
+    free of the cusps at 0 that slow the oracle's convergence."""
+
+    @given(
+        st.sampled_from([0.5, 1.0]),
+        st.integers(1, 3),
+        st.integers(0, 1),
+        st.floats(0.5, 2.0),
+        st.floats(1.0, 3.0),
+        st.floats(0.5, 4.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_oracle_agrees(self, r, alpha, extra_shape, lam, rate_factor, w):
+        larger = GammaPower(r, alpha + extra_shape, lam)
+        smaller = GammaPower(r, alpha, lam * rate_factor)
+        lr = lr_compare(larger, smaller)
+        assert lr.verdict is LRVerdict.D1_LR_GREATER
+        assert lr.detail in ("analytic gamma-power rule", "equal distributions")
+        v = st_compare_exact(
+            convolve_weighted([larger], [w]), convolve_weighted([smaller], [w])
+        )
+        assert v.max_pos_dev <= 1e-6
 
 
 class TestCompareExact:

@@ -10,14 +10,12 @@ from stochorder import transforms
 from stochorder import (
     ConditionVariant,
     Direction,
-    Dominance,
     GridSpec,
     NumericError,
     ParameterError,
     PQRegion,
     check_convexity_conditions,
     classify_pq,
-    compare_transforms,
     make_exp,
     make_log_shift,
     make_power,
@@ -273,33 +271,3 @@ class TestClassifyPQ:
         concave = check_convexity_conditions(phi, psi, CONCAVE, SMALL_GRID).both_hold
         assert convex == (region in (PQRegion.A0, PQRegion.A1, PQRegion.A2))
         assert concave == (region is PQRegion.A3)
-
-
-class TestCompareTransforms:
-    def test_exp_dominates_negative_power_in_convex_case(self):
-        # cases (iii): decreasing phi1, increasing phi2, composition convex
-        phi1 = make_power(-0.5)  # x^(1/q), q = -2
-        result = compare_transforms(phi1, make_exp(), CONVEX, GridSpec(0.5, 2.0, 64))
-        assert result is Dominance.PHI2_BETTER
-
-    def test_conjugate_exponent_dominates_within_a3(self):
-        p = 2.0
-        q_star = 1.0 / (1.0 - 1.0 / p)
-        phi_q = make_power(1 / 3.0)       # q = 3 with 1/p + 1/q < 1
-        phi_qstar = make_power(1 / q_star)
-        result = compare_transforms(phi_q, phi_qstar, CONCAVE, GridSpec(0.5, 2.0, 64))
-        assert result is Dominance.PHI2_BETTER
-
-    def test_non_dominance_is_undetermined(self):
-        p = 2.0
-        q_star = 1.0 / (1.0 - 1.0 / p)
-        phi_q = make_power(1 / 3.0)
-        phi_qstar = make_power(1 / q_star)
-        # reversed roles: x^(q/q*) is convex, not concave
-        result = compare_transforms(phi_qstar, phi_q, CONCAVE, GridSpec(0.5, 2.0, 64))
-        assert result is Dominance.UNDETERMINED
-
-    def test_self_comparison_is_better(self):
-        # g is the identity, both convex and concave
-        phi = make_power(0.5)
-        assert compare_transforms(phi, phi, CONVEX) is Dominance.PHI2_BETTER
