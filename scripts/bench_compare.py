@@ -28,12 +28,23 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def bench_run(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
-    """One ``benchmark/run.py`` run; its last output line is the result."""
+# lines of a failed run's standard error that are printed
+STDERR_TAIL = 20
+
+
+def bench_run(checkout: Path, side: str, workload: str, seed: int, trace: bool) -> dict:
+    """One ``benchmark/run.py`` run; its last output line is the result. A
+    failed run ends the script with exit 1, after printing what failed and
+    the end of the run's standard error."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", str(int(trace))]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                         timeout=1800, check=True)
+                         timeout=1800)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.rstrip().splitlines()[-STDERR_TAIL:])
+        print(f"bench_compare: {side} run of {workload} failed: seed {seed} exited "
+              f"{out.returncode}; last lines of stderr:\n{tail}", file=sys.stderr)
+        raise SystemExit(1)
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     sha = [ln.split(":", 1)[1].strip() for ln in lines if ln.startswith("suite report sha256:")]
@@ -98,7 +109,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         seed = args.first_seed + i
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(bench_run(checkouts[side], args.workload, seed, False))
+            runs[side].append(bench_run(checkouts[side], side, args.workload, seed, False))
             print(f"pair {i + 1}/{args.pairs} {side}: "
                   f"{json.dumps(runs[side][-1]['metrics'])}", flush=True)
     entry = {
@@ -108,7 +119,7 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     if args.trace_seed is not None:
-        entry["trace"] = {side: bench_run(checkouts[side], args.workload, args.trace_seed, True)
+        entry["trace"] = {side: bench_run(checkouts[side], side, args.workload, args.trace_seed, True)
                           for side in SIDES}
 
     doc = json.loads(args.output.read_text()) if args.output.exists() else {}

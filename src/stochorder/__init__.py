@@ -79,6 +79,7 @@ from .harness import (
     generate_scenario,
     pairwise_exchange_check,
     run_counterexample,
+    run_scenario,
     run_suite,
     verify_iid_theorem,
     verify_noniid_theorem,

@@ -13,6 +13,7 @@ case the i-th smallest.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -138,12 +139,9 @@ class Scenario:
             raise ParameterError(
                 f"dists/a/b lengths differ: {n}, {len(self.a)}, {len(self.b)}"
             )
-        if self.n_samples < 1000:
-            raise ParameterError("n_samples must be >= 1000")
+        _check_sampling(self.n_samples, self.delta)
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.delta < 1:
-            raise ParameterError("delta must lie in (0, 1)")
 
     @property
     def is_iid(self) -> bool:
@@ -175,8 +173,8 @@ class Scenario:
                 a=tuple(data["a"]),
                 b=tuple(data["b"]),
                 premise_mode=MajorizationMode(data.get("premise_mode", "full")),
-                n_samples=int(data.get("n_samples", 100_000)),
-                seed=int(data.get("seed", 42)),
+                n_samples=_integral(data.get("n_samples", 100_000), "n_samples"),
+                seed=_integral(data.get("seed", 42), "seed"),
                 delta=float(data.get("delta", 0.01)),
                 label=str(data.get("label", "")),
             )
@@ -186,6 +184,21 @@ class Scenario:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed scenario: {exc}") from exc
+
+
+def _check_sampling(n_samples: int, delta: float) -> None:
+    if n_samples < 1000:
+        raise ParameterError("n_samples must be >= 1000")
+    if not 0 < delta < 1:
+        raise ParameterError("delta must lie in (0, 1)")
+
+
+def _integral(value, name: str) -> int:
+    """An integer field of a scenario file; a bool or a fractional number is
+    rejected rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _dist_to_spec(d: Dist) -> list:
@@ -442,13 +455,6 @@ def _sample_weighted_sum(
     return total
 
 
-def _empirical_verdict(s: Scenario, a_used: np.ndarray, b_used: np.ndarray) -> OrderVerdict:
-    seq_a, seq_b = np.random.SeedSequence(s.seed).spawn(2)
-    sums_a = _sample_weighted_sum(s.dists, a_used, s.n_samples, seq_a)
-    sums_b = _sample_weighted_sum(s.dists, b_used, s.n_samples, seq_b)
-    return st_compare_empirical(sums_a, sums_b, s.delta)
-
-
 def _anti_theorem_deviation(v: OrderVerdict, predicted: str) -> float:
     # predicted "a": theorem claims F_A <= F_B, so positive F_A - F_B refutes
     return v.max_pos_dev if predicted == "a" else v.max_neg_dev
@@ -461,21 +467,19 @@ def _run_comparison(
     b_used: np.ndarray,
 ) -> TheoremReport:
     """The DKW test of the two sums and, for at most ``ORACLE_MAX_N``
-    components, the oracle's. The B-sum oracle runs on a second thread
-    beside the sampling, the DKW test and the A-sum oracle; errors still
-    surface in that serial order, B-sum last."""
+    components, the oracle's, one after the other on the calling thread."""
     predicted = "a" if s.variant is ConditionVariant.CONVEX_CASE else "b"
+    seq_a, seq_b = np.random.SeedSequence(s.seed).spawn(2)
+    verdict = st_compare_empirical(
+        _sample_weighted_sum(s.dists, a_used, s.n_samples, seq_a),
+        _sample_weighted_sum(s.dists, b_used, s.n_samples, seq_b),
+        s.delta,
+    )
     oracle: Optional[OrderVerdict] = None
-    if len(s.dists) > ORACLE_MAX_N:
-        verdict = _empirical_verdict(s, a_used, b_used)
-    else:
-        # a pool per call is fork-safe, and leaving the block waits for the
-        # worker, also when an error is on its way out
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            job_b = pool.submit(convolve_weighted, s.dists, b_used)
-            verdict = _empirical_verdict(s, a_used, b_used)
-            fa = convolve_weighted(s.dists, a_used)
-            oracle = st_compare_exact(fa, job_b.result())
+    if len(s.dists) <= ORACLE_MAX_N:
+        oracle = st_compare_exact(
+            convolve_weighted(s.dists, a_used), convolve_weighted(s.dists, b_used)
+        )
     consistent = _anti_theorem_deviation(verdict, predicted) <= verdict.band
     if oracle is not None:
         consistent = consistent and (
@@ -719,6 +723,7 @@ class SuiteConfig:
             raise ParameterError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
         if self.master_seed < 0:
             raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
+        _check_sampling(self.n_samples, self.delta)
         if not self.presets or any(p not in _PRESETS for p in self.presets):
             raise ParameterError(
                 f"presets must be chosen from {sorted(_PRESETS)}, got {list(self.presets)}"
@@ -830,51 +835,70 @@ class SuiteReport:
         }
 
 
+def run_scenario(config: SuiteConfig, i: int) -> dict:
+    """Record of scenario ``i`` of the suite; a pure function of the config
+    and the index.
+
+    Scenarios whose hypotheses come back UNKNOWN are marked skipped; FAIL
+    hypotheses (which the generators should never produce) are marked
+    separately; every other scenario gets a consistency verdict.
+    """
+    preset = config.presets[i % len(config.presets)]
+    s = generate_scenario(
+        preset,
+        # the i-th child of SeedSequence(master_seed).spawn(n), made directly
+        np.random.SeedSequence(config.master_seed, spawn_key=(i,)),
+        n_samples=config.n_samples,
+        delta=config.delta,
+        label=f"{preset}#{i}",
+    )
+    record: dict = {"index": i, "preset": preset, "scenario": s.to_dict()}
+    hyp = check_hypotheses(s)
+    if not hyp.all_pass:
+        _, check = hyp.first_not_passing()
+        record["status"] = (
+            "skipped_unknown"
+            if check.status is CheckStatus.UNKNOWN
+            else "failed_hypotheses"
+        )
+        record["hypothesis"] = hyp.to_dict()
+        return record
+    tr = (
+        verify_iid_theorem(s, hyp)
+        if s.is_iid
+        else verify_noniid_theorem(s, hyp)
+    )
+    record["status"] = "consistent" if tr.consistent else "inconsistent"
+    record["report"] = tr.to_dict()
+    return record
+
+
+# scenarios run at once by run_suite, each serial inside
+SUITE_LANES = 2
+
+
 def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     """Run the randomized theorem suite; pure function of the config.
 
-    Scenarios whose hypotheses come back UNKNOWN are skipped and counted;
-    FAIL hypotheses (which the generators should never produce) are counted
-    separately; every executed scenario contributes a consistency record.
+    Scenarios run on ``SUITE_LANES`` threads, which the sampling, the sorts,
+    the CDF evaluations and the FFTs allow because they release the GIL.
+    Records come in index order, and the error of the lowest failing index
+    surfaces, as in a serial loop; the scenarios not yet started are
+    cancelled.
     """
-    report = SuiteReport(config=config)
-    root = np.random.SeedSequence(config.master_seed)
-    children = root.spawn(config.n_scenarios)
-    for i, child in enumerate(children):
-        preset = config.presets[i % len(config.presets)]
-        s = generate_scenario(
-            preset,
-            child,
-            n_samples=config.n_samples,
-            delta=config.delta,
-            label=f"{preset}#{i}",
-        )
-        record: dict = {"index": i, "preset": preset, "scenario": s.to_dict()}
-        hyp = check_hypotheses(s)
-        if not hyp.all_pass:
-            name, check = hyp.first_not_passing()
-            record["status"] = (
-                "skipped_unknown"
-                if check.status is CheckStatus.UNKNOWN
-                else "failed_hypotheses"
-            )
-            record["hypothesis"] = hyp.to_dict()
-            if check.status is CheckStatus.UNKNOWN:
-                report.n_skipped_unknown += 1
-            else:
-                report.n_failed_hypotheses += 1
-            report.records.append(record)
-            continue
-        tr = (
-            verify_iid_theorem(s, hyp)
-            if s.is_iid
-            else verify_noniid_theorem(s, hyp)
-        )
-        record["status"] = "consistent" if tr.consistent else "inconsistent"
-        record["report"] = tr.to_dict()
-        if tr.consistent:
-            report.n_consistent += 1
-        else:
-            report.n_inconsistent += 1
-        report.records.append(record)
-    return report
+    with ThreadPoolExecutor(max_workers=SUITE_LANES) as lanes:
+        jobs = [lanes.submit(run_scenario, config, i) for i in range(config.n_scenarios)]
+        try:
+            records = [job.result() for job in jobs]
+        except BaseException:
+            lanes.shutdown(cancel_futures=True)
+            raise
+    status = Counter(r["status"] for r in records)
+    return SuiteReport(
+        config=config,
+        records=records,
+        n_consistent=status["consistent"],
+        n_inconsistent=status["inconsistent"],
+        n_skipped_unknown=status["skipped_unknown"],
+        n_failed_hypotheses=status["failed_hypotheses"],
+    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stochorder import harness
 from stochorder.cli import run
 
 
@@ -262,3 +263,19 @@ class TestMalformedInput:
         path.write_text("[1, 2]")
         code = run(["verify", "--scenario", str(path), "--seed", "3"])
         self.assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": 2.7}, {"n_samples": 20000.9}, {"seed": True},
+    ])
+    def test_verify_non_integral_seed_or_sample_count(self, fields, tmp_path, capsys):
+        # never truncated to seed 2, 20000 samples or seed 1
+        self.verify_with(tmp_path, capsys, **fields)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "999"), ("--delta", "0"), ("--delta", "1.5"),
+    ])
+    def test_suite_bad_sampling(self, flag, value, capsys, monkeypatch):
+        monkeypatch.setattr(
+            harness, "run_scenario", lambda *a: pytest.fail("a scenario started")
+        )
+        self.assert_one_line_error(run(["suite", "--n", "2", flag, value]), capsys)

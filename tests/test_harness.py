@@ -3,6 +3,7 @@ import math
 import runpy
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,8 +258,8 @@ def _serial_report(s, a_used, b_used):
 
 
 class TestOracleThread:
-    """The B-sum oracle runs on a second thread; the report and the errors
-    are those of the serial order."""
+    """Both oracle sums run on the calling thread, after the sampling and
+    the DKW test; the report and the errors are those of the serial order."""
 
     SCENARIO = dict(a=[4.0, 1.0], b=[2.0, 2.0], seed=5, n_samples=20_000)
 
@@ -284,19 +285,18 @@ class TestOracleThread:
 
         monkeypatch.setattr(harness, "convolve_weighted", convolve)
 
-    def test_b_sum_on_a_second_thread(self, monkeypatch):
+    def test_both_sums_on_the_calling_thread(self, monkeypatch):
         real = harness.convolve_weighted
-        threads = []
+        calls = []
 
         def convolve(dists, weights, *args, **kwargs):
-            threads.append((tuple(weights), threading.get_ident()))
+            calls.append((tuple(weights), threading.get_ident()))
             return real(dists, weights, *args, **kwargs)
 
         monkeypatch.setattr(harness, "convolve_weighted", convolve)
         verify_iid_theorem(exp_scenario(**self.SCENARIO))
-        idents = dict(threads)
-        assert idents[(4.0, 1.0)] == threading.get_ident()
-        assert idents[(2.0, 2.0)] != threading.get_ident()
+        me = threading.get_ident()
+        assert calls == [((4.0, 1.0), me), ((2.0, 2.0), me)]
 
     def test_b_sum_error_surfaces(self, monkeypatch):
         self._fail_convolve(monkeypatch, {"B": np.array([2.0, 2.0])})
@@ -310,20 +310,20 @@ class TestOracleThread:
         with pytest.raises(NumericError, match="A"):
             verify_iid_theorem(exp_scenario(**self.SCENARIO))
 
-    def test_sampling_error_before_b_sum_error(self, monkeypatch):
-        b_failed = threading.Event()
+    def test_sampling_error_before_any_oracle(self, monkeypatch):
+        convolved = []
         self._fail_convolve(
-            monkeypatch, {"B": np.array([2.0, 2.0])}, on_call=lambda name: b_failed.set()
+            monkeypatch, {"A": np.array([4.0, 1.0]), "B": np.array([2.0, 2.0])},
+            on_call=convolved.append,
         )
 
         def sample(*args):
-            # raise only once the B-sum has already failed on its thread
-            assert b_failed.wait(30)
             raise ParameterError("sampling")
 
         monkeypatch.setattr(harness, "_sample_weighted_sum", sample)
         with pytest.raises(ParameterError, match="sampling"):
             verify_iid_theorem(exp_scenario(**self.SCENARIO))
+        assert convolved == []
 
     def test_iid_report_equals_serial(self):
         s = exp_scenario(**self.SCENARIO, label="iid")
@@ -341,14 +341,16 @@ class TestOracleThread:
         b_used = np.sort(s.b.as_array())[::-1]
         assert verify_noniid_theorem(s).to_dict() == _serial_report(s, a_used, b_used).to_dict()
 
-    def test_no_thread_beyond_the_oracle_size(self, monkeypatch):
-        assert harness.ORACLE_MAX_N == 4
-        s = exp_scenario([16.0, 1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 1.0], n_samples=2000)
+    def test_no_pool_for_any_n(self, monkeypatch):
         monkeypatch.setattr(
             harness, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("pool opened")
         )
-        rep = verify_iid_theorem(s)
-        assert rep.oracle_verdict is None
+        for n in range(2, harness.ORACLE_MAX_N + 2):
+            # log-weights (n, 0, ..., 0) log 2 against (1, ..., 1) log 2
+            s = exp_scenario([2.0**n] + [1.0] * (n - 1), [2.0] * n, n_samples=2000)
+            rep = verify_iid_theorem(s)
+            assert (rep.oracle_verdict is None) == (n > harness.ORACLE_MAX_N)
+            assert verify_noniid_theorem(s).to_dict() == rep.to_dict()
 
 
 class TestPairwiseExchange:
@@ -444,6 +446,32 @@ class TestBenchCompare:
         assert "--pairs must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_run_reported(self, tmp_path, capsys):
+        # a checkout whose benchmark fails on the change side's first run
+        script = Path(__file__).parents[1] / "scripts" / "bench_compare.py"
+        main = runpy.run_path(str(script))["main"]
+        for side, code in (("parent", 0), ("change", 3)):
+            bench = tmp_path / side / "benchmark"
+            bench.mkdir(parents=True)
+            (bench / "run.py").write_text(
+                "import sys\n"
+                "print('early line', file=sys.stderr)\n"
+                "print('boom: the last words', file=sys.stderr)\n"
+                f"print('{{\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {{}}}}')\n"
+                f"sys.exit({code})\n"
+            )
+        (tmp_path / "change" / "BENCHMARK.json").write_text('{"end_to_end": []}')
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as done:
+            main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                  "--workload", "suite", "--pairs", "2", "--first-seed", "41",
+                  "--output", str(out)])
+        err = capsys.readouterr().err
+        assert done.value.code == 1
+        assert "change run of suite failed: seed 41 exited 3" in err
+        assert "early line\nboom: the last words" in err
+        assert not out.exists()
+
 
 class TestLogReduction:
     @given(
@@ -531,6 +559,86 @@ def _assert_same(got, want, where="scenario"):
         assert type(got) is type(want) and got == want, where
 
 
+class TestSuiteLanes:
+    """run_suite runs its scenarios on two lanes; the report is that of a
+    serial loop of run_scenario."""
+
+    CONFIG = SuiteConfig(n_scenarios=18, master_seed=3, n_samples=5_000)
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @staticmethod
+    def _hook(monkeypatch, on_start):
+        """``harness.generate_scenario`` calling ``on_start(index)`` first;
+        what it returns, if not None, replaces the scenario."""
+        real = harness.generate_scenario
+
+        def generate(preset, seed_seq, **kwargs):
+            s = on_start(int(kwargs["label"].split("#")[1]))
+            return real(preset, seed_seq, **kwargs) if s is None else s
+
+        monkeypatch.setattr(harness, "generate_scenario", generate)
+
+    def test_report_equals_serial_loop(self, monkeypatch):
+        serial = [harness.run_scenario(self.CONFIG, i) for i in range(18)]
+        started = []
+        pools = []
+        real_pool = harness.ThreadPoolExecutor
+
+        def pool(*args, **kwargs):
+            pools.append((args, kwargs))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+        self._hook(monkeypatch, lambda i: started.append((i, threading.get_ident())))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch lanes often
+        try:
+            got = run_suite(self.CONFIG).to_dict()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got["records"] == serial
+        assert [r["index"] for r in got["records"]] == list(range(18))
+        summary = got["summary"]
+        assert summary["consistent"] + summary["inconsistent"] == summary["run"]
+        for status in ("consistent", "inconsistent", "skipped_unknown", "failed_hypotheses"):
+            assert summary[status] == sum(r["status"] == status for r in serial)
+        assert sorted(i for i, _ in started) == list(range(18))
+        lanes = {ident for _, ident in started}
+        assert threading.get_ident() not in lanes and len(lanes) <= 2
+        assert pools == [((), {"max_workers": 2})]
+
+    def test_lowest_failing_index_surfaces(self, monkeypatch):
+        six_failed = threading.Event()
+        started = []
+
+        def on_start(i):
+            started.append(i)
+            if i == 5:
+                # raise only once scenario 6 has already failed on the other lane
+                assert six_failed.wait(30)
+                raise NumericError("scenario 5")
+            if i == 6:
+                six_failed.set()
+                raise NumericError("scenario 6")
+            if i > 6:
+                time.sleep(0.05)
+                raise NumericError(f"scenario {i}")
+            return None
+
+        self._hook(monkeypatch, on_start)
+        cfg = SuiteConfig(n_scenarios=40, master_seed=3, n_samples=5_000)
+        with pytest.raises(NumericError, match="scenario 5"):
+            run_suite(cfg)
+        # the scenarios still pending were cancelled
+        assert sorted(started)[:7] == list(range(7))
+        assert len(started) < 40
+
+
 class TestGoldenScenarios:
     """Every preset draws the same scenario from the same seed as the nine
     hand-written generators it replaced (fixture: nine presets x seeds 1, 42
@@ -615,6 +723,16 @@ class TestSuiteConfig:
         with pytest.raises(ParameterError):
             SuiteConfig(presets=presets)
 
+    @pytest.mark.parametrize("fields", [
+        {"n_samples": 999},
+        {"delta": 0.0},
+        {"delta": 1.0},
+        {"delta": math.nan},
+    ])
+    def test_bad_sampling_rejected(self, fields):
+        with pytest.raises(ParameterError):
+            SuiteConfig(**fields)
+
 
 class TestSpecParsers:
     def test_dist_roundtrip(self):
@@ -659,6 +777,10 @@ class TestSpecParsers:
         ("variant", "convexx"),
         ("premise_mode", "bogus"),
         ("n_samples", "many"),
+        ("n_samples", 20000.9),
+        ("n_samples", math.inf),
+        ("seed", 2.7),
+        ("seed", True),
         ("a", 3),
     ])
     def test_bad_scenario_field(self, field, value):
@@ -666,3 +788,9 @@ class TestSpecParsers:
         data[field] = value
         with pytest.raises(ParameterError):
             Scenario.from_dict(data)
+
+    def test_integral_numbers_accepted(self):
+        data = exp_scenario([4.0, 1.0], [2.0, 2.0]).to_dict()
+        data.update(n_samples=20000.0, seed="7")
+        s = Scenario.from_dict(data)
+        assert (s.n_samples, s.seed) == (20000, 7)
