@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, NumericError, ParameterError
 from .transforms import Transform, second_differences
@@ -27,6 +27,13 @@ _NORMALIZATION_TOL = 1e-6
 _LOGCC_GRID_N = 512
 _LOGCC_TAIL = 5e-4          # central 0.999 probability mass
 _LOGCC_TOL = 1e-7
+
+
+def _check_finite(d, names: tuple[str, ...]) -> None:
+    """Reject NaN and +-inf parameters, which pass the ``<= 0`` checks."""
+    for name in names:
+        if not math.isfinite(getattr(d, name)):
+            raise ParameterError(f"{name} must be finite, got {getattr(d, name)}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class GammaPower:
     lam: float
 
     def __post_init__(self):
+        _check_finite(self, ("r", "alpha", "lam"))
         if self.r == 0:
             raise ParameterError("r must be nonzero")
         if self.alpha <= 0 or self.lam <= 0:
@@ -111,6 +119,7 @@ class GeneralizedGamma:
     lam: float
 
     def __post_init__(self):
+        _check_finite(self, ("p", "alpha", "lam"))
         if self.p <= 0 or self.alpha <= 0 or self.lam <= 0:
             raise ParameterError("p, alpha and lam must be positive")
 
@@ -162,6 +171,10 @@ class DensitySpec:
         lo, hi = self.support
         if not lo < hi:
             raise ParameterError(f"empty support {self.support}")
+        # Imported here: scipy.integrate pulls in scipy.optimize and
+        # scipy.linalg, about a third of ``import stochorder``'s time.
+        from scipy import integrate
+
         total, err = integrate.quad(
             lambda t: float(self.pdf(t)), lo, hi, limit=300
         )

@@ -584,8 +584,8 @@ def run_counterexample(
     CDFs cannot be st-ordered; when a and b differ in exactly two sorted
     components the difference crosses zero exactly once.
     """
-    if alpha < 1:
-        raise ParameterError("alpha must be >= 1")
+    if not alpha >= 1:  # also rejects NaN
+        raise ParameterError(f"alpha must be >= 1, got {alpha}")
     av = as_weight_vector(a).as_array()
     bv = as_weight_vector(b).as_array()
     if av.shape != bv.shape or len(av) < 3:

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import fft
 
 from .errors import NumericError, ParameterError
 from .distributions import DensitySpec, Dist
@@ -411,6 +411,8 @@ def _count_sign_changes(d: np.ndarray, tol: float) -> int:
 
 def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:
     """Independent CDF oracle by piecewise adaptive quadrature of the pdf."""
+    from scipy import integrate  # kept off the import path, as in DensitySpec
+
     pts = np.sort(np.asarray(points, dtype=float))
     lo = d.support[0] if isinstance(d, DensitySpec) else 0.0
     vals = np.empty_like(pts)

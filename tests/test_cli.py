@@ -178,6 +178,12 @@ class TestCounterexample:
         assert run(["counterexample", "--alpha", "0.5",
                     "--a", "2,1,1", "--b", "1.5,1.5,1"]) == 1
 
+    def test_nan_alpha_exit_one(self, capsys):
+        assert run(["counterexample", "--alpha", "nan",
+                    "--a", "2,1,1", "--b", "1.5,1.5,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stochorder: error:") and "alpha" in err
+
 
 class TestSuite:
     def test_small_suite_deterministic_bytes(self, tmp_path):

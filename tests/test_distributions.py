@@ -57,6 +57,17 @@ class TestDensity:
         with pytest.raises(ParameterError):
             GammaPower(1, -1, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_non_finite_parameters_rejected(self, bad, field):
+        """NaN passes a ``<= 0`` check, so finiteness is checked on its own."""
+        params = [1.0, 1.0, 1.0]
+        params[field] = bad
+        for family, names in ((GammaPower, "r alpha lam"),
+                              (GeneralizedGamma, "p alpha lam")):
+            with pytest.raises(ParameterError, match=names.split()[field]):
+                family(*params)
+
 
 class TestGammaPower:
     def test_negative_power_cdf_ppf_roundtrip(self):

@@ -1,0 +1,86 @@
+"""Import footprint, checked in a fresh interpreter.
+
+``scipy.integrate`` (with ``scipy.optimize`` and ``scipy.linalg`` behind it)
+is a third of ``import stochorder``'s time, and only ``DensitySpec``'s
+normalization check and ``quadrature_cdf`` use it, so it is imported inside
+them. These tests run in a subprocess because pytest has usually imported
+``scipy.integrate`` already, through ``tests/test_distributions.py``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from stochorder import (
+    DensitySpec,
+    GammaPower,
+    GeneralizedGamma,
+    SuiteConfig,
+    quadrature_cdf,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+POINTS = [0.05, 0.5, 1.0, 2.5, 7.0]
+
+
+def fresh_python(code: str) -> dict:
+    """Run ``code`` in a new interpreter with ``src`` on the path; it prints
+    one JSON object, which is returned."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_import_leaves_out_scipy_integrate():
+    got = fresh_python(f"""
+import json, sys
+import stochorder, stochorder.cli
+loaded = {{m: m in sys.modules for m in
+          ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft")}}
+from stochorder import DensitySpec, GammaPower, GeneralizedGamma, quadrature_cdf
+spec = DensitySpec.from_dist(GammaPower(1, 2, 1))
+f = quadrature_cdf(GeneralizedGamma(1, 1, 1), {POINTS!r})
+print(json.dumps({{
+    "loaded": loaded,
+    "support": list(spec.support),
+    "mean": spec.mean_value,
+    "cdf": f.values.tolist(),
+    "integrate_after": "scipy.integrate" in sys.modules,
+}}))
+""")
+    assert got["loaded"] == {
+        "scipy.integrate": False,
+        "scipy.optimize": False,
+        "scipy.special": True,
+        "scipy.fft": True,
+    }
+    spec = DensitySpec.from_dist(GammaPower(1, 2, 1))
+    assert got["support"] == list(spec.support)
+    assert got["mean"] == spec.mean_value
+    assert got["cdf"] == quadrature_cdf(GeneralizedGamma(1, 1, 1), POINTS).values.tolist()
+    assert np.allclose(got["cdf"], 1 - np.exp(-np.array(POINTS)), atol=1e-9)
+    assert got["integrate_after"] is True
+
+
+def test_suite_path_never_loads_scipy_integrate():
+    got = fresh_python("""
+import json, sys
+from stochorder import SuiteConfig, run_scenario
+config = SuiteConfig(n_scenarios=9, n_samples=1000)
+records = [run_scenario(config, i) for i in range(9)]
+print(json.dumps({
+    "presets": [r["preset"] for r in records],
+    "statuses": [r["status"] for r in records],
+    "integrate": "scipy.integrate" in sys.modules,
+}))
+""")
+    assert got["presets"] == list(SuiteConfig().presets)  # one per preset
+    assert got["statuses"] == ["consistent"] * 9
+    assert got["integrate"] is False
