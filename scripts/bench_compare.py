@@ -8,7 +8,12 @@ Pair i runs ``benchmark/run.py --workload W --seed <first-seed + i>`` in both
 checkouts, the parent first on even i and the change first on odd i, with the
 run length the benchmark sets. The output file gets one entry per workload:
 every run's end-to-end metrics, each side's quartiles per metric, and how many
-pairs the change won (ties count for neither side). With ``--trace-seed`` each
+pairs the change won (ties count for neither side). Each metric also gets a
+verdict, printed as one line: the change/parent ratio of the medians, whether
+the gain rule holds (the change wins at least nine tenths of the pairs and
+its median is better than the parent's by more than the parent's IQR), and
+whether the change's median is worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json``. With ``--trace-seed`` each
 checkout also makes one ``--trace 1`` run, whose per-layer metrics are kept
 beside the pairs. An existing output file keeps its other workloads, so the
 workloads can be measured one invocation at a time.
@@ -70,16 +75,32 @@ def summarize(runs: dict, end_to_end: list[dict]) -> dict:
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        pq, cq = quartiles(parent), quartiles(change)
+        # how much better the change's median is, in the metric's unit
+        gain = (cq["median"] - pq["median"]) * (1 if higher else -1)
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "bound": spec["bound"],
-            "parent": quartiles(parent),
-            "change": quartiles(change),
+            "parent": pq,
+            "change": cq,
             "change_wins": wins,
             "pairs": len(parent),
+            "ratio": cq["median"] / pq["median"] if pq["median"] else None,
+            "gain_rule": 10 * wins >= 9 * len(parent) and gain > pq["iqr"],
+            "past_bound": -gain > spec["bound"] * abs(pq["median"]),
         }
     return out
+
+
+def verdict_line(name: str, s: dict) -> str:
+    ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.3f}"
+    return (f"{name}: parent median {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g}), "
+            f"change median {s['change']['median']:.4g}, change/parent {ratio}, "
+            f"change won {s['change_wins']}/{s['pairs']}; "
+            f"gain rule {'holds' if s['gain_rule'] else 'fails'}; "
+            f"{'worse than the parent past' if s['past_bound'] else 'within'} "
+            f"its bound of {s['bound']:.0%}")
 
 
 def machine() -> dict:
@@ -127,8 +148,7 @@ def main(argv=None) -> int:
     doc.setdefault("workloads", {})[args.workload] = entry
     args.output.write_text(json.dumps(doc, indent=1) + "\n")
     for name, s in entry["summary"].items():
-        print(f"{name}: parent median {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g}), "
-              f"change median {s['change']['median']:.4g}, change won {s['change_wins']}/{s['pairs']}")
+        print(verdict_line(name, s))
     return 0
 
 

@@ -235,6 +235,8 @@ def gamma_power_logconcave(t: float, alpha: float) -> bool:
     Exact characterization from the sign of the log-density curvature:
     holds iff 0 < t <= 1 and t <= alpha.
     """
+    if not (math.isfinite(t) and math.isfinite(alpha)):
+        raise ParameterError(f"t and alpha must be finite, got {t} and {alpha}")
     return 0 < t <= 1.0 and t <= alpha
 
 

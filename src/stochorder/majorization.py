@@ -90,17 +90,29 @@ def _slack(tol: float, *sums: float) -> float:
     return tol * (1.0 + max(abs(s) for s in sums))
 
 
+# looked up once: check_majorize runs per vector pair in premise screening
+_FULL = MajorizationMode.FULL
+_WEAK_SUB = MajorizationMode.WEAK_SUB
+_WEAK_SUP = MajorizationMode.WEAK_SUP
+_INF = math.inf
+_NINF = -math.inf
+_isfinite = math.isfinite
+
+
 def _sorted_values(v: VectorLike) -> list[float]:
     """Nondecreasing plain floats of ``v``, under the checks of
     :class:`WeightVector`: at least one entry, every entry finite."""
-    if isinstance(v, WeightVector):
+    if isinstance(v, (tuple, list)):
+        vals = list(map(float, v))
+    elif isinstance(v, WeightVector):
         return sorted(v.values)
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    vals = [float(v)] if isinstance(v, Real) else [float(t) for t in v]
+    else:
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        vals = [float(v)] if isinstance(v, Real) else list(map(float, v))
     if not vals:
         raise ParameterError("WeightVector needs at least one entry")
-    if not all(map(math.isfinite, vals)):
+    if not all(map(_isfinite, vals)):
         raise ParameterError(f"non-finite entry in {tuple(vals)}")
     vals.sort()
     return vals
@@ -124,24 +136,29 @@ def check_majorize(
     ys = _sorted_values(y)
     if len(xs) != len(ys):
         raise DimensionError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    # each test is a negated ``<=``/``>=``, so a NaN from sums that overflow
-    # to inf fails it; a failed test then answers whether the sorted inputs
-    # are equal, which keeps the order reflexive at no cost to passing tests
-    if mode is MajorizationMode.WEAK_SUB:
+    # each step first tries the fast test: finite sums already in order pass
+    # the slack test for any tol >= 0. Otherwise the slack test decides; it
+    # is a negated ``<=``/``>=``, so a NaN from sums that overflow to inf (or
+    # from a slack of 0 * inf) fails it, and a failed step then answers
+    # whether the sorted inputs are equal, which keeps the order reflexive
+    if mode is _WEAK_SUB:
         # top sums: sum_{i>=j} x_(i) <= sum_{i>=j} y_(i)
         for a, b in zip(accumulate(reversed(xs)), accumulate(reversed(ys))):
-            if not a <= b + tol * (1.0 + max(abs(a), abs(b))):
+            if not (_NINF < a <= b < _INF
+                    or a <= b + tol * (1.0 + max(abs(a), abs(b)))):
                 return xs == ys
         return True
     bx = list(accumulate(xs))
     by = list(accumulate(ys))
-    if mode is not MajorizationMode.WEAK_SUP:  # FULL: the totals agree
+    if mode is not _WEAK_SUP:  # FULL: the totals agree
         a, b = bx.pop(), by.pop()
-        if not abs(a - b) <= tol * (1.0 + max(abs(a), abs(b))):
+        if not (_NINF < a == b < _INF
+                or abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))):
             return xs == ys
     # bottom sums: sum_{i<=j} x_(i) >= sum_{i<=j} y_(i)
     for a, b in zip(bx, by):
-        if not a >= b - tol * (1.0 + max(abs(a), abs(b))):
+        if not (_NINF < b <= a < _INF
+                or a >= b - tol * (1.0 + max(abs(a), abs(b)))):
             return xs == ys
     return True
 

@@ -414,6 +414,8 @@ def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:
     from scipy import integrate  # kept off the import path, as in DensitySpec
 
     pts = np.sort(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("quadrature_cdf points must be finite")
     lo = d.support[0] if isinstance(d, DensitySpec) else 0.0
     vals = np.empty_like(pts)
     acc = 0.0

@@ -129,6 +129,8 @@ def make_exp() -> Transform:
 def make_power(r: float) -> Transform:
     """x -> x^r on (0, inf); increasing iff r > 0."""
     r = float(r)
+    if not math.isfinite(r):
+        raise ParameterError(f"power exponent must be finite, got {r}")
     if r == 0.0:
         raise ParameterError("power exponent must be nonzero")
     return Transform(
@@ -223,30 +225,17 @@ class ConditionReport:
         return self.worst_point_b
 
 
-def _eval_grid(fn, pts: np.ndarray, label: str) -> np.ndarray:
+def _eval_grid(fn, pts: list[float], label: str) -> list[float]:
     vals = []
-    for x in pts:
-        try:
-            vals.append(float(fn(float(x))))
-        except OverflowError:
-            raise NumericError(f"{label} overflows at x={x:g}")
-    out = np.array(vals, dtype=float)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        raise NumericError(f"{label} non-finite at x={pts[bad][0]:g}")
-    return out
-
-
-def _log_abs_and_sign(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``log|f|`` and the sign (-1, 0 or 1) of each value; a zero gets log
-    0.0 and is marked by its sign 0.
-
-    The logs come from ``math.log`` one value at a time, since numpy's
-    vectorized log may differ from it in the last bit."""
-    fs = vals.tolist()
-    logs = [math.log(abs(f)) if f != 0 else 0.0 for f in fs]
-    signs = [math.copysign(1.0, f) if f != 0 else 0.0 for f in fs]
-    return np.array(logs), np.array(signs)
+    try:
+        for x in pts:
+            vals.append(float(fn(x)))
+    except OverflowError:
+        raise NumericError(f"{label} overflows at x={x:g}")
+    if not all(map(math.isfinite, vals)):
+        bad = next(x for x, f in zip(pts, vals) if not math.isfinite(f))
+        raise NumericError(f"{label} non-finite at x={bad:g}")
+    return vals
 
 
 def check_convexity_conditions(
@@ -258,31 +247,32 @@ def check_convexity_conditions(
     """Evaluate the sign condition on phi'' and the product condition on a
     (u, v) grid, reporting worst margins (condition a on the natural scale,
     condition b on a log scale; <= 0 means the point satisfies it)."""
-    us = grid.points()
-    vs = grid.points()
-    phi_u = _eval_grid(phi.eval, us, f"{phi.label}")
-    phi1_u = _eval_grid(phi.d1, us, f"{phi.label}'")
-    phi2_u = _eval_grid(phi.d2, us, f"{phi.label}''")
-    psi_v = _eval_grid(psi.eval, vs, f"{psi.label}")
-    psi1_v = _eval_grid(psi.d1, vs, f"{psi.label}'")
-    psi2_v = _eval_grid(psi.d2, vs, f"{psi.label}''")
+    # u and v run over the same axis
+    pts = grid.points().tolist()
+    phi_u = _eval_grid(phi.eval, pts, f"{phi.label}")
+    phi1_u = _eval_grid(phi.d1, pts, f"{phi.label}'")
+    phi2_u = _eval_grid(phi.d2, pts, f"{phi.label}''")
+    psi_v = _eval_grid(psi.eval, pts, f"{psi.label}")
+    psi1_v = _eval_grid(psi.d1, pts, f"{psi.label}'")
+    psi2_v = _eval_grid(psi.d2, pts, f"{psi.label}''")
 
+    viol_a = np.array(phi2_u)
     if variant is ConditionVariant.CONVEX_CASE:
-        viol_a = -phi2_u
-    else:
-        viol_a = phi2_u
+        viol_a = -viol_a
     ia = int(np.argmax(viol_a))
     worst_a = float(viol_a[ia])
 
     # log-scale margin of rhs - lhs for the products lhs = phi'' psi'' phi psi
     # and rhs = (phi' psi')^2; <= 0 means lhs >= rhs holds at the point, and
     # a sign failure (lhs <= 0 < rhs) is +inf
-    l2u, s2u = _log_abs_and_sign(phi2_u)
-    l2v, s2v = _log_abs_and_sign(psi2_v)
-    l0u, s0u = _log_abs_and_sign(phi_u)
-    l0v, s0v = _log_abs_and_sign(psi_v)
-    l1u, s1u = _log_abs_and_sign(phi1_u)
-    l1v, s1v = _log_abs_and_sign(psi1_v)
+    vals = (phi2_u, psi2_v, phi_u, psi_v, phi1_u, psi1_v)
+    # log|f| comes from math.log one value at a time, since numpy's
+    # vectorized log may differ from it in the last bit; a zero gets log 0.0
+    # and is marked by its sign 0
+    l2u, l2v, l0u, l0v, l1u, l1v = np.array(
+        [[math.log(abs(f)) if f != 0 else 0.0 for f in v] for v in vals]
+    )
+    s2u, s2v, s0u, s0v, s1u, s1v = np.sign(vals)
     # the four logs are added left to right at every point, the order a
     # point-by-point sum uses, so each margin is bit-identical to it
     log_l = ((l2u[:, None] + l2v) + l0u[:, None]) + l0v
@@ -297,12 +287,12 @@ def check_convexity_conditions(
     worst_b = float(margin[ib, jb])
 
     return ConditionReport(
-        condition_a_holds=worst_a <= _COND_A_RTOL * (1.0 + float(np.max(np.abs(phi2_u)))),
+        condition_a_holds=worst_a <= _COND_A_RTOL * (1.0 + max(map(abs, phi2_u))),
         condition_b_holds=worst_b <= _COND_B_LOG_TOL,
         worst_violation_a=worst_a,
-        worst_point_a=(float(us[ia]), float(vs[0])),
+        worst_point_a=(pts[ia], pts[0]),
         worst_violation_b=worst_b,
-        worst_point_b=(float(us[ib]), float(vs[jb])),
+        worst_point_b=(pts[ib], pts[jb]),
         grid_spec=grid.describe(),
     )
 

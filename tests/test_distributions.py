@@ -68,6 +68,13 @@ class TestDensity:
             with pytest.raises(ParameterError, match=names.split()[field]):
                 family(*params)
 
+    @pytest.mark.parametrize("t, alpha", [(math.nan, 1.0), (0.5, math.nan),
+                                          (math.inf, 1.0), (0.5, math.inf)])
+    def test_non_finite_logconcave_rule_arguments_rejected(self, t, alpha):
+        """NaN fails every comparison, so it would read as "not log-concave"."""
+        with pytest.raises(ParameterError, match="must be finite"):
+            gamma_power_logconcave(t, alpha)
+
 
 class TestGammaPower:
     def test_negative_power_cdf_ppf_roundtrip(self):

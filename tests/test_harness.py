@@ -472,6 +472,44 @@ class TestBenchCompare:
         assert "early line\nboom: the last words" in err
         assert not out.exists()
 
+    def test_verdict_per_metric(self):
+        # ten fake pairs per metric, no benchmark run
+        script = Path(__file__).parents[1] / "scripts" / "bench_compare.py"
+        ns = runpy.run_path(str(script))
+        parent = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
+        change = {
+            "gain": [110.0 + i for i in range(10)],        # 10/10, gap 10 > 4.5
+            "few_wins": [110.0 + i for i in range(8)] + [0.0, 0.0],  # 8/10
+            "small_gap": [104.0 + i for i in range(10)],   # 10/10, gap 4 < 4.5
+            "slower": [75.0 + i for i in range(10)],       # 0.75x: past 20%
+            "slightly_slower": [85.0 + i for i in range(10)],  # 0.85x: within
+            "tied": list(parent),                          # ties win nothing
+        }
+        spec = [{"name": n, "unit": "1/s", "better": "higher", "bound": 0.2} for n in change]
+        spec.append({"name": "lat", "unit": "ms", "better": "lower", "bound": 0.2})
+        change["lat"] = [130.0 + i for i in range(10)]      # 1.24x slower: past
+        runs = {side: [{"metrics": {n: (parent if side == "parent" else change[n])[i]
+                                    for n in change}} for i in range(10)]
+                for side in ("parent", "change")}
+        summary = ns["summarize"](runs, spec)
+        got = {n: (s["change_wins"], s["gain_rule"], s["past_bound"]) for n, s in summary.items()}
+        assert got == {
+            "gain": (10, True, False),
+            "few_wins": (8, False, False),
+            "small_gap": (10, False, False),
+            "slower": (0, False, True),
+            "slightly_slower": (0, False, False),
+            "tied": (0, False, False),
+            "lat": (0, False, True),
+        }
+        assert summary["gain"]["ratio"] == pytest.approx(114.5 / 104.5)
+        line = ns["verdict_line"]("gain", summary["gain"])
+        assert line == ("gain: parent median 104.5 (IQR 4.5), change median 114.5, "
+                        "change/parent 1.096, change won 10/10; gain rule holds; "
+                        "within its bound of 20%")
+        assert "gain rule fails; worse than the parent past its bound of 20%" in \
+            ns["verdict_line"]("lat", summary["lat"])
+
 
 class TestLogReduction:
     @given(

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -210,6 +211,72 @@ class TestCheckMajorizeInputs:
     def test_bad_entry_reported_before_length_mismatch(self):
         with pytest.raises(ParameterError):
             check_majorize([1.0, 2.0, 3.0], [math.nan])
+
+
+def _slack_only_majorize(x, y, mode, tol):
+    """Reference for :func:`check_majorize` on valid equal-length input:
+    every partial-sum step takes the slack test, with no fast path for
+    finite sums already in order."""
+    xs, ys = sorted(map(float, x)), sorted(map(float, y))
+    if mode is SUB:
+        for a, b in zip(accumulate(reversed(xs)), accumulate(reversed(ys))):
+            if not a <= b + tol * (1.0 + max(abs(a), abs(b))):
+                return xs == ys
+        return True
+    bx, by = list(accumulate(xs)), list(accumulate(ys))
+    if mode is not SUP:
+        a, b = bx.pop(), by.pop()
+        if not abs(a - b) <= tol * (1.0 + max(abs(a), abs(b))):
+            return xs == ys
+    for a, b in zip(bx, by):
+        if not a >= b - tol * (1.0 + max(abs(a), abs(b))):
+            return xs == ys
+    return True
+
+
+# entries whose partial sums overflow, underflow or tie
+_EDGE_ENTRIES = st.one_of(
+    st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, -0.0]),
+    st.integers(-9, 9).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TOLS = (0.0, 1e-12, 1e-6, math.inf)
+_FORMS = (tuple, list, np.array, lambda v: WeightVector(tuple(v)))
+
+
+@st.composite
+def edge_float_pairs(draw):
+    n = draw(st.integers(1, 6))
+    x = draw(st.lists(_EDGE_ENTRIES, min_size=n, max_size=n))
+    y = draw(st.one_of(st.permutations(x), st.lists(_EDGE_ENTRIES, min_size=n, max_size=n)))
+    return x, list(y)
+
+
+class TestFastPathEquivalence:
+    """The in-order fast path of ``check_majorize`` answers as the slack
+    test alone does, where sums overflow, with ``tol = 0`` (slack 0 * inf is
+    NaN) and with ``tol = inf``."""
+
+    @given(edge_float_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_slack_only_reference(self, pair):
+        x, y = pair
+        for mode in (FULL, SUB, SUP):
+            for tol in _TOLS:
+                want = _slack_only_majorize(x, y, mode, tol)
+                for form in _FORMS:
+                    assert check_majorize(form(x), form(y), mode, tol) == want, (form, mode, tol)
+
+    def test_overflowing_equal_totals_fail_full(self):
+        # both totals are inf: a bare ``a == b`` would pass them
+        assert not check_majorize((2, 1e308, 1e308), (1, 1e308, 1e308), FULL)
+
+    def test_overflowing_top_sum_fails_at_zero_tol(self):
+        # y's second top sum is inf, and 0 * inf slack is NaN: a bare
+        # ``a <= b`` would pass it
+        x, y = [9, 6, 1, -1], [1.7e308, 0, -1.3691775656187065e202, 1.7e308]
+        assert not check_majorize(x, y, SUB, tol=0.0)
+        assert not _slack_only_majorize(x, y, SUB, 0.0)
 
 
 def _random_majorized_pair(rng, n):

@@ -540,3 +540,9 @@ class TestQuadratureCDF:
         pts = np.linspace(0.1, 6.0, 30)
         f = quadrature_cdf(EXP1, pts)
         np.testing.assert_allclose(f.values, 1 - np.exp(-pts), atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # sorted last, a NaN point used to take the previous point's value
+        with pytest.raises(ParameterError, match="must be finite"):
+            quadrature_cdf(GammaPower(1, 1, 1), [0.5, bad])

@@ -42,6 +42,12 @@ class TestTransformConstruction:
         with pytest.raises(ParameterError):
             make_power(0.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_power_non_finite_rejected(self, r):
+        # a bad exponent is a parameter error, not a failed grid validation
+        with pytest.raises(ParameterError, match="must be finite"):
+            make_power(r)
+
     @pytest.mark.parametrize("r", [-993.786, -990.0, 990.0])
     def test_steep_power_passes_its_derivative_check(self, r):
         # the analytic derivatives are exact; a plain central difference
