@@ -132,6 +132,8 @@ def check_majorize(
     """
     if not tol >= 0:
         raise ParameterError("tol must be >= 0")
+    if mode is not _FULL and mode is not _WEAK_SUB and mode is not _WEAK_SUP:
+        raise ParameterError(f"mode must be a MajorizationMode, got {mode!r}")
     xs = _sorted_values(x)
     ys = _sorted_values(y)
     if len(xs) != len(ys):

@@ -1,5 +1,5 @@
 """Decision procedures for the usual stochastic order: DKW-banded empirical
-comparison, an exact grid-convolution oracle for weighted sums of
+comparison, a grid-convolution oracle for weighted sums of
 independent nonnegative variables, and crossing-count analysis of CDF
 differences.
 """
@@ -169,37 +169,41 @@ def _relation_from_devs(max_pos: float, max_neg: float, band: float) -> Relation
     return Relation.INCONCLUSIVE
 
 
-def _edge_cdf_tables(cdf, w: float, top: float, m: int):
-    """Yield ``cdf(edges / w)`` for ``edges = linspace(0, top, m + 1)``,
-    then for 2m cells, 4m cells, and so on.
+def _edge_cdf_tables(cdf, w: float, stop: float, top: float, m: int):
+    """Yield ``cdf(edges / w)`` for the edges of ``linspace(0, top, m + 1)``
+    up to the first at or past ``stop`` (``ceil(stop / h)`` cells of width
+    ``h = top / m``, at least one and at most m), then for 2m cells, and so
+    on.
 
-    A table ends at its first value that is exactly 1.0; every edge past it
-    has the value 1.0 too. Each level evaluates only its odd edges up to
-    that point: the even edges are the edges of the level before.
+    Each table holds every even edge of the next one, so only the odd edges
+    are evaluated: ``top / (2m)`` halves ``top / m`` exactly, which makes the
+    even edges bit for bit the coarser edges and doubles ``stop / h``
+    exactly, and ``ceil(2x) <= 2 ceil(x)``.
     """
-    table = _saturated_prefix(np.asarray(cdf(np.linspace(0.0, top, m + 1) / w), float))
+    x = stop / (top / m)
+    table = np.asarray(cdf(np.linspace(0.0, top, m + 1)[: _cells(x, m) + 1] / w), float)
     while True:
         yield table
         m *= 2
-        k = len(table)
-        fine = np.empty(2 * k - 1)
-        fine[::2] = table
-        # the odd edges are bit for bit linspace(0, top, m + 1)[1 : 2k - 1 : 2],
+        x *= 2
+        k = _cells(x, m)
+        fine = np.empty(k + 1)
+        fine[::2] = table[: k // 2 + 1]
+        # the odd edges are bit for bit linspace(0, top, m + 1)[1 : k + 1 : 2],
         # which is arange(m + 1) * (top / m) with its last entry set to top
-        fine[1::2] = cdf(np.arange(1, 2 * k - 1, 2) * (top / m) / w)
-        table = _saturated_prefix(fine)
-        del fine  # a suspended generator keeps its locals alive
+        fine[1::2] = cdf(np.arange(1, k + 1, 2) * (top / m) / w)
+        table = fine
 
 
-def _saturated_prefix(table: np.ndarray) -> np.ndarray:
-    hit = np.flatnonzero(table == 1.0)
-    return table[: hit[0] + 1].copy() if hit.size else table
+def _cells(x: float, m: int) -> int:
+    return min(max(math.ceil(x), 1), m)
 
 
-def _level_masses(d: Dist, w: float, top: float, m: int):
-    """Yield the probabilities of w*X falling in each of m cells of
-    [0, top], then of 2m cells, and so on, cut after the last nonzero cell."""
-    for table in _edge_cdf_tables(d.cdf, w, top, m):
+def _level_masses(d: Dist, w: float, stop: float, top: float, m: int):
+    """Yield the probabilities of w*X falling in each of the cells of
+    [0, top] that ``_edge_cdf_tables`` keeps for m cells, then for 2m
+    cells, and so on, cut after the last nonzero cell."""
+    for table in _edge_cdf_tables(d.cdf, w, stop, top, m):
         yield _nonzero_prefix(np.diff(table))
 
 
@@ -229,24 +233,15 @@ def convolve_weighted(
     width ``h``, the last level-to-level ``gap``, the truncation point
     ``top`` and the ``mean`` of the tabulated sum.
 
-    Each component's CDF is tabulated at the cell edges, and its table is
-    carried from one level to the next. Two invariants keep every level
-    equal to a from-scratch tabulation:
-
-    - Even-edge reuse is exact. The even edges of
-      ``linspace(0, top, 2m + 1)`` are bit for bit the edges of
-      ``linspace(0, top, m + 1)``, because ``top / (2m)`` halves
-      ``top / m`` exactly; only the odd edges are evaluated.
-    - The saturation skip assumes a nondecreasing computed CDF: past the
-      first edge where it is exactly 1.0, every edge is taken as 1.0
-      without being evaluated.
-
-    Each component's cell masses are cut after their last nonzero cell
-    before the FFT, and the sum's masses are padded back with zeros, so the
-    convolution is the same; only its roundoff differs. Every component
-    needs a callable ``cdf`` and ``ppf``: the ppf at ``1 - tail_tol`` sets
-    the truncation point. A density-only component (a ``DensitySpec``
-    without them) is rejected.
+    Component i is tabulated at the cell edges up to its own stop
+    ``s_i = w_i * ppf_i(1 - tail_tol)``, rounded up to a whole cell, and so
+    leaves out at most ``tail_tol`` of its mass; the result's ``tail_tol``
+    is ``n * tail_tol``. The stops sum to ``top``, so the linear
+    convolution is at most m + 1 long and is kept whole, padded with zeros
+    to the level's m + n points. A component's table is carried from one
+    level to the next (see ``_edge_cdf_tables``). Every component needs a
+    callable ``cdf`` and ``ppf``; a density-only component (a
+    ``DensitySpec`` without them) is rejected.
     """
     w = as_weight_vector(weights).as_array()
     if len(w) != len(dists):
@@ -263,11 +258,14 @@ def convolve_weighted(
         if lo < -1e-12:
             raise ParameterError("convolution oracle assumes nonnegative support")
 
-    top = sum(wi * float(d.ppf(1.0 - tail_tol)) for d, wi in active)
+    stops = [wi * float(d.ppf(1.0 - tail_tol)) for d, wi in active]
+    top = sum(stops)
     if not np.isfinite(top) or top <= 0:
         raise NumericError(f"cannot truncate support (T={top})")
 
-    components = [_level_masses(d, wi, top, initial_grid) for d, wi in active]
+    components = [
+        _level_masses(d, wi, si, top, initial_grid) for (d, wi), si in zip(active, stops)
+    ]
     prev: NumericCDF | None = None
     m = initial_grid
     gap = math.inf
@@ -288,11 +286,11 @@ def convolve_weighted(
     )
 
 
-def _product_pmf(masses: list[np.ndarray], size: int) -> np.ndarray:
-    """First ``size`` masses of the convolution of ``masses`` as one
-    spectral product: one real FFT per component at a common length no
-    shorter than the full linear convolution, one inverse FFT. Length-1
-    masses are scale factors and take no transform.
+def _product_pmf(masses: list[np.ndarray]) -> np.ndarray:
+    """The linear convolution of ``masses`` as one spectral product: one
+    real FFT per component at a common length no shorter than the
+    convolution, one inverse FFT. Length-1 masses are scale factors and
+    take no transform.
 
     ``masses`` is emptied, and each array is dropped once it is transformed,
     so that the level's masses are not all alive beside the two spectra
@@ -317,7 +315,7 @@ def _product_pmf(masses: list[np.ndarray], size: int) -> np.ndarray:
     pmf = np.fft.irfft(spectrum, nfft)
     del spectrum
     # the copy made by clip frees the nfft-long inverse transform
-    return np.clip(pmf[: min(size, full)], 0.0, None)
+    return np.clip(pmf[:full], 0.0, None)
 
 
 def _convolve_level(
@@ -326,7 +324,7 @@ def _convolve_level(
     n = len(masses)
     size = m + n if n > 1 else m
     h = top / m
-    pmf = _product_pmf(masses, size)
+    pmf = _product_pmf(masses)
     if len(pmf) < size:
         pmf = np.concatenate([pmf, np.zeros(size - len(pmf))])
     positions = np.arange(size, dtype=float)

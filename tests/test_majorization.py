@@ -83,6 +83,13 @@ class TestCheckMajorize:
         with pytest.raises(ParameterError):
             check_majorize([1], [1], tol=math.nan)
 
+    @pytest.mark.parametrize("mode", ["weak_sub", "full", None])
+    def test_mode_not_a_member_rejected(self, mode):
+        # a value the enum would take is still not a member: no silent FULL
+        with pytest.raises(ParameterError, match="MajorizationMode"):
+            check_majorize([1, 1], [3, 1], mode)
+        assert check_majorize([1, 1], [3, 1], SUB)
+
     @pytest.mark.parametrize("mode", [FULL, SUB, SUP])
     def test_reflexive_where_sums_overflow(self, mode):
         # the partial sums reach inf, and inf - inf is NaN in the slack test
