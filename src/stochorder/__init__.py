@@ -40,7 +40,6 @@ from .transforms import (
     make_exp,
     make_log_shift,
     make_power,
-    make_transform,
 )
 from .distributions import (
     DensitySpec,

@@ -75,7 +75,7 @@ def _text_spec(text: str) -> list[str]:
 def _parse_transform_arg(text: str):
     try:
         return transform_from_spec(_text_spec(text))
-    except ParameterError as exc:
+    except StochOrderError as exc:  # a bad exponent, or a map that fails validation
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 

@@ -1,6 +1,6 @@
 """Generalized gamma machinery: densities, exact sampling via gamma draws,
-log-concavity classification of power/log transforms of the variable, and
-likelihood-ratio-order comparison.
+closed-form log-concavity classification of power, log and shifted-exp
+transforms of the variable, and likelihood-ratio-order comparison.
 
 ``GeneralizedGamma(p, alpha, lam)`` has density proportional to
 ``x**(alpha*p - 1) * exp(-lam * x**p)`` on (0, inf); equivalently
@@ -21,12 +21,10 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericError, ParameterError
-from .transforms import Transform, second_differences
+from .transforms import Transform
 
 _NORMALIZATION_TOL = 1e-6
-_LOGCC_GRID_N = 512
 _LOGCC_TAIL = 5e-4          # central 0.999 probability mass
-_LOGCC_TOL = 1e-7
 
 
 def _check_finite(d, names: tuple[str, ...]) -> None:
@@ -203,7 +201,6 @@ Dist = Union[GeneralizedGamma, GammaPower, DensitySpec]
 class LogConcavity(Enum):
     LOG_CONCAVE = "log_concave"
     NOT_LOG_CONCAVE = "not_log_concave"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,7 @@ class LogConcavityResult:
     detail: str = ""
 
 
-VariantSpec = Union[str, tuple]  # "identity" | "log" | ("power", r)
+VariantSpec = Union[str, tuple]  # "identity" | "log" | "logshift" | ("power", r)
 
 
 def _variant_power(variant: VariantSpec) -> Optional[float]:
@@ -221,8 +218,8 @@ def _variant_power(variant: VariantSpec) -> Optional[float]:
         return 1.0
     if isinstance(variant, tuple) and len(variant) == 2 and variant[0] == "power":
         r = float(variant[1])
-        if r == 0:
-            raise ParameterError("power variant needs r != 0")
+        if not math.isfinite(r) or r == 0:
+            raise ParameterError(f"power variant needs a finite r != 0, got {r}")
         return r
     if variant == "log":
         return None
@@ -240,39 +237,72 @@ def gamma_power_logconcave(t: float, alpha: float) -> bool:
     return 0 < t <= 1.0 and t <= alpha
 
 
+def _power_witness(t: float, alpha: float, lam: float) -> Optional[float]:
+    """A point where the log density of G**t curves upward, for G**t not
+    log-concave; None where that point is not a finite positive float.
+
+    With a = alpha/t - 1, b = 1/t and c = lam*b*(b-1), the curvature is
+    (log f)''(y) = y**-2 * (-a - c*u) at the gamma-scale point u = y**b.
+    """
+    a, b = alpha / t - 1.0, 1.0 / t
+    c = lam * b * (b - 1.0)
+    if a < 0:
+        u = 1.0 if c <= 0 else -a / (2.0 * c)
+    else:  # c < 0 here, unless lam*b*(b-1) underflowed to 0
+        u = (a + 1.0) / -c if c < 0 else math.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        y = float(np.float64(u) ** t)
+    return y if 0 < y < math.inf else None
+
+
+def _logshift_witness(x_dist: GammaPower) -> Optional[float]:
+    """A point where the log density of Y = exp(X) - e curves upward.
+
+    With x = log(y + e) and L = log f_X, (log f_Y)''(y) = (L'' - L' + 1)(x)
+    / (y + e)**2. For X = G**r the bracket is 1 - a(1/x + 1/x**2) +
+    lam*b*x**(b-2)*(x + 1 - b), with a = alpha/r - 1 and b = 1/r; it tends to
+    1, to 1 + lam or to +inf, so Y is never log-concave. None when the bracket
+    is still not positive where exp(x) would overflow.
+    """
+    a, b, lam = x_dist.alpha / x_dist.r - 1.0, 1.0 / x_dist.r, x_dist.lam
+    for x in (2.0**k for k in range(10)):  # x <= 512; exp(x) overflows past 709.78
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = lam * b * np.float64(x) ** (b - 2.0) * (x + 1.0 - b)
+        if 1.0 - a * (1.0 / x + 1.0 / x**2) + float(tail) > 0:
+            return math.exp(x) - math.e
+    return None
+
+
 def log_concavity_classify(
     d: GeneralizedGamma | GammaPower, variant: VariantSpec = "identity"
 ) -> LogConcavityResult:
-    """Classify log-concavity of the transformed variable.
+    """Classify log-concavity of the transformed variable, in closed form.
 
-    Powers of the variable reduce to powers of the underlying gamma, where
-    the classification is analytic; when the analytic rule says "no", a
-    second-difference scan of the log-density supplies a witness (UNKNOWN if
-    it cannot find one at the documented tolerance). ``log`` of the variable
-    is always log-concave.
+    Powers of the variable reduce to powers G**t of the underlying gamma,
+    which are log-concave iff ``gamma_power_logconcave(t, alpha)``; otherwise
+    the witness is a point of positive log-density curvature. ``log`` of the
+    variable is always log-concave, and ``logshift``, exp(X) - e, never is.
     """
     base = d.as_gamma_power() if isinstance(d, GeneralizedGamma) else d
+    if variant == "logshift":
+        return LogConcavityResult(
+            LogConcavity.NOT_LOG_CONCAVE,
+            witness=_logshift_witness(base),
+            detail="exp(X) - e: positive log-density curvature",
+        )
     rv = _variant_power(variant)
     if rv is None:  # log X = r * log G, and log G is log-concave
         return LogConcavityResult(LogConcavity.LOG_CONCAVE, detail="log transform")
-    t = base.r * rv  # X**rv = G**(r*rv)
-    if gamma_power_logconcave(t, base.alpha):
+    t = base.r * rv  # X**rv = G**(r*rv); |t| past the float range is > 1
+    if math.isfinite(t) and gamma_power_logconcave(t, base.alpha):
         return LogConcavityResult(
             LogConcavity.LOG_CONCAVE, detail=f"gamma power t={t:g}"
         )
-    transformed = GammaPower(t, base.alpha, base.lam)
-    lo = float(transformed.ppf(_LOGCC_TAIL))
-    hi = float(transformed.ppf(1.0 - _LOGCC_TAIL))
-    xs = np.geomspace(min(lo, hi), max(lo, hi), _LOGCC_GRID_N)
-    dd = second_differences(xs, transformed.logpdf(xs))
-    i = int(np.argmax(dd))
-    if dd[i] > _LOGCC_TOL:
-        return LogConcavityResult(
-            LogConcavity.NOT_LOG_CONCAVE,
-            witness=float(xs[i + 1]),
-            detail=f"positive log-density curvature {float(dd[i]):.3g}",
-        )
-    return LogConcavityResult(LogConcavity.UNKNOWN, detail="no violation found on grid")
+    return LogConcavityResult(
+        LogConcavity.NOT_LOG_CONCAVE,
+        witness=_power_witness(t, base.alpha, base.lam),
+        detail=f"gamma power t={t:g}: positive log-density curvature",
+    )
 
 
 class LRVerdict(Enum):

@@ -37,10 +37,8 @@ from .transforms import (
     make_exp,
     make_log_shift,
     make_power,
-    second_differences,
 )
 from .distributions import (
-    DensitySpec,
     Dist,
     GammaPower,
     GeneralizedGamma,
@@ -48,7 +46,6 @@ from .distributions import (
     LogConcavity,
     log_concavity_classify,
     lr_compare,
-    transformed_density,
 )
 from .orders import (
     NumericCDF,
@@ -65,7 +62,6 @@ from .orders import (
 # still compared in log scale.
 HARNESS_CONDITION_GRID = GridSpec(1e-2, 1e2, 24)
 ORACLE_MAX_N = 4
-_SPEC_LOGCC_TOL = 1e-7
 
 
 class CheckStatus(Enum):
@@ -315,37 +311,16 @@ def _licensed_weak_mode(variant: ConditionVariant, phi: Transform) -> Majorizati
 def _psi_variant(psi: Transform):
     """The transform of X whose log-concavity the hypothesis needs.
 
-    psi^{-1}(X) for psi = exp is log X; for psi = x^r it is X^(1/r).
-    Returns None when no analytic reduction applies.
+    psi^{-1}(X) for psi = exp is log X; for psi = x^r it is X^(1/r); for
+    psi = logshift it is exp(X) - e. Returns None for a hand-built psi.
     """
     if psi.kind[0] == "exp":
         return "log"
     if psi.kind[0] == "power":
         return ("power", 1.0 / float(psi.kind[1]))
+    if psi.kind[0] == "logshift":
+        return "logshift"
     return None
-
-
-def _density_log_concavity(spec: DensitySpec, grid_n: int = 512) -> HypothesisCheck:
-    """Numeric-only scan of a DensitySpec's log density; can refute, never
-    certify."""
-    lo, hi = spec.support
-    pad = 1e-6 * (hi - lo)
-    xs = np.linspace(lo + pad, hi - pad, grid_n)
-    with np.errstate(divide="ignore"):
-        h = np.log(np.maximum([float(spec.pdf(x)) for x in xs], 0.0))
-    finite = np.isfinite(h)
-    xs, h = xs[finite], h[finite]
-    if len(xs) < 3:
-        return HypothesisCheck(CheckStatus.UNKNOWN, "density vanishes on grid")
-    dd = second_differences(xs, h)
-    i = int(np.argmax(dd))
-    if dd[i] > _SPEC_LOGCC_TOL:
-        return HypothesisCheck(
-            CheckStatus.FAIL,
-            f"log-density curvature {float(dd[i]):.3g} > 0",
-            witness=(float(xs[i + 1]),),
-        )
-    return HypothesisCheck(CheckStatus.UNKNOWN, "no violation found on grid")
 
 
 def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisCheck:
@@ -355,28 +330,17 @@ def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisChe
         if d in seen:
             continue
         seen.append(d)
-        if isinstance(d, (GeneralizedGamma, GammaPower)) and variant is not None:
-            res = log_concavity_classify(d, variant)
-            if res.verdict is LogConcavity.LOG_CONCAVE:
-                continue
-            status = (
-                CheckStatus.FAIL
-                if res.verdict is LogConcavity.NOT_LOG_CONCAVE
-                else CheckStatus.UNKNOWN
-            )
-            label = getattr(d, "label", "dist")
+        if variant is None or not isinstance(d, (GeneralizedGamma, GammaPower)):
             return HypothesisCheck(
-                status,
-                f"{label}: {res.detail}",
+                CheckStatus.UNKNOWN, f"{psi.label}^-1({d.label}): no closed-form rule"
+            )
+        res = log_concavity_classify(d, variant)
+        if res.verdict is LogConcavity.NOT_LOG_CONCAVE:
+            return HypothesisCheck(
+                CheckStatus.FAIL,
+                f"{d.label}: {res.detail}",
                 witness=(res.witness,) if res.witness is not None else None,
             )
-        # generic fallback: density of psi^{-1}(X) by change of variables
-        try:
-            check = _density_log_concavity(transformed_density(d, psi))
-        except NumericError as exc:
-            return HypothesisCheck(CheckStatus.UNKNOWN, f"density scan failed: {exc}")
-        if check.status is not CheckStatus.PASS:
-            return check
     return HypothesisCheck(CheckStatus.PASS, "log-concave for every component")
 
 

@@ -1,6 +1,6 @@
 """Strictly monotone scalar transforms on (0, inf), the Hessian-style
-convexity conditions coupling a transform pair, the (p, q) region
-classifier for the power family, and second divided differences on a grid.
+convexity conditions coupling a transform pair, and the (p, q) region
+classifier for the power family.
 
 The two scalar conditions checked on a grid are
 
@@ -89,7 +89,8 @@ class Transform:
     kind: tuple = field(default=("custom",))
 
     def __post_init__(self):
-        vals = np.array([self.eval(x) for x in _VALIDATION_GRID])
+        with np.errstate(over="ignore"):  # overflow is reported just below
+            vals = np.array([self.eval(x) for x in _VALIDATION_GRID])
         if not np.all(np.isfinite(vals)):
             raise NumericError(f"{self.label}: non-finite values on validation grid")
         diffs = np.diff(vals)
@@ -154,27 +155,6 @@ def make_log_shift() -> Transform:
         direction=Direction.INCREASING,
         label="logshift",
         kind=("logshift",),
-    )
-
-
-def make_transform(
-    eval: Callable[[float], float],
-    inverse: Callable[[float], float],
-    direction: Direction,
-    label: str = "custom",
-    d1: Callable[[float], float] | None = None,
-    d2: Callable[[float], float] | None = None,
-) -> Transform:
-    """User-supplied transform; derivatives fall back to central differences
-    (then the construction-time consistency check is tautological at the
-    documented 1e-5 tolerance)."""
-    return Transform(
-        eval=eval,
-        d1=d1 if d1 is not None else (lambda x: _fd1(eval, x)),
-        d2=d2 if d2 is not None else (lambda x: _fd2(eval, x)),
-        inverse=inverse,
-        direction=direction,
-        label=label,
     )
 
 
@@ -314,9 +294,3 @@ def classify_pq(p: float, q: float) -> PQRegion:
         return PQRegion.A3
     return PQRegion.NONE
 
-
-def second_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Second divided differences of ys over the (possibly nonuniform) grid
-    xs, one per interior point xs[1:-1]; positive where ys curves upward."""
-    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
-    return ((ys[2:] - ys[1:-1]) / (x2 - x1) - (ys[1:-1] - ys[:-2]) / (x1 - x0)) / (x2 - x0)

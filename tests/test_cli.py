@@ -68,6 +68,18 @@ class TestConditions:
                  "--variant", "sideways"])
         assert e.value.code == 1
 
+    @pytest.mark.parametrize("phi", ["power:2000", "power:1e-300"])
+    def test_transform_failing_validation_usage_error(self, phi, capsys):
+        # the map is built inside argparse; its NumericError is a usage error
+        with pytest.raises(SystemExit) as e:
+            run(["conditions", "--phi", phi, "--psi", "exp"])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"stochorder conditions: error: argument --phi: power({float(phi[6:]):g}):"
+        )
+
 
 class TestLogconcaveAndLR:
     def test_logconcave_json(self, capsys):
@@ -152,6 +164,17 @@ class TestVerify:
         res = json.loads(capsys.readouterr().out)["result"]
         assert res["status"] == "hypothesis_not_established"
         assert res["failed_field"] == "majorization_ok"
+
+    def test_logshift_psi_refuted_exit_two(self, tmp_path, capsys):
+        # exp(X) - e is never log-concave; the closed form says so
+        data = self.scenario_dict([1.0, 7.0], [5.0, 5.0])
+        data.update(phi=["power", 0.5], psi=["logshift"], variant="concave")
+        path = tmp_path / "logshift.json"
+        path.write_text(json.dumps(data))
+        assert run(["verify", "--scenario", str(path)]) == 2
+        res = json.loads(capsys.readouterr().out)["result"]
+        assert res["status"] == "hypothesis_not_established"
+        assert res["failed_field"] == "logconcavity_ok"
 
     def test_missing_file_exit_one(self, capsys):
         assert run(["verify", "--scenario", "/nonexistent.json"]) == 1

@@ -24,6 +24,15 @@ from stochorder import (
 )
 
 positive = st.floats(0.3, 4.0)
+signed_power = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.1, 10.0)).map(
+    lambda sm: sm[0] * sm[1]
+)
+
+
+def _second_difference(logpdf, y: float, rel: float) -> float:
+    """Central second difference of ``logpdf`` at y, with step rel * y."""
+    h = rel * y
+    return float(logpdf(y + h) - 2 * logpdf(y) + logpdf(y - h)) / h**2
 
 
 class TestDensity:
@@ -165,12 +174,68 @@ class TestLogConcavity:
         with pytest.raises(ParameterError):
             log_concavity_classify(GeneralizedGamma(1, 1, 1), ("power", 0.0))
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, s):
+        # only an overflowing product r * s may make t infinite
+        with pytest.raises(ParameterError, match="finite"):
+            log_concavity_classify(GeneralizedGamma(1, 1, 1), ("power", s))
+
     def test_analytic_rule(self):
         assert gamma_power_logconcave(1.0, 1.0)
         assert not gamma_power_logconcave(1.0, 0.99)
         assert gamma_power_logconcave(0.5, 0.5)
         assert not gamma_power_logconcave(1.2, 3.0)
         assert not gamma_power_logconcave(-0.5, 3.0)
+
+    @given(
+        st.booleans(),
+        signed_power,
+        st.floats(0.05, 50.0),
+        st.floats(0.01, 100.0),
+        st.one_of(
+            st.sampled_from(["identity", "log"]),
+            st.tuples(st.just("power"), signed_power.map(lambda s: s / 2)),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_no_has_curvature_witness(self, gengamma, r, alpha, lam, variant):
+        """Wherever the closed-form rule says no, the verdict is
+        NOT_LOG_CONCAVE, and the log density curves upward at the witness."""
+        d = GeneralizedGamma(abs(r), alpha, lam) if gengamma else GammaPower(r, alpha, lam)
+        res = log_concavity_classify(d, variant)
+        if variant == "log":
+            assert res.verdict is LogConcavity.LOG_CONCAVE
+            return
+        t = d.as_gamma_power().r if gengamma else r
+        if variant != "identity":
+            t *= variant[1]
+        if gamma_power_logconcave(t, alpha):
+            assert res.verdict is LogConcavity.LOG_CONCAVE
+            return
+        assert res.verdict is LogConcavity.NOT_LOG_CONCAVE
+        # near t = 1 the curvature at the witness is below the roundoff of a
+        # second difference of logpdf, whose term lam*y**(1/t) is nearly linear
+        if res.witness is not None and abs(1.0 / t - 1.0) > 1e-3:
+            rel = 1e-4 * min(1.0, abs(t))
+            assert _second_difference(GammaPower(t, alpha, lam).logpdf, res.witness, rel) > 0
+
+    @pytest.mark.parametrize("d,variant,t", [
+        # a 512-point scan found no witness here and answered UNKNOWN
+        (GammaPower(-3.0, 0.9, 50.0), "identity", -3.0),
+        # the scan's ppf range underflowed to 0 and geomspace raised
+        (GammaPower(20.0, 1.5, 50.0), ("power", 10.0), 200.0),
+    ])
+    def test_former_scan_failures_refuted(self, d, variant, t):
+        res = log_concavity_classify(d, variant)
+        assert res.verdict is LogConcavity.NOT_LOG_CONCAVE
+        assert _second_difference(GammaPower(t, d.alpha, d.lam).logpdf, res.witness, 1e-4) > 0
+
+    def test_power_past_float_range_refuted(self):
+        # t = 1e300 * 1e300 overflows; G**t is still not log-concave, and at
+        # y = 1 its curvature -a - c = 1 - alpha/t + lam*b*(1 - b) is positive
+        res = log_concavity_classify(GammaPower(1e300, 1.0, 1.0), ("power", 1e300))
+        assert res.verdict is LogConcavity.NOT_LOG_CONCAVE
+        assert res.witness == 1.0
 
     @given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.5, 2.0))
     @settings(max_examples=50, deadline=None)

@@ -15,6 +15,7 @@ from stochorder import (
     CheckStatus,
     ConditionVariant,
     DensitySpec,
+    Direction,
     DomainError,
     GammaPower,
     GeneralizedGamma,
@@ -37,6 +38,7 @@ from stochorder import (
     run_suite,
     st_compare_empirical,
     st_compare_exact,
+    Transform,
     verify_iid_theorem,
     verify_noniid_theorem,
 )
@@ -694,28 +696,67 @@ class TestGoldenScenarios:
         assert sorted(json.loads(GOLDEN.read_text())) == sorted(SuiteConfig().presets)
 
 
-class TestLogConcavityFallback:
-    """The generic second-difference scan used for components without an
-    analytic rule."""
+def _logshift_curvature(x_dist, y: float) -> float:
+    """Central second difference of log f_Y at y, for Y = exp(X) - e."""
+    def log_f_y(v):
+        x = math.log(v + math.e)
+        return float(x_dist.logpdf(x)) - x
 
-    def test_fallback_refutes_small_shape(self):
-        spec = DensitySpec.from_dist(GeneralizedGamma(0.5, 0.5, 1))
-        check = _check_log_concavity([spec], make_power(1.0))
+    h = 1e-4 * (y + math.e)
+    return (log_f_y(y + h) - 2 * log_f_y(y) + log_f_y(y - h)) / h**2
+
+
+class TestLogConcavityFallback:
+    """Components and psi at the edge of the closed form: it decides every
+    gamma-family component under the three built-in psi, and anything else
+    is UNKNOWN."""
+
+    def test_small_shape_refuted_in_closed_form(self):
+        # G**2 with shape 0.5: a = -3/4 < 0 and c = -1/4 <= 0, so u = 1
+        check = _check_log_concavity([GeneralizedGamma(0.5, 0.5, 1)], make_power(1.0))
         assert check.status is CheckStatus.FAIL
-        assert check.witness == (pytest.approx(1.26538433930064, rel=1e-12),)
-        assert check.detail == "log-density curvature 1.81 > 0"
+        assert check.witness == (1.0,)
+        assert check.detail == (
+            "gengamma(p=0.5, alpha=0.5, lam=1): gamma power t=2: "
+            "positive log-density curvature"
+        )
 
     def test_fallback_cannot_certify(self):
+        # a density-only component or a hand-built psi has no closed-form rule
         spec = DensitySpec.from_dist(GeneralizedGamma(1, 2, 1))
         check = _check_log_concavity([spec], make_power(1.0))
         assert check.status is CheckStatus.UNKNOWN
-
-    def test_fallback_failure_is_unknown_not_raised(self):
-        # psi^-1(X) = exp(X) - e has almost no mass inside the quantile
-        # support, so the transformed density fails its normalization check
-        check = _check_log_concavity([GeneralizedGamma(1, 1, 1)], make_log_shift())
+        assert check.detail.endswith("no closed-form rule")
+        custom = Transform(
+            eval=math.sqrt,
+            d1=lambda x: 0.5 / math.sqrt(x),
+            d2=lambda x: -0.25 * x**-1.5,
+            inverse=lambda y: y * y,
+            direction=Direction.INCREASING,
+            label="custom",
+        )
+        check = _check_log_concavity([GeneralizedGamma(1, 2, 1)], custom)
         assert check.status is CheckStatus.UNKNOWN
-        assert "density integrates to" in check.detail
+        assert check.detail == "custom^-1(gengamma(p=1, alpha=2, lam=1)): no closed-form rule"
+
+    def test_logshift_refuted_in_closed_form(self):
+        # exp(X) - e has almost no mass inside X's quantile support, which
+        # defeats any scan of its density over that support
+        d = GeneralizedGamma(1, 1, 1)
+        check = _check_log_concavity([d], make_log_shift())
+        assert check.status is CheckStatus.FAIL
+        (y,) = check.witness
+        assert _logshift_curvature(d, y) > 0
+
+    @pytest.mark.parametrize("r", [-3.0, -0.5, 0.1, 1.0, 2.0, 20.0])
+    def test_logshift_panel_refuted(self, r):
+        for alpha in (0.05, 0.3, 1.0, 5.0, 50.0):
+            for lam in (0.01, 0.2, 1.0, 10.0, 100.0):
+                d = GammaPower(r, alpha, lam)
+                check = _check_log_concavity([d], make_log_shift())
+                assert check.status is CheckStatus.FAIL, d
+                (y,) = check.witness
+                assert _logshift_curvature(d, y) > 0, (d, y)
 
 
 class TestHypothesesEvaluatedOnce:

@@ -19,7 +19,7 @@ from stochorder import (
     make_exp,
     make_log_shift,
     make_power,
-    make_transform,
+    Transform,
 )
 
 CONVEX = ConditionVariant.CONVEX_CASE
@@ -72,12 +72,13 @@ class TestTransformConstruction:
 
     def test_wrong_second_derivative_rejected(self):
         with pytest.raises(NumericError):
-            make_transform(
+            Transform(
                 eval=lambda x: x**3,
-                inverse=lambda y: y ** (1 / 3),
-                direction=Direction.INCREASING,
                 d1=lambda x: 3 * x**2,
                 d2=lambda x: 6.1 * x,
+                inverse=lambda y: y ** (1 / 3),
+                direction=Direction.INCREASING,
+                label="cube",
             )
 
     def test_log_shift_values(self):
@@ -91,28 +92,25 @@ class TestTransformConstruction:
 
     def test_inconsistent_custom_transform_rejected(self):
         with pytest.raises(NumericError):
-            make_transform(
+            Transform(
                 eval=lambda x: x**2,
+                d1=lambda x: 2 * x,
+                d2=lambda x: 2.0,
                 inverse=lambda y: y,  # wrong inverse
                 direction=Direction.INCREASING,
+                label="square",
             )
 
     def test_wrong_direction_rejected(self):
         with pytest.raises(NumericError):
-            make_transform(
+            Transform(
                 eval=lambda x: x**2,
+                d1=lambda x: 2 * x,
+                d2=lambda x: 2.0,
                 inverse=lambda y: math.sqrt(y),
                 direction=Direction.DECREASING,
+                label="square",
             )
-
-    def test_fd_fallback_derivatives(self):
-        t = make_transform(
-            eval=lambda x: x**3,
-            inverse=lambda y: y ** (1 / 3),
-            direction=Direction.INCREASING,
-        )
-        assert t.d1(2.0) == pytest.approx(12.0, rel=1e-4)
-        assert t.d2(2.0) == pytest.approx(12.0, rel=1e-3)
 
     @given(st.floats(-3.0, 3.0).filter(lambda r: abs(r) > 0.05))
     @settings(max_examples=50, deadline=None)
@@ -209,14 +207,15 @@ class TestConvexityConditions:
     def test_condition_b_first_point_in_row_major_order_wins(self):
         # phi'' = sin u: every row with sin u < 0 is all sign failures; the
         # first such row lies just past pi, and its first point wins
-        wobble = make_transform(
+        wobble = Transform(
             eval=lambda u: 2 * u - math.sin(u),
+            d1=lambda u: 2 - math.cos(u),
+            d2=math.sin,
             inverse=lambda y: optimize.brentq(
                 lambda u: 2 * u - math.sin(u) - y, 0.0, y, xtol=1e-15
             ),
             direction=Direction.INCREASING,
-            d1=lambda u: 2 - math.cos(u),
-            d2=math.sin,
+            label="wobble",
         )
         rep = check_convexity_conditions(
             wobble, make_power(2.0), CONVEX, self.HARNESS_GRID
