@@ -23,6 +23,8 @@ REFINE_TOL = 1e-7
 MAX_LEVELS = 8
 INITIAL_GRID = 4096
 TAIL_TOL = 1e-9
+# knots of either table per chunk when two tables are compared
+_CHUNK_KNOTS = 1 << 15
 
 
 class Relation(Enum):
@@ -84,8 +86,8 @@ class NumericCDF:
         x = np.asarray(x, dtype=float)
         if self.kind == "step":
             idx = np.searchsorted(self.grid, x, side="right")
-            padded = np.concatenate([[0.0], self.values])
-            return padded[idx]
+            # [()] gives a scalar for a scalar x, as np.interp does
+            return np.where(idx > 0, self.values[idx - 1], 0.0)[()]
         return np.interp(x, self.grid, self.values, left=0.0, right=float(self.values[-1]))
 
     def to_csv(self, fp) -> None:
@@ -108,14 +110,23 @@ def dkw_epsilon(n: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
-def ecdf(samples: Sequence[float]) -> NumericCDF:
-    """Right-continuous empirical CDF on the sorted sample grid."""
-    arr = np.sort(np.asarray(samples, dtype=float))
+def _sorted_sample(samples: Sequence[float]) -> np.ndarray:
+    """The sample as a sorted array, which must be 1-D, nonempty and finite."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 1:
+        raise ParameterError(f"a sample must be 1-D, not {arr.ndim}-D")
     if arr.size == 0:
-        raise ParameterError("ecdf needs at least one sample")
+        raise ParameterError("a sample needs at least one value")
+    arr = np.sort(arr)
     # sorting puts -inf first and +inf and NaN last
     if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
-        raise ParameterError("ecdf needs finite samples")
+        raise ParameterError("samples must be finite")
+    return arr
+
+
+def ecdf(samples: Sequence[float]) -> NumericCDF:
+    """Right-continuous empirical CDF on the sorted sample grid."""
+    arr = _sorted_sample(samples)
     # distinct values from the sorted array: each run's first entry is the
     # grid point, and the count up to its last entry is the CDF value
     new = arr[1:] != arr[:-1]
@@ -132,29 +143,46 @@ def st_compare_empirical(
     A_DOMINATES means the A-sample's variable is stochastically larger
     (F_A <= F_B up to the band, with a beyond-band gap the other way).
     """
-    fa = ecdf(samples_a)
-    fb = ecdf(samples_b)
-    band = dkw_epsilon(len(np.atleast_1d(samples_a)), delta) + dkw_epsilon(
-        len(np.atleast_1d(samples_b)), delta
-    )
-    # F_A - F_B on the union of the two grids, taken at each grid apart: a
-    # step ECDF evaluated at its own grid returns its own values
-    da = fa.values - fb.evaluate(fa.grid)
-    db = fa.evaluate(fb.grid) - fb.values
-    max_pos = float(max(np.max(da), np.max(db)))
-    max_neg = float(max(np.max(-da), np.max(-db)))
+    a = _sorted_sample(samples_a)
+    b = _sorted_sample(samples_b)
+    n_a, n_b = a.size, b.size
+    band = dkw_epsilon(n_a, delta) + dkw_epsilon(n_b, delta)
+    d = _ecdf_difference(a, b)
+    max_pos = float(np.max(d))
+    max_neg = float(np.max(-d))
     relation = _relation_from_devs(max_pos, max_neg, band)
     return OrderVerdict(
         relation,
         max_pos,
         max_neg,
         band,
-        meta={
-            "n_a": int(np.atleast_1d(samples_a).size),
-            "n_b": int(np.atleast_1d(samples_b).size),
-            "delta": delta,
-        },
+        meta={"n_a": n_a, "n_b": n_b, "delta": delta},
     )
+
+
+def _ecdf_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F_A - F_B of two sorted samples at every distinct value of either,
+    from one stable merge of the two: at the last copy of a value, the A
+    and B entries up to it are the counts that the ECDFs divide by n.
+
+    The counts are whole floats, exact below 2**53, so each k / n is the
+    ECDF's own value. Each array is dropped once used and the arithmetic
+    runs in place, so at most three arrays as long as both samples together
+    are alive at once."""
+    merged = np.concatenate([a, b])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    last = np.flatnonzero(np.concatenate((merged[1:] != merged[:-1], [True])))
+    del merged
+    count_a = np.cumsum(order < a.size, dtype=float)[last]
+    del order
+    count_b = np.add(last, 1.0)
+    del last
+    count_b -= count_a
+    count_a /= a.size
+    count_b /= b.size
+    count_a -= count_b
+    return count_a
 
 
 def _relation_from_devs(max_pos: float, max_neg: float, band: float) -> Relation:
@@ -332,8 +360,10 @@ def _convolve_level(
     positions *= h
     scratch = positions * pmf
     mean = float(np.sum(scratch))
-    values = np.cumsum(pmf)
-    values -= np.multiply(pmf, 0.5, out=scratch)
+    np.multiply(pmf, 0.5, out=scratch)
+    # the running sum takes pmf's own buffer, so no third array is made
+    values = np.cumsum(pmf, out=pmf)
+    values -= scratch
     del pmf, scratch
     if np.all(values[1:] >= values[:-1]):
         # the fix-ups below leave a nondecreasing table as its clip
@@ -355,56 +385,105 @@ def _convolve_level(
     )
 
 
-def cdf_difference(cdf_a: NumericCDF, cdf_b: NumericCDF) -> np.ndarray:
-    """F_A - F_B at every knot of either table in increasing order, each
-    knot once: the values of the union-grid formula, without ``union1d``.
+def _difference_chunks(cdf_a: NumericCDF, cdf_b: NumericCDF):
+    """Yield F_A - F_B at every knot of either table in increasing order,
+    each knot once, in chunks of at most ``_CHUNK_KNOTS`` knots of A and at
+    most as many of B.
+
+    Both grids are cut at the same x: the lower of the two knots that
+    follow each table's next ``_CHUNK_KNOTS`` knots. A knot in both grids
+    thus falls in one chunk, and the chunks are the union-grid values in
+    order, so that the comparison holds a few chunk-sized arrays at a time,
+    not several as long as both tables together.
+    """
+    ga, gb = cdf_a.grid, cdf_b.grid
+    ia = ib = 0
+    while ia < len(ga) or ib < len(gb):
+        ja = min(ia + _CHUNK_KNOTS, len(ga))
+        jb = min(ib + _CHUNK_KNOTS, len(gb))
+        if ja < len(ga) and (jb == len(gb) or ga[ja] <= gb[jb]):
+            jb = int(gb.searchsorted(ga[ja]))
+        elif jb < len(gb):
+            ja = int(ga.searchsorted(gb[jb]))
+        yield _merged_difference(cdf_a, cdf_b, slice(ia, ja), slice(ib, jb))
+        ia, ib = ja, jb
+
+
+def _merged_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, sa: slice, sb: slice):
+    """F_A - F_B at the knots ``cdf_a.grid[sa]`` and ``cdf_b.grid[sb]`` in
+    increasing order, each knot once.
 
     A table evaluated at its own knots returns its own values. The two
     sorted grids are merged by a stable sort of their concatenation, which
     is one linear merge of two sorted runs (two ``searchsorted`` calls took
     eight times as long). A knot in both grids comes out twice in a row,
-    with the same difference from either table, and one copy is dropped.
+    with the same difference from either table, and B's copy is dropped.
     """
-    grid = np.concatenate([cdf_a.grid, cdf_b.grid])
+    ga, gb = cdf_a.grid[sa], cdf_b.grid[sb]
+    grid = np.concatenate([ga, gb])
     order = np.argsort(grid, kind="stable")
     d = np.concatenate([
-        cdf_a.values - cdf_b.evaluate(cdf_a.grid),
-        cdf_a.evaluate(cdf_b.grid) - cdf_b.values,
+        cdf_a.values[sa] - cdf_b.evaluate(ga),
+        cdf_a.evaluate(gb) - cdf_b.values[sb],
     ])[order]
     grid = grid[order]
     shared = np.flatnonzero(grid[1:] == grid[:-1])
     return np.delete(d, shared + 1) if shared.size else d
 
 
+def cdf_difference(cdf_a: NumericCDF, cdf_b: NumericCDF) -> np.ndarray:
+    """F_A - F_B at every knot of either table in increasing order, each
+    knot once: the values of the union-grid formula, without ``union1d``.
+    It is the concatenation of the chunks that ``st_compare_exact`` folds
+    one at a time."""
+    return np.concatenate(list(_difference_chunks(cdf_a, cdf_b)))
+
+
+def _fold_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float):
+    """``(max_pos, max_neg, crossings, points)`` of F_A - F_B over the
+    chunks of ``_difference_chunks``: the maxima of d and -d, the sign
+    changes of d after dropping |d| <= tol, and the number of knots. A sign
+    change across a chunk edge is counted against the last sign kept
+    before it, so the result is that of the whole difference at once. (A
+    zero maximum could differ in its sign only if d held both signs of
+    zero, which needs a table that holds -0.0.)"""
+    max_pos, max_neg = [], []
+    crossings = points = 0
+    last = 0.0
+    for d in _difference_chunks(cdf_a, cdf_b):
+        max_pos.append(np.max(d))
+        max_neg.append(np.max(-d))
+        points += len(d)
+        signs = np.sign(d[np.abs(d) > tol])
+        if signs.size:
+            crossings += int(np.count_nonzero(np.diff(signs) != 0))
+            if last and signs[0] != last:
+                crossings += 1
+            last = signs[-1]
+    return float(np.max(max_pos)), float(np.max(max_neg)), crossings, points
+
+
 def st_compare_exact(
     cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float = DEFAULT_EXACT_TOL
 ) -> OrderVerdict:
     """Verdict from the sign pattern of F_A - F_B on the union of the two
-    grids."""
-    d = cdf_difference(cdf_a, cdf_b)
-    max_pos = float(np.max(d))
-    max_neg = float(np.max(-d))
+    grids, taken one chunk of knots at a time (``_difference_chunks``), so
+    that on two 1M-knot oracle tables it holds about 3 MB beside them."""
+    max_pos, max_neg, crossings, points = _fold_difference(cdf_a, cdf_b, tol)
     relation = _relation_from_devs(max_pos, max_neg, tol)
     return OrderVerdict(
         relation,
         max_pos,
         max_neg,
         band=tol,
-        crossing_count=_count_sign_changes(d, tol),
-        meta={"exact": True, "grid_points": int(len(d))},
+        crossing_count=crossings,
+        meta={"exact": True, "grid_points": points},
     )
 
 
 def crossing_count(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float = DEFAULT_EXACT_TOL) -> int:
     """Sign changes of F_A - F_B after suppressing sub-tol excursions."""
-    return _count_sign_changes(cdf_difference(cdf_a, cdf_b), tol)
-
-
-def _count_sign_changes(d: np.ndarray, tol: float) -> int:
-    signs = np.sign(d[np.abs(d) > tol])
-    if signs.size == 0:
-        return 0
-    return int(np.count_nonzero(np.diff(signs) != 0))
+    return _fold_difference(cdf_a, cdf_b, tol)[2]
 
 
 def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:

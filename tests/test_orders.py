@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from stochorder import (
     st_compare_empirical,
     st_compare_exact,
 )
+from stochorder import orders
 from stochorder.harness import dist_from_spec
 from stochorder.orders import (
     INITIAL_GRID,
@@ -87,6 +89,11 @@ class TestEcdf:
         with pytest.raises(ParameterError):
             ecdf([1.0, math.inf, -math.inf])
 
+    @pytest.mark.parametrize("bad", [np.arange(12.0).reshape(3, 4), 5.0])
+    def test_sample_not_1d_rejected(self, bad):
+        with pytest.raises(ParameterError, match="1-D"):
+            ecdf(bad)
+
     def test_exponential_cdf_value(self):
         n = 100_000
         f = ecdf(EXP1.sample(n, seed=2))
@@ -112,6 +119,13 @@ class TestCompareEmpirical:
         y[10] = math.nan
         with pytest.raises(ParameterError):
             st_compare_empirical(x, y)
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_sample_not_1d_rejected(self, which):
+        x = EXP1.sample(12, seed=1)
+        samples = {"a": x, "b": x, which: np.arange(12.0).reshape(3, 4)}
+        with pytest.raises(ParameterError, match="1-D"):
+            st_compare_empirical(samples["a"], samples["b"])
 
     def test_band_formula(self):
         assert dkw_epsilon(100_000, 0.01) == pytest.approx(
@@ -621,6 +635,123 @@ class TestCompareExactWithoutUnionGrid:
             assert v.relation not in (Relation.A_DOMINATES, Relation.B_DOMINATES)
             assert v.max_pos_dev == 0.0 and v.max_neg_dev == 0.0
             assert v.crossing_count == 0
+
+
+def _exact_fields(fa, fb, tol):
+    v = st_compare_exact(fa, fb, tol)
+    # repr tells the signs of zero apart
+    return (repr(v.max_pos_dev), repr(v.max_neg_dev), v.crossing_count,
+            crossing_count(fa, fb, tol), v.meta["grid_points"])
+
+
+def _assert_chunks_agree(fa, fb, tol, k):
+    """With chunks of k knots, ``st_compare_exact``, ``crossing_count`` and
+    ``cdf_difference`` give bit for bit what they give in one chunk, which
+    is the union-grid formula."""
+    assert max(len(fa.grid), len(fb.grid)) <= orders._CHUNK_KNOTS
+    one_shot = _exact_fields(fa, fb, tol)
+    max_pos, max_neg, crossings, points = _union_grid_comparison(fa, fb, tol)
+    assert one_shot == (repr(max_pos), repr(max_neg), crossings, crossings, points)
+    whole = orders.cdf_difference(fa, fb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orders, "_CHUNK_KNOTS", k)
+        chunks = list(orders._difference_chunks(fa, fb))
+        assert _exact_fields(fa, fb, tol) == one_shot
+        assert orders.cdf_difference(fa, fb).tobytes() == whole.tobytes()
+    # each chunk holds at most k knots of each grid
+    assert all(1 <= len(c) <= 2 * k for c in chunks)
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    return chunks
+
+
+def _chunk_case(seed):
+    """Two tables for the chunked comparison: one grid 1-16 times as dense
+    as the other on a shared lattice (every knot of the sparser one is also
+    a knot of the denser one), partly shared, or on disjoint supports; with
+    values of B near A's, so that F_A - F_B changes sign often."""
+    rng = np.random.default_rng(seed)
+    ratio = int(rng.choice([1, 2, 4, 8, 16]))
+    fine = (np.arange(rng.integers(1, 200)) + rng.choice([0.0, 0.5, 1.5])) * rng.uniform(0.05, 2.0)
+    layout = rng.choice(["nested", "offset", "disjoint"])
+    grid_a = fine[::ratio]
+    if layout == "nested":
+        grid_b = fine
+    elif layout == "offset":
+        grid_b = fine[rng.integers(0, len(fine)) :: int(rng.choice([1, 3]))]
+    else:
+        grid_b = fine[-1] + rng.uniform(0.0, 3.0) + (np.arange(rng.integers(1, 200)) + 1) * rng.uniform(0.05, 2.0)
+    if len(grid_b) == 0:
+        grid_b = fine[-1:]
+    if rng.random() < 0.5:
+        grid_a, grid_b = grid_b, grid_a
+    fa = NumericCDF(grid_a, np.maximum.accumulate(rng.random(len(grid_a))), kind=rng.choice(["linear", "step"]))
+    noise = rng.choice([0.0, 1e-7, 1e-3, 0.1]) * rng.standard_normal(len(grid_b))
+    values_b = np.maximum.accumulate(np.clip(fa.evaluate(grid_b) + noise, 0.0, 1.0))
+    return fa, NumericCDF(grid_b, values_b, kind=rng.choice(["linear", "step"]))
+
+
+class TestChunkedComparison:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1e-6, 1e-3, 0.05]), st.integers(1, 9), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_agree_with_one_shot(self, seed, tol, k, layouts):
+        fa, fb = _chunk_case(seed) if layouts else _random_pair(seed)
+        _assert_chunks_agree(fa, fb, tol, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_shared_knots_on_cuts(self, k):
+        # every cut is a knot of A, and every other knot of A is one of B
+        grid = np.arange(12.0)
+        fa = NumericCDF(grid, grid / 12)
+        fb = NumericCDF(grid[::2], np.linspace(0.05, 0.95, 6))
+        chunks = _assert_chunks_agree(fa, fb, 1e-6, k)
+        assert sum(map(len, chunks)) == 12
+        assert len(chunks) == -(-12 // k)
+
+    @pytest.mark.parametrize("ratio", [4, 8, 16])
+    def test_one_grid_denser(self, ratio):
+        fine = np.arange(40 * ratio) / ratio
+        fa = NumericCDF(fine[::ratio], np.linspace(0.0, 1.0, 40))
+        fb = NumericCDF(fine, np.linspace(0.0, 1.0, len(fine)) ** 1.5, kind="step")
+        for k in (1, 3, 5):
+            _assert_chunks_agree(fa, fb, 1e-6, k)
+            _assert_chunks_agree(fb, fa, 1e-6, k)
+
+    def test_disjoint_supports(self):
+        fa = NumericCDF(np.arange(10.0), np.linspace(0.1, 1.0, 10))
+        fb = NumericCDF(np.arange(20.0, 27.0), np.linspace(0.1, 1.0, 7))
+        for k in (1, 2, 4):
+            _assert_chunks_agree(fa, fb, 1e-6, k)
+            _assert_chunks_agree(fb, fa, 1e-6, k)
+        assert st_compare_exact(fa, fb).relation is Relation.B_DOMINATES
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_sign_changes_across_chunk_edges(self, k):
+        # signs + - + + - with sub-tol runs between them: three crossings,
+        # whichever chunks the significant knots and the runs fall in
+        pattern = np.array([1, 0, 0, 0, -1, 0, 0, 0, 1, 1, 0, -1]) * 0.01
+        grid = np.arange(12.0)
+        base = np.linspace(0.1, 0.9, 12)
+        fa = NumericCDF(grid, base + pattern / 2)
+        fb = NumericCDF(grid, base - pattern / 2)
+        _assert_chunks_agree(fa, fb, 1e-6, k)
+        assert crossing_count(fa, fb) == 3
+
+    @pytest.mark.parametrize("kind", ["linear", "step"])
+    def test_oracle_sized_tables_stay_small(self, kind):
+        # two 2**20-knot tables: the one-shot union took 64 MB beside them
+        n = 1 << 20
+        grid = (np.arange(n) + 1.0) * 1e-3
+        fa = NumericCDF(grid, np.linspace(0.0, 1.0, n), kind=kind)
+        fb = NumericCDF(grid + 5e-4, np.linspace(0.0, 1.0, n) ** 1.01, kind=kind)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            v = st_compare_exact(fa, fb)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert v.meta["grid_points"] == 2 * n
+        assert extra < 6 * 2**20
 
 
 class TestQuadratureCDF:

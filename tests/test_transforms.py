@@ -131,6 +131,16 @@ class TestGridSpec:
         pts = GridSpec(1e-2, 1e2, 5).points()
         np.testing.assert_allclose(pts, [1e-2, 1e-1, 1, 10, 100], rtol=1e-12)
 
+    def test_axis_built_once_and_read_only(self):
+        g = GridSpec(1e-2, 1e2, 5)
+        assert g.axis is g.axis
+        assert g.axis == tuple(np.geomspace(1e-2, 1e2, 5).tolist())
+        # points() is a fresh array: writing to it leaves the axis as it was
+        pts = g.points()
+        pts[0] = 7.0
+        assert g.axis[0] == np.geomspace(1e-2, 1e2, 5)[0]
+        assert g.points()[0] == g.axis[0]
+
 
 class TestConvexityConditions:
     def test_exp_pair_satisfies_convex_case(self):
