@@ -29,12 +29,15 @@ from .distributions import log_concavity_classify, lr_compare
 from .orders import convolve_weighted, st_compare_exact
 from .harness import (
     HARNESS_CONDITION_GRID,
+    PROFILE_STAGES,
     Scenario,
+    StageClock,
     SuiteConfig,
     check_hypotheses,
     dist_from_spec,
     run_counterexample,
     run_suite,
+    timed,
     transform_from_spec,
     verify_iid_theorem,
     verify_noniid_theorem,
@@ -131,6 +134,25 @@ def _emit(report: dict, config: dict, output: Optional[str]) -> None:
             f.write(text)
 
 
+def _write_profile(path: str, command: str, entries: list[dict]) -> None:
+    """Stage times of a run as JSON: per scenario, and summed over them.
+    They go to their own file, so the report's bytes never depend on them."""
+    totals = {}
+    for name in ("scenario",) + PROFILE_STAGES:
+        runs = [e["stages"][name] for e in entries if name in e["stages"]]
+        if runs:
+            totals[name] = {
+                "count": len(runs),
+                "cpu_s": sum(r["cpu_s"] for r in runs),
+                "wall_s": sum(r["wall_s"] for r in runs),
+            }
+    doc = {"tool": "stochorder", "version": __version__, "command": command,
+           "clock": "thread CPU (time.thread_time) and wall (time.perf_counter) seconds",
+           "totals": totals, "scenarios": entries}
+    with open(_resolve_output(path), "w") as f:
+        f.write(json.dumps(doc, indent=2) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stochorder", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -186,6 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--output")
+    p.add_argument("--profile", metavar="PATH",
+                   help="write per-stage thread CPU and wall times here (JSON)")
 
     p = sub.add_parser("counterexample", help="unique-crossing gamma demonstration")
     p.add_argument("--alpha", type=float, required=True)
@@ -201,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", default=None,
                    help="comma-separated preset names (default: all)")
     p.add_argument("--output")
+    p.add_argument("--profile", metavar="PATH",
+                   help="write per-stage thread CPU and wall times here (JSON)")
 
     return parser
 
@@ -322,7 +348,9 @@ def _cmd_verify(args) -> int:
         data["delta"] = args.delta
     s = Scenario.from_dict(data)
     config = s.to_dict()
-    hyp = check_hypotheses(s)
+    clock = StageClock() if args.profile else None
+    with timed(clock, "hypotheses"):
+        hyp = check_hypotheses(s)
     if not hyp.all_pass:
         name, check = hyp.first_not_passing()
         _emit(
@@ -334,10 +362,15 @@ def _cmd_verify(args) -> int:
             config,
             args.output,
         )
-        return 2
-    report = verify_iid_theorem(s, hyp) if s.is_iid else verify_noniid_theorem(s, hyp)
-    _emit(report.to_dict(), config, args.output)
-    return 0 if report.consistent else 2
+        code = 2
+    else:
+        verify = verify_iid_theorem if s.is_iid else verify_noniid_theorem
+        report = verify(s, hyp, clock)
+        _emit(report.to_dict(), config, args.output)
+        code = 0 if report.consistent else 2
+    if clock is not None:
+        _write_profile(args.profile, "verify", [{"label": s.label, "stages": clock.stages}])
+    return code
 
 
 def _cmd_counterexample(args) -> int:
@@ -357,8 +390,15 @@ def _cmd_suite(args) -> int:
     if args.presets:
         kwargs["presets"] = tuple(args.presets.split(","))
     config = SuiteConfig(**kwargs)
-    report = run_suite(config)
+    report = run_suite(config, profile=args.profile is not None)
     _emit(report.to_dict(), config.to_dict(), args.output)
+    if args.profile is not None:
+        entries = [
+            {"index": r["index"], "preset": r["preset"], "status": r["status"],
+             "stages": c.stages}
+            for r, c in zip(report.records, report.clocks)
+        ]
+        _write_profile(args.profile, "suite", entries)
     ok = report.n_inconsistent == 0 and report.n_failed_hypotheses == 0
     return 0 if ok else 2
 

@@ -25,6 +25,7 @@ from .transforms import Transform
 
 _NORMALIZATION_TOL = 1e-6
 _LOGCC_TAIL = 5e-4          # central 0.999 probability mass
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_finite(d, names: tuple[str, ...]) -> None:
@@ -76,12 +77,17 @@ class GammaPower:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
+        # one fresh array, which every step overwrites; the operators are the
+        # same as in lam * max(x, 0) ** (1 / r), so are the bits
+        g = np.maximum(x, 0.0, out=np.empty_like(x))
         with np.errstate(divide="ignore"):
-            g = np.where(x > 0, self.lam * np.maximum(x, 0.0) ** (1.0 / self.r), 0.0)
-        if self.r > 0:
-            out = np.where(x > 0, special.gammainc(self.alpha, g), 0.0)
-        else:
-            out = np.where(x > 0, special.gammaincc(self.alpha, g), 0.0)
+            g **= 1.0 / self.r
+        g *= self.lam
+        tail = special.gammainc if self.r > 0 else special.gammaincc
+        out = tail(self.alpha, g, out=g)
+        outside = ~(x > 0)  # x <= 0, and NaN
+        if outside.any():
+            out[outside] = 0.0
         return float(out) if out.ndim == 0 else out
 
     def ppf(self, u):
@@ -104,7 +110,9 @@ class GammaPower:
         if n < 1:
             raise ParameterError("n must be >= 1")
         rng = np.random.default_rng(seed)
-        return rng.gamma(self.alpha, 1.0 / self.lam, size=n) ** self.r
+        draws = rng.gamma(self.alpha, 1.0 / self.lam, size=n)
+        draws **= self.r  # in place, the same bits as draws ** r
+        return draws
 
 
 @dataclass(frozen=True)
@@ -239,10 +247,16 @@ def gamma_power_logconcave(t: float, alpha: float) -> bool:
 
 def _power_witness(t: float, alpha: float, lam: float) -> Optional[float]:
     """A point where the log density of G**t curves upward, for G**t not
-    log-concave; None where that point is not a finite positive float.
+    log-concave; None where that point is not a finite positive float, or
+    where its curvature is below what a double resolves.
 
     With a = alpha/t - 1, b = 1/t and c = lam*b*(b-1), the curvature is
     (log f)''(y) = y**-2 * (-a - c*u) at the gamma-scale point u = y**b.
+    Where -a - c*u is within a few rounding errors of its own terms (t
+    within a few ulps of alpha, so that a is roundoff), the curvature
+    belongs to the rounding of t alone: no second difference of the log
+    density can show it, and no witness is given. The verdict, exact for
+    the float t, stands.
     """
     a, b = alpha / t - 1.0, 1.0 / t
     c = lam * b * (b - 1.0)
@@ -250,8 +264,11 @@ def _power_witness(t: float, alpha: float, lam: float) -> Optional[float]:
         u = 1.0 if c <= 0 else -a / (2.0 * c)
     else:  # c < 0 here, unless lam*b*(b-1) underflowed to 0
         u = (a + 1.0) / -c if c < 0 else math.inf
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = float(np.float64(u) ** t)
+        cu = float(np.float64(c) * u)
+    if not -a - cu > 8 * _EPS * (abs(alpha / t) + abs(cu)):
+        return None
     return y if 0 < y < math.inf else None
 
 

@@ -13,8 +13,10 @@ case the i-th smallest.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -62,6 +64,35 @@ from .orders import (
 # still compared in log scale.
 HARNESS_CONDITION_GRID = GridSpec(1e-2, 1e2, 24)
 ORACLE_MAX_N = 4
+
+
+# the stages of a scenario that a StageClock times, in order
+PROFILE_STAGES = ("hypotheses", "sampling", "dkw", "oracle_a", "oracle_b", "exact")
+
+
+class StageClock:
+    """Thread CPU and wall seconds of the stages of one scenario, for the
+    command line's ``--profile``. Timings never enter a report, which stays
+    byte-reproducible."""
+
+    def __init__(self):
+        self.stages: dict[str, dict[str, float]] = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        cpu, wall = time.thread_time(), time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = {
+                "cpu_s": time.thread_time() - cpu,
+                "wall_s": time.perf_counter() - wall,
+            }
+
+
+def timed(clock: Optional[StageClock], name: str):
+    """``clock.stage(name)``, or no timing where there is no clock."""
+    return nullcontext() if clock is None else clock.stage(name)
 
 
 class CheckStatus(Enum):
@@ -412,11 +443,19 @@ def check_hypotheses(
 def _sample_weighted_sum(
     dists: Sequence[Dist], weights: np.ndarray, n: int, seed_seq: np.random.SeedSequence
 ) -> np.ndarray:
-    total = np.zeros(n)
+    """Draws of sum_i w_i X_i, component i from the i-th child of
+    ``seed_seq``. Each component's draws are a fresh array, scaled in place;
+    the first becomes the running sum, which is 0 + w_1 X_1 bit for bit."""
+    total = None
     children = seed_seq.spawn(len(dists))
     for d, w, child in zip(dists, weights, children):
-        total += w * d.sample(n, int(child.generate_state(1)[0]))
-    return total
+        draws = d.sample(n, int(child.generate_state(1)[0]))
+        draws *= w
+        if total is None:
+            total = draws
+        else:
+            total += draws
+    return np.zeros(n) if total is None else total
 
 
 def _anti_theorem_deviation(v: OrderVerdict, predicted: str) -> float:
@@ -429,21 +468,28 @@ def _run_comparison(
     hyp: HypothesisReport,
     a_used: np.ndarray,
     b_used: np.ndarray,
+    clock: Optional[StageClock] = None,
 ) -> TheoremReport:
     """The DKW test of the two sums and, for at most ``ORACLE_MAX_N``
-    components, the oracle's, one after the other on the calling thread."""
+    components, the oracle's, one after the other on the calling thread;
+    ``clock``, if given, times each stage."""
     predicted = "a" if s.variant is ConditionVariant.CONVEX_CASE else "b"
     seq_a, seq_b = np.random.SeedSequence(s.seed).spawn(2)
-    verdict = st_compare_empirical(
-        _sample_weighted_sum(s.dists, a_used, s.n_samples, seq_a),
-        _sample_weighted_sum(s.dists, b_used, s.n_samples, seq_b),
-        s.delta,
-    )
+    with timed(clock, "sampling"):
+        sample_a = _sample_weighted_sum(s.dists, a_used, s.n_samples, seq_a)
+        sample_b = _sample_weighted_sum(s.dists, b_used, s.n_samples, seq_b)
+    with timed(clock, "dkw"):
+        verdict = st_compare_empirical(sample_a, sample_b, s.delta)
+    del sample_a, sample_b
     oracle: Optional[OrderVerdict] = None
     if len(s.dists) <= ORACLE_MAX_N:
-        oracle = st_compare_exact(
-            convolve_weighted(s.dists, a_used), convolve_weighted(s.dists, b_used)
-        )
+        with timed(clock, "oracle_a"):
+            cdf_a = convolve_weighted(s.dists, a_used)
+        with timed(clock, "oracle_b"):
+            cdf_b = convolve_weighted(s.dists, b_used)
+        with timed(clock, "exact"):
+            oracle = st_compare_exact(cdf_a, cdf_b)
+        del cdf_a, cdf_b
     consistent = _anti_theorem_deviation(verdict, predicted) <= verdict.band
     if oracle is not None:
         consistent = consistent and (
@@ -474,21 +520,23 @@ def _require_pass(s: Scenario, hyp: Optional[HypothesisReport]) -> HypothesisRep
 
 
 def verify_iid_theorem(
-    s: Scenario, hyp: Optional[HypothesisReport] = None
+    s: Scenario, hyp: Optional[HypothesisReport] = None, clock: Optional[StageClock] = None
 ) -> TheoremReport:
     """Conclusion test for identically distributed components. ``hyp`` is
-    the scenario's hypothesis report, if it is already computed."""
+    the scenario's hypothesis report, if it is already computed; ``clock``,
+    if given, times the comparison's stages."""
     if not s.is_iid:
         raise ParameterError("verify_iid_theorem requires identical dists")
     hyp = _require_pass(s, hyp)
-    return _run_comparison(s, hyp, s.a.as_array(), s.b.as_array())
+    return _run_comparison(s, hyp, s.a.as_array(), s.b.as_array(), clock)
 
 
 def verify_noniid_theorem(
-    s: Scenario, hyp: Optional[HypothesisReport] = None
+    s: Scenario, hyp: Optional[HypothesisReport] = None, clock: Optional[StageClock] = None
 ) -> TheoremReport:
     """Conclusion test for an lr-decreasing chain of components. ``hyp`` is
-    the scenario's hypothesis report, if it is already computed.
+    the scenario's hypothesis report, if it is already computed; ``clock``,
+    if given, times the comparison's stages.
 
     The convex case pairs the i-th largest coefficient with the i-th
     variable of the chain; the concave case pairs the i-th smallest.
@@ -500,7 +548,7 @@ def verify_noniid_theorem(
     else:
         a_used = np.sort(s.a.as_array())
         b_used = np.sort(s.b.as_array())
-    return _run_comparison(s, hyp, a_used, b_used)
+    return _run_comparison(s, hyp, a_used, b_used, clock)
 
 
 def pairwise_exchange_check(
@@ -780,6 +828,9 @@ class SuiteReport:
     n_inconsistent: int = 0
     n_skipped_unknown: int = 0
     n_failed_hypotheses: int = 0
+    # one StageClock per scenario when run_suite was asked to profile;
+    # never part of to_dict
+    clocks: list = field(default_factory=list)
 
     @property
     def n_run(self) -> int:
@@ -799,59 +850,67 @@ class SuiteReport:
         }
 
 
-def run_scenario(config: SuiteConfig, i: int) -> dict:
+def run_scenario(config: SuiteConfig, i: int, clock: Optional[StageClock] = None) -> dict:
     """Record of scenario ``i`` of the suite; a pure function of the config
     and the index.
 
     Scenarios whose hypotheses come back UNKNOWN are marked skipped; FAIL
     hypotheses (which the generators should never produce) are marked
-    separately; every other scenario gets a consistency verdict.
+    separately; every other scenario gets a consistency verdict. ``clock``,
+    if given, times the whole scenario ("scenario") and each of its stages.
     """
-    preset = config.presets[i % len(config.presets)]
-    s = generate_scenario(
-        preset,
-        # the i-th child of SeedSequence(master_seed).spawn(n), made directly
-        np.random.SeedSequence(config.master_seed, spawn_key=(i,)),
-        n_samples=config.n_samples,
-        delta=config.delta,
-        label=f"{preset}#{i}",
-    )
-    record: dict = {"index": i, "preset": preset, "scenario": s.to_dict()}
-    hyp = check_hypotheses(s)
-    if not hyp.all_pass:
-        _, check = hyp.first_not_passing()
-        record["status"] = (
-            "skipped_unknown"
-            if check.status is CheckStatus.UNKNOWN
-            else "failed_hypotheses"
+    with timed(clock, "scenario"):
+        preset = config.presets[i % len(config.presets)]
+        s = generate_scenario(
+            preset,
+            # the i-th child of SeedSequence(master_seed).spawn(n), made directly
+            np.random.SeedSequence(config.master_seed, spawn_key=(i,)),
+            n_samples=config.n_samples,
+            delta=config.delta,
+            label=f"{preset}#{i}",
         )
-        record["hypothesis"] = hyp.to_dict()
+        record: dict = {"index": i, "preset": preset, "scenario": s.to_dict()}
+        with timed(clock, "hypotheses"):
+            hyp = check_hypotheses(s)
+        if not hyp.all_pass:
+            _, check = hyp.first_not_passing()
+            record["status"] = (
+                "skipped_unknown"
+                if check.status is CheckStatus.UNKNOWN
+                else "failed_hypotheses"
+            )
+            record["hypothesis"] = hyp.to_dict()
+            return record
+        tr = (
+            verify_iid_theorem(s, hyp, clock)
+            if s.is_iid
+            else verify_noniid_theorem(s, hyp, clock)
+        )
+        record["status"] = "consistent" if tr.consistent else "inconsistent"
+        record["report"] = tr.to_dict()
         return record
-    tr = (
-        verify_iid_theorem(s, hyp)
-        if s.is_iid
-        else verify_noniid_theorem(s, hyp)
-    )
-    record["status"] = "consistent" if tr.consistent else "inconsistent"
-    record["report"] = tr.to_dict()
-    return record
 
 
 # scenarios run at once by run_suite, each serial inside
 SUITE_LANES = 2
 
 
-def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
+def run_suite(config: SuiteConfig = SuiteConfig(), profile: bool = False) -> SuiteReport:
     """Run the randomized theorem suite; pure function of the config.
 
     Scenarios run on ``SUITE_LANES`` threads, which the sampling, the sorts,
     the CDF evaluations and the FFTs allow because they release the GIL.
     Records come in index order, and the error of the lowest failing index
     surfaces, as in a serial loop; the scenarios not yet started are
-    cancelled.
+    cancelled. With ``profile``, the report's ``clocks`` hold each
+    scenario's stage times, in index order.
     """
+    clocks = [StageClock() for _ in range(config.n_scenarios)] if profile else []
     with ThreadPoolExecutor(max_workers=SUITE_LANES) as lanes:
-        jobs = [lanes.submit(run_scenario, config, i) for i in range(config.n_scenarios)]
+        jobs = [
+            lanes.submit(run_scenario, config, i, clocks[i] if profile else None)
+            for i in range(config.n_scenarios)
+        ]
         try:
             records = [job.result() for job in jobs]
         except BaseException:
@@ -865,4 +924,5 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
         n_inconsistent=status["inconsistent"],
         n_skipped_unknown=status["skipped_unknown"],
         n_failed_hypotheses=status["failed_hypotheses"],
+        clocks=clocks,
     )

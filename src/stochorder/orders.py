@@ -12,7 +12,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import fft
 
 from .errors import NumericError, ParameterError
 from .distributions import DensitySpec, Dist
@@ -23,8 +22,12 @@ REFINE_TOL = 1e-7
 MAX_LEVELS = 8
 INITIAL_GRID = 4096
 TAIL_TOL = 1e-9
-# knots of either table per chunk when two tables are compared
+# knots of either table per chunk when two tables are compared, and the
+# chunk length of the other passes that run a chunk at a time
 _CHUNK_KNOTS = 1 << 15
+# the smallest normal float: an oracle level's knots (j + n/2) * h, j + n/2
+# running up by 1, stay strictly increasing in floats for a normal h
+_TINY = float(np.finfo(float).tiny)
 
 
 class Relation(Enum):
@@ -75,12 +78,31 @@ class NumericCDF:
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape or len(g) < 1:
             raise ParameterError("grid and values must be equal-length 1-D arrays")
-        if np.any(np.diff(g) <= 0):
-            raise ParameterError("grid must be strictly increasing")
-        if np.any(np.diff(v) < -1e-12) or v[0] < -1e-12 or v[-1] > 1 + 1e-12:
-            raise ParameterError("values must be a nondecreasing CDF table")
+        # each check holds only where every comparison is true, so NaN fails it
+        if not _every_step(g, lambda lo, hi: hi > lo):
+            raise ParameterError("grid must be strictly increasing, without NaN")
+        if not (
+            v[0] >= -1e-12
+            and v[-1] <= 1 + 1e-12
+            and _every_step(v, lambda lo, hi: hi - lo >= -1e-12)
+        ):
+            raise ParameterError("values must be a nondecreasing CDF table, without NaN")
+        if not (v.min() >= 0.0 and v.max() <= 1.0):  # clip copies only to change
+            v = np.clip(v, 0.0, 1.0)
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", np.clip(v, 0.0, 1.0))
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _valid(cls, grid, values, kind, tail_tol, meta) -> "NumericCDF":
+        """A table this module built valid by construction: a strictly
+        increasing float grid and nondecreasing values in [0, 1], taken
+        without the checks of ``__post_init__``."""
+        table = object.__new__(cls)
+        for name, value in zip(
+            ("grid", "values", "kind", "tail_tol", "meta"), (grid, values, kind, tail_tol, meta)
+        ):
+            object.__setattr__(table, name, value)
+        return table
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -101,6 +123,16 @@ class NumericCDF:
         finally:
             if own:
                 f.close()
+
+
+def _every_step(x: np.ndarray, ok) -> bool:
+    """Whether ``ok(x[i], x[i + 1])`` holds for every i, taken
+    ``_CHUNK_KNOTS`` pairs at a time, so that no temporary is as long as x."""
+    for i in range(0, len(x) - 1, _CHUNK_KNOTS):
+        j = min(i + _CHUNK_KNOTS, len(x) - 1)
+        if not np.all(ok(x[i:j], x[i + 1 : j + 1])):
+            return False
+    return True
 
 
 def dkw_epsilon(n: int, delta: float) -> float:
@@ -147,9 +179,7 @@ def st_compare_empirical(
     b = _sorted_sample(samples_b)
     n_a, n_b = a.size, b.size
     band = dkw_epsilon(n_a, delta) + dkw_epsilon(n_b, delta)
-    d = _ecdf_difference(a, b)
-    max_pos = float(np.max(d))
-    max_neg = float(np.max(-d))
+    max_pos, max_neg = _ecdf_extremes(a, b)
     relation = _relation_from_devs(max_pos, max_neg, band)
     return OrderVerdict(
         relation,
@@ -160,29 +190,41 @@ def st_compare_empirical(
     )
 
 
-def _ecdf_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """F_A - F_B of two sorted samples at every distinct value of either,
-    from one stable merge of the two: at the last copy of a value, the A
-    and B entries up to it are the counts that the ECDFs divide by n.
+def _ecdf_extremes(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The maxima of F_A - F_B and of F_B - F_A over every distinct value of
+    two sorted samples, from one stable merge of the two: at the last copy
+    of a value, the A and B entries up to it are the counts that the ECDFs
+    divide by n.
 
     The counts are whole floats, exact below 2**53, so each k / n is the
-    ECDF's own value. Each array is dropped once used and the arithmetic
-    runs in place, so at most three arrays as long as both samples together
-    are alive at once."""
+    ECDF's own value. The difference is taken at every merged entry, and
+    the extremes only over the last copies (``where=``), so that no index
+    list or gathered copy of them is made; the merge's value buffer is
+    reused for the A counts. At most three arrays as long as both samples
+    together are alive at once, beside a byte mask. (``np.interp`` of one
+    sample's ranks at the other's values, in place of the merge, took
+    longer: its search mispredicts a branch at nearly every value.)"""
+    n = a.size + b.size
     merged = np.concatenate([a, b])
     order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    last = np.flatnonzero(np.concatenate((merged[1:] != merged[:-1], [True])))
-    del merged
-    count_a = np.cumsum(order < a.size, dtype=float)[last]
+    last = np.empty(n, dtype=bool)
+    values = merged[order]
+    np.not_equal(values[1:], values[:-1], out=last[:-1])
+    last[-1] = True
+    del values
+    count_a = merged
+    np.less(order, a.size, out=count_a)
     del order
-    count_b = np.add(last, 1.0)
-    del last
+    np.cumsum(count_a, out=count_a)
+    count_b = np.arange(1.0, n + 1.0)
     count_b -= count_a
     count_a /= a.size
     count_b /= b.size
     count_a -= count_b
-    return count_a
+    max_pos = np.max(count_a, where=last, initial=-np.inf)
+    # F_B - F_A is -(F_A - F_B) exactly, so its maximum is minus this minimum
+    max_neg = -np.min(count_a, where=last, initial=np.inf)
+    return float(max_pos), float(max_neg)
 
 
 def _relation_from_devs(max_pos: float, max_neg: float, band: float) -> Relation:
@@ -209,7 +251,16 @@ def _edge_cdf_tables(cdf, w: float, stop: float, top: float, m: int):
     exactly, and ``ceil(2x) <= 2 ceil(x)``.
     """
     x = stop / (top / m)
-    table = np.asarray(cdf(np.linspace(0.0, top, m + 1)[: _cells(x, m) + 1] / w), float)
+    # linspace(0, top, m + 1) is arange(m + 1) * (top / m) with its last
+    # entry set to top, bit for bit; the edges are built in one array
+    k = _cells(x, m)
+    edges = np.arange(k + 1.0)
+    edges *= top / m
+    if k == m:
+        edges[-1] = top
+    edges /= w
+    table = np.asarray(cdf(edges), float)
+    del edges
     while True:
         yield table
         m *= 2
@@ -217,9 +268,14 @@ def _edge_cdf_tables(cdf, w: float, stop: float, top: float, m: int):
         k = _cells(x, m)
         fine = np.empty(k + 1)
         fine[::2] = table[: k // 2 + 1]
-        # the odd edges are bit for bit linspace(0, top, m + 1)[1 : k + 1 : 2],
-        # which is arange(m + 1) * (top / m) with its last entry set to top
-        fine[1::2] = cdf(np.arange(1, k + 1, 2) * (top / m) / w)
+        del table
+        # the odd edges are bit for bit linspace(0, top, m + 1)[1 : k + 1 : 2]
+        # (m is even, so none of them is the last edge)
+        odd = np.arange(1.0, k + 1.0, 2.0)
+        odd *= top / m
+        odd /= w
+        fine[1::2] = cdf(odd)
+        del odd
         table = fine
 
 
@@ -232,11 +288,11 @@ def _level_masses(d: Dist, w: float, stop: float, top: float, m: int):
     [0, top] that ``_edge_cdf_tables`` keeps for m cells, then for 2m
     cells, and so on, cut after the last nonzero cell."""
     for table in _edge_cdf_tables(d.cdf, w, stop, top, m):
-        yield _nonzero_prefix(np.diff(table))
+        yield _nonzero_prefix(np.subtract(table[1:], table[:-1]))
 
 
 def _nonzero_prefix(masses: np.ndarray) -> np.ndarray:
-    np.clip(masses, 0.0, None, out=masses)
+    np.maximum(masses, 0.0, out=masses)  # np.clip(masses, 0, None), without its wrapper
     if masses[-1] > 0:  # the common case, without a scan
         return masses
     nz = np.flatnonzero(masses)
@@ -300,9 +356,7 @@ def convolve_weighted(
     for levels in range(1, max_levels + 2):
         cur = _convolve_level([next(c) for c in components], top, m, tail_tol, levels)
         if prev is not None:
-            dev = cur.evaluate(prev.grid)
-            dev -= prev.values
-            gap = float(np.max(np.abs(dev, out=dev)))
+            gap = _level_gap(prev, cur, len(components))
             if gap < refine_tol:
                 cur.meta["gap"] = gap
                 return cur
@@ -314,36 +368,99 @@ def convolve_weighted(
     )
 
 
-def _product_pmf(masses: list[np.ndarray]) -> np.ndarray:
+def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
+    """``max |cur.evaluate(prev.grid) - prev.values|`` for two successive
+    levels of an n-component oracle, read off the lattice in place of a
+    search.
+
+    Knot j of a level is ``(j + n/2) * h``, and ``prev``'s h is ``cur``'s
+    times 2 exactly, so ``prev`` knot j is ``(2j + n) * h`` of ``cur``: for
+    even n that is ``cur`` knot ``2j + n/2`` bit for bit, and for odd n it
+    lies strictly inside ``cur``'s cell ``k = 2j + (n-1)/2``, where
+    ``np.interp`` gives ``slope * (x - xp[k]) + fp[k]`` with the slope of
+    that cell. Knots past ``cur``'s last take its last value, as
+    ``evaluate`` does. The work runs in chunks of ``_CHUNK_KNOTS`` knots,
+    so no temporary is as long as a table."""
+    pg, pv, cg, cv = prev.grid, prev.values, cur.grid, cur.values
+    off, odd = n // 2, n % 2
+    # the prev knots whose cur cell (or knot) ends at or before cur's last knot
+    inner = min(len(pv), max(0, (len(cv) - 1 - odd - off) // 2 + 1))
+    gaps = [0.0]
+    for i in range(0, inner, _CHUNK_KNOTS):
+        j = min(i + _CHUNK_KNOTS, inner)
+        lo = slice(off + 2 * i, off + 2 * j, 2)
+        if odd:
+            hi = slice(off + 2 * i + 1, off + 2 * j + 1, 2)
+            dev = cv[hi] - cv[lo]
+            dev /= cg[hi] - cg[lo]
+            dev *= pg[i:j] - cg[lo]
+            dev += cv[lo]
+            dev -= pv[i:j]
+        else:
+            dev = cv[lo] - pv[i:j]
+        gaps.append(np.max(np.abs(dev, out=dev)))
+    if inner < len(pv):
+        gaps.append(np.max(np.abs(cv[-1] - pv[inner:])))
+    # np.max, not max: a NaN gap must stay NaN, so that it never converges
+    return float(np.max(gaps))
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer (2**i * 3**j * 5**k) at or above n >= 1,
+    the lengths that pocketfft's real transforms favour."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 at or above n
+            fit = p35 << (-(-n // p35) - 1).bit_length()
+            if fit < best:
+                best = fit
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _product_pmf(masses: list[np.ndarray], size: int = 0) -> np.ndarray:
     """The linear convolution of ``masses`` as one spectral product: one
     real FFT per component at a common length no shorter than the
     convolution, one inverse FFT. Length-1 masses are scale factors and
-    take no transform.
+    take no transform. The result is padded with zeros to ``size`` where
+    the convolution is shorter.
 
     ``masses`` is emptied, and each array is dropped once it is transformed,
     so that the level's masses are not all alive beside the two spectra
     (the B-sum oracle runs beside the A-sum, so every level's peak counts
-    twice). The transforms are numpy's: ``scipy.fft`` keeps a plan for every
-    length it has seen (about 8 bytes per point, up to 16 lengths), which
-    would hold on to tens of MB after the largest levels; numpy's keep none
-    and give the same bits."""
+    twice). Every transform after the first goes into one reused buffer,
+    and the inverse transform goes straight into the padded result, which
+    is clipped in place. The transforms are numpy's: ``scipy.fft`` keeps a
+    plan for every length it has seen (about 8 bytes per point, up to 16
+    lengths), which would hold on to tens of MB after the largest levels;
+    numpy's keep none and give the same bits."""
     arrays = [c for c in masses if len(c) > 1]
     scale = math.prod(float(c[0]) for c in masses if len(c) == 1)
     masses.clear()
-    if len(arrays) < 2:
-        return (arrays[0] if arrays else np.ones(1)) * scale
     full = sum(len(c) - 1 for c in arrays) + 1
-    nfft = fft.next_fast_len(full, True)
+    if len(arrays) < 2:
+        pmf = np.zeros(max(full, size))
+        np.multiply(arrays[0] if arrays else 1.0, scale, out=pmf[:full])
+        return pmf
+    nfft = _next_fast_len(full)
     arrays.reverse()  # popped in the given order
     spectrum = np.fft.rfft(arrays.pop(), nfft)
+    term = np.empty_like(spectrum)
     while arrays:
-        spectrum *= np.fft.rfft(arrays.pop(), nfft)
+        spectrum *= np.fft.rfft(arrays.pop(), nfft, out=term)
+    del term
     if scale != 1.0:
         spectrum *= scale
-    pmf = np.fft.irfft(spectrum, nfft)
+    pmf = np.empty(max(nfft, size))
+    np.fft.irfft(spectrum, nfft, out=pmf[:nfft])
     del spectrum
-    # the copy made by clip frees the nfft-long inverse transform
-    return np.clip(pmf[:full], 0.0, None)
+    np.maximum(pmf[:full], 0.0, out=pmf[:full])  # np.clip(pmf, 0, None)
+    pmf[full:] = 0.0
+    return pmf[: max(full, size)]
 
 
 def _convolve_level(
@@ -352,20 +469,31 @@ def _convolve_level(
     n = len(masses)
     size = m + n if n > 1 else m
     h = top / m
-    pmf = _product_pmf(masses)
-    if len(pmf) < size:
-        pmf = np.concatenate([pmf, np.zeros(size - len(pmf))])
-    positions = np.arange(size, dtype=float)
-    positions += 0.5 * n
+    pmf = _product_pmf(masses, size)
+    # j + n/2 for each knot j: a float arange adds whole steps to its start,
+    # exactly
+    positions = np.arange(0.5 * n, size + 0.5 * n)
     positions *= h
-    scratch = positions * pmf
-    mean = float(np.sum(scratch))
-    np.multiply(pmf, 0.5, out=scratch)
-    # the running sum takes pmf's own buffer, so no third array is made
-    values = np.cumsum(pmf, out=pmf)
-    values -= scratch
-    del pmf, scratch
-    if np.all(values[1:] >= values[:-1]):
+    # np.sum's pairwise order depends on the length, so the mean takes one
+    # whole product
+    mean = float(np.sum(positions * pmf))
+    # values = cumsum(pmf) - pmf / 2 in pmf's own buffer, one cache-sized
+    # chunk at a time: each chunk's first entry takes the running sum, so
+    # the sums are the sequential cumsum's bit for bit
+    values = pmf
+    rising = True
+    total = last = 0.0
+    for i in range(0, size, _CHUNK_KNOTS):
+        chunk = values[i : i + _CHUNK_KNOTS]
+        half = chunk * 0.5
+        if i:
+            chunk[0] += total
+        np.cumsum(chunk, out=chunk)
+        total = chunk[-1]
+        chunk -= half
+        rising = rising and (not i or chunk[0] >= last) and bool(np.all(chunk[1:] >= chunk[:-1]))
+        last = chunk[-1]
+    if rising:
         # the fix-ups below leave a nondecreasing table as its clip
         np.clip(values, 0.0, 1.0, out=values)
     else:
@@ -374,29 +502,23 @@ def _convolve_level(
         np.minimum.accumulate(reverse, out=reverse)
         np.clip(values, 0.0, 1.0, out=values)
         np.maximum.accumulate(values, out=values)
-    return NumericCDF(
-        positions,
-        values,
-        kind="linear",
-        tail_tol=n * tail_tol,
-        meta={
-            "levels": levels, "m": m, "h": h, "gap": math.inf, "top": top, "mean": mean,
-        },
-    )
+    meta = {"levels": levels, "m": m, "h": h, "gap": math.inf, "top": top, "mean": mean}
+    if not h >= _TINY:
+        # subnormal knots could round together: validate as any table
+        return NumericCDF(positions, values, "linear", n * tail_tol, meta)
+    return NumericCDF._valid(positions, values, "linear", n * tail_tol, meta)
 
 
-def _difference_chunks(cdf_a: NumericCDF, cdf_b: NumericCDF):
-    """Yield F_A - F_B at every knot of either table in increasing order,
-    each knot once, in chunks of at most ``_CHUNK_KNOTS`` knots of A and at
-    most as many of B.
+def _chunk_slices(ga: np.ndarray, gb: np.ndarray):
+    """Yield ``(sa, sb)``, slices of two sorted grids that hold at most
+    ``_CHUNK_KNOTS`` knots of A and at most as many of B, in increasing
+    order.
 
     Both grids are cut at the same x: the lower of the two knots that
     follow each table's next ``_CHUNK_KNOTS`` knots. A knot in both grids
-    thus falls in one chunk, and the chunks are the union-grid values in
-    order, so that the comparison holds a few chunk-sized arrays at a time,
-    not several as long as both tables together.
+    thus falls in one chunk, so that the comparison holds a few chunk-sized
+    arrays at a time, not several as long as both tables together.
     """
-    ga, gb = cdf_a.grid, cdf_b.grid
     ia = ib = 0
     while ia < len(ga) or ib < len(gb):
         ja = min(ia + _CHUNK_KNOTS, len(ga))
@@ -405,62 +527,92 @@ def _difference_chunks(cdf_a: NumericCDF, cdf_b: NumericCDF):
             jb = int(gb.searchsorted(ga[ja]))
         elif jb < len(gb):
             ja = int(ga.searchsorted(gb[jb]))
-        yield _merged_difference(cdf_a, cdf_b, slice(ia, ja), slice(ib, jb))
+        yield slice(ia, ja), slice(ib, jb)
         ia, ib = ja, jb
 
 
-def _merged_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, sa: slice, sb: slice):
-    """F_A - F_B at the knots ``cdf_a.grid[sa]`` and ``cdf_b.grid[sb]`` in
-    increasing order, each knot once.
+def _chunk_parts(cdf_a: NumericCDF, cdf_b: NumericCDF, sa: slice, sb: slice):
+    """``(da, db, order, shared)`` for the knots ``cdf_a.grid[sa]`` and
+    ``cdf_b.grid[sb]``: F_A - F_B at each grid's knots (a table evaluated at
+    its own knots returns its own values), the stable merge order of the
+    two grids' concatenation, and where a merged knot equals the next one.
 
-    A table evaluated at its own knots returns its own values. The two
-    sorted grids are merged by a stable sort of their concatenation, which
-    is one linear merge of two sorted runs (two ``searchsorted`` calls took
-    eight times as long). A knot in both grids comes out twice in a row,
-    with the same difference from either table, and B's copy is dropped.
+    The merge is a stable sort of the concatenation, which is one linear
+    merge of two sorted runs (two ``searchsorted`` calls took eight times
+    as long). A knot in both grids comes out twice in a row, A's copy
+    first, with the same difference from either table.
     """
     ga, gb = cdf_a.grid[sa], cdf_b.grid[sb]
+    da = cdf_b.evaluate(ga)
+    np.subtract(cdf_a.values[sa], da, out=da)
+    db = cdf_a.evaluate(gb)
+    db -= cdf_b.values[sb]
     grid = np.concatenate([ga, gb])
     order = np.argsort(grid, kind="stable")
-    d = np.concatenate([
-        cdf_a.values[sa] - cdf_b.evaluate(ga),
-        cdf_a.evaluate(gb) - cdf_b.values[sb],
-    ])[order]
-    grid = grid[order]
-    shared = np.flatnonzero(grid[1:] == grid[:-1])
-    return np.delete(d, shared + 1) if shared.size else d
+    merged = grid[order]
+    return da, db, order, merged[1:] == merged[:-1]
+
+
+def _difference_chunks(cdf_a: NumericCDF, cdf_b: NumericCDF):
+    """Yield F_A - F_B at every knot of either table in increasing order,
+    each knot once (B's copy of a shared knot is dropped), one chunk of
+    ``_chunk_slices`` at a time."""
+    for sa, sb in _chunk_slices(cdf_a.grid, cdf_b.grid):
+        da, db, order, shared = _chunk_parts(cdf_a, cdf_b, sa, sb)
+        d = np.concatenate([da, db])[order]
+        yield np.delete(d, np.flatnonzero(shared) + 1) if shared.any() else d
 
 
 def cdf_difference(cdf_a: NumericCDF, cdf_b: NumericCDF) -> np.ndarray:
     """F_A - F_B at every knot of either table in increasing order, each
     knot once: the values of the union-grid formula, without ``union1d``.
-    It is the concatenation of the chunks that ``st_compare_exact`` folds
-    one at a time."""
+    It is the concatenation of the chunks of ``_difference_chunks``."""
     return np.concatenate(list(_difference_chunks(cdf_a, cdf_b)))
 
 
 def _fold_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float):
     """``(max_pos, max_neg, crossings, points)`` of F_A - F_B over the
-    chunks of ``_difference_chunks``: the maxima of d and -d, the sign
-    changes of d after dropping |d| <= tol, and the number of knots. A sign
-    change across a chunk edge is counted against the last sign kept
+    union of the two grids, one chunk of ``_chunk_slices`` at a time: the
+    maxima of d and -d, the sign changes of d after dropping |d| <= tol,
+    and the number of distinct knots.
+
+    A shared knot has the same d from either table, so the maxima come
+    from each table's own differences, and its second copy can change no
+    sign. A chunk is put in merged order only where it holds significant
+    differences of both signs; otherwise its significant signs, if any,
+    are all one sign (for ``tol >= 0``, where no zero is significant). A
+    sign change across a chunk edge is counted against the last sign kept
     before it, so the result is that of the whole difference at once. (A
     zero maximum could differ in its sign only if d held both signs of
     zero, which needs a table that holds -0.0.)"""
-    max_pos, max_neg = [], []
+    highs, lows = [], []
     crossings = points = 0
     last = 0.0
-    for d in _difference_chunks(cdf_a, cdf_b):
-        max_pos.append(np.max(d))
-        max_neg.append(np.max(-d))
-        points += len(d)
-        signs = np.sign(d[np.abs(d) > tol])
-        if signs.size:
-            crossings += int(np.count_nonzero(np.diff(signs) != 0))
-            if last and signs[0] != last:
-                crossings += 1
-            last = signs[-1]
-    return float(np.max(max_pos)), float(np.max(max_neg)), crossings, points
+    for sa, sb in _chunk_slices(cdf_a.grid, cdf_b.grid):
+        da, db, order, shared = _chunk_parts(cdf_a, cdf_b, sa, sb)
+        for d in (da, db):
+            if d.size:
+                highs.append(np.max(d))
+                lows.append(np.min(d))
+        points += len(order) - int(np.count_nonzero(shared))
+        rises = bool(np.any(da > tol) or np.any(db > tol))
+        falls = bool(np.any(da < -tol) or np.any(db < -tol))
+        if tol >= 0 and not (rises and falls):
+            if not (rises or falls):
+                continue
+            first = final = 1.0 if rises else -1.0
+        else:
+            d = np.concatenate([da, db])[order]
+            signs = np.sign(d[np.abs(d) > tol])
+            if not signs.size:
+                continue
+            crossings += int(np.count_nonzero(signs[1:] != signs[:-1]))
+            first, final = signs[0], signs[-1]
+        if last and first != last:
+            crossings += 1
+        last = final
+    # max of -d is -(min of d) exactly; np.max and np.min keep a NaN
+    return float(np.max(highs)), -float(np.min(lows)), crossings, points
 
 
 def st_compare_exact(

@@ -179,6 +179,27 @@ class TestVerify:
     def test_missing_file_exit_one(self, capsys):
         assert run(["verify", "--scenario", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("pair,stages", [
+        (([4.0, 1.0], [2.0, 2.0]), ["hypotheses", "sampling", "dkw", "oracle_a", "oracle_b", "exact"]),
+        (([2.0, 2.0], [3.0, 1.0]), ["hypotheses"]),  # stops at the premise
+    ])
+    def test_profile_written_apart(self, tmp_path, capsys, pair, stages):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(self.scenario_dict(*pair)))
+        plain, profiled = tmp_path / "plain.json", tmp_path / "profiled.json"
+        code = run(["verify", "--scenario", str(path), "--output", str(plain)])
+        assert run(["verify", "--scenario", str(path), "--output", str(profiled),
+                    "--profile", str(tmp_path / "p.json")]) == code
+        assert profiled.read_bytes() == plain.read_bytes()
+        prof = read_json(tmp_path / "p.json")
+        assert prof["command"] == "verify"
+        [entry] = prof["scenarios"]
+        assert entry["label"] == "cli-test"
+        assert list(entry["stages"]) == stages
+        assert list(prof["totals"]) == stages
+        for t in entry["stages"].values():
+            assert t["cpu_s"] >= 0 and t["wall_s"] >= 0
+
     def test_overrides_change_config(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(self.scenario_dict([4.0, 1.0], [2.0, 2.0])))
@@ -218,6 +239,26 @@ class TestSuite:
         assert out1.read_bytes() == out2.read_bytes()
         doc = read_json(out1)
         assert doc["result"]["summary"]["inconsistent"] == 0
+
+    def test_profile_per_scenario_in_index_order(self, tmp_path):
+        args = ["suite", "--n", "5", "--seed", "3", "--samples", "5000",
+                "--presets", "exp_exp,power_a3", "--output", str(tmp_path / "r.json")]
+        assert run(args + ["--profile", str(tmp_path / "p.json")]) == 0
+        prof = read_json(tmp_path / "p.json")
+        report = read_json(tmp_path / "r.json")["result"]
+        assert prof["command"] == "suite"
+        assert [e["index"] for e in prof["scenarios"]] == list(range(5))
+        assert [e["status"] for e in prof["scenarios"]] == [r["status"] for r in report["records"]]
+        assert list(prof["totals"]) == [
+            "scenario", "hypotheses", "sampling", "dkw", "oracle_a", "oracle_b", "exact"]
+        for name, total in prof["totals"].items():
+            assert total["count"] == 5
+            assert total["cpu_s"] == pytest.approx(
+                sum(e["stages"][name]["cpu_s"] for e in prof["scenarios"]))
+        for e in prof["scenarios"]:
+            whole = e["stages"]["scenario"]["wall_s"]
+            parts = sum(t["wall_s"] for k, t in e["stages"].items() if k != "scenario")
+            assert parts <= whole
 
     def test_unknown_preset_exit_one(self, capsys):
         assert run(["suite", "--n", "1", "--presets", "bogus"]) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -198,6 +198,9 @@ class TestLogConcavity:
         ),
     )
     @settings(max_examples=200, deadline=None)
+    # t = 10 * 0.05000000000000001 is one ulp above alpha = 0.5: not
+    # log-concave for the float t, with a curvature no double resolves
+    @example(True, -0.1, 0.5, 1.0, ("power", 0.05000000000000001))
     def test_closed_form_no_has_curvature_witness(self, gengamma, r, alpha, lam, variant):
         """Wherever the closed-form rule says no, the verdict is
         NOT_LOG_CONCAVE, and the log density curves upward at the witness."""
@@ -229,6 +232,21 @@ class TestLogConcavity:
         res = log_concavity_classify(d, variant)
         assert res.verdict is LogConcavity.NOT_LOG_CONCAVE
         assert _second_difference(GammaPower(t, d.alpha, d.lam).logpdf, res.witness, 1e-4) > 0
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
+    def test_no_witness_at_roundoff_curvature(self, alpha):
+        # t a few ulps above alpha: the verdict is exact for the float t, but
+        # the curvature -a - c*u at any candidate is roundoff of a = alpha/t - 1
+        for ulps in (1, 2, 3):
+            t = alpha
+            for _ in range(ulps):
+                t = math.nextafter(t, math.inf)
+            res = log_concavity_classify(GammaPower(t, alpha, 1.0))
+            assert res.verdict is LogConcavity.NOT_LOG_CONCAVE
+            assert res.witness is None
+        # well away from alpha the witness stays, and its curvature shows
+        res = log_concavity_classify(GammaPower(alpha * 1.01, alpha, 1.0))
+        assert res.witness is not None
 
     def test_power_past_float_range_refuted(self):
         # t = 1e300 * 1e300 overflows; G**t is still not log-concave, and at

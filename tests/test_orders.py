@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -50,6 +51,31 @@ class TestNumericCDF:
             NumericCDF(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
         with pytest.raises(ParameterError):
             NumericCDF(np.array([1.0, 2.0]), np.array([0.5, 0.1]))
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_grid_rejected(self, at):
+        grid = [0.0, 1.0, 2.0]
+        grid[at] = math.nan
+        with pytest.raises(ParameterError, match="grid"):
+            NumericCDF(grid, [0.1, 0.5, 1.0])
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_value_rejected(self, at):
+        values = [0.1, 0.5, 1.0]
+        values[at] = math.nan
+        with pytest.raises(ParameterError, match="values"):
+            NumericCDF([0.0, 1.0, 2.0], values)
+
+    def test_nan_table_never_reaches_comparison(self):
+        good = NumericCDF([0.0, 1.0, 2.0], [0.1, 0.5, 1.0])
+        with pytest.raises(ParameterError):
+            st_compare_exact(NumericCDF([0.0, math.nan, 2.0], [0.1, 0.5, 1.0]), good)
+
+    def test_values_clipped_without_touching_the_input(self):
+        values = np.array([-1e-13, 0.5, 1.0 + 1e-13])
+        f = NumericCDF(np.array([0.0, 1.0, 2.0]), values)
+        assert f.values.tolist() == [0.0, 0.5, 1.0]
+        assert values.tolist() == [-1e-13, 0.5, 1.0 + 1e-13]
 
     def test_step_evaluation(self):
         f = ecdf([1.0, 2.0, 3.0])
@@ -165,6 +191,59 @@ class TestCompareEmpirical:
         assert repr(v.max_neg_dev) == repr(float(np.max(-d)))
 
 
+def _plain_ecdf_extremes(x, y):
+    """max of F_A - F_B and of F_B - F_A on the sorted union of the two
+    samples, each ECDF counted by a search over its own sorted sample."""
+    grid = np.union1d(x, y)
+    fa = np.searchsorted(np.sort(x), grid, side="right") / len(x)
+    fb = np.searchsorted(np.sort(y), grid, side="right") / len(y)
+    d = fa - fb
+    return float(np.max(d)), float(np.max(-d))
+
+
+class TestEmpiricalExtremes:
+    """The one-merge DKW fold against a plain union-grid ECDF reference,
+    bit for bit."""
+
+    @pytest.mark.parametrize("x,y", [
+        ([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]),            # ties across samples
+        ([1.0, 1.0, 1.0, 2.0], [0.5, 2.0, 2.5]),        # ties within one sample
+        ([2.0, 2.0], [2.0, 2.0, 2.0]),                  # one value in both
+        ([-0.0, 0.0, 1.0], [0.0, 2.0]),                 # both signs of zero
+        ([0.0, 0.0], [-0.0, 3.0, -0.0]),
+        ([5.0], [1.0, 2.0, 3.0, 4.0, 6.0]),            # size 1, unequal sizes
+        ([1.0], [1.0]),
+        ([1.0], [2.0]),
+        ([3.0, -1.0, 2.0, -1.0, 7.0], [0.0]),          # unsorted, negative
+    ])
+    def test_cases(self, x, y):
+        v = st_compare_empirical(x, y)
+        want = _plain_ecdf_extremes(np.array(x), np.array(y))
+        # repr tells the signs of zero apart
+        assert (repr(v.max_pos_dev), repr(v.max_neg_dev)) == tuple(map(repr, want))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 400), st.integers(1, 400),
+           st.sampled_from(["continuous", "lattice", "zeros"]))
+    @settings(max_examples=120, deadline=None)
+    def test_random(self, seed, n_a, n_b, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "continuous":
+            x, y = rng.gamma(2.0, 1.0, n_a), rng.gamma(2.0, 1.1, n_b)
+        elif kind == "lattice":
+            x, y = rng.integers(0, 9, n_a) * 0.5, rng.integers(0, 9, n_b) * 0.5
+        else:
+            x, y = rng.choice([-0.0, 0.0, 1.0], n_a), rng.choice([-0.0, 0.0, 0.5], n_b)
+        v = st_compare_empirical(x, y)
+        want = _plain_ecdf_extremes(x, y)
+        assert (repr(v.max_pos_dev), repr(v.max_neg_dev)) == tuple(map(repr, want))
+
+    def test_inputs_untouched(self):
+        x = np.array([3.0, 1.0, 2.0])
+        y = np.array([2.5, 0.5])
+        st_compare_empirical(x, y)
+        assert x.tolist() == [3.0, 1.0, 2.0] and y.tolist() == [2.5, 0.5]
+
+
 class TestConvolveWeighted:
     def test_single_component_identity(self):
         f = convolve_weighted([EXP1], [1.0])
@@ -208,6 +287,14 @@ class TestConvolveWeighted:
         with pytest.raises(NumericError):
             convolve_weighted([EXP1, EXP1], [1.0, 1.0], initial_grid=8,
                               max_levels=1, refine_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nan_cdf_never_converges(self, n):
+        # a NaN gap is no convergence, whichever chunk of the lattice holds it
+        spec = DensitySpec.from_dist(EXP1)
+        nan_cdf = dataclasses.replace(spec, cdf=lambda x: np.full(np.shape(x), np.nan))
+        with pytest.raises(NumericError, match="last gap nan"):
+            convolve_weighted([nan_cdf] * n, [1.0] * n, max_levels=2)
 
     def test_densityspec_without_cdf(self):
         # the oracle tabulates CDFs and truncates at a quantile, so a
@@ -457,6 +544,130 @@ class TestLevelProduct:
         assert np.array_equal(got.values, values)
         assert got.meta["mean"] == float(np.sum(positions * want))
         assert got.meta["h"] == h
+
+
+def _old_product_pmf(masses, size):
+    """The level's padded pmf as built before the padded buffer: the
+    spectral product, its first ``full`` points clipped, then zeros
+    concatenated up to ``size``."""
+    from scipy import fft
+
+    arrays = [c for c in masses if len(c) > 1]
+    scale = math.prod(float(c[0]) for c in masses if len(c) == 1)
+    if len(arrays) < 2:
+        pmf = (arrays[0] if arrays else np.ones(1)) * scale
+    else:
+        full = sum(len(c) - 1 for c in arrays) + 1
+        nfft = fft.next_fast_len(full, True)
+        spectrum = np.fft.rfft(arrays[0], nfft)
+        for c in arrays[1:]:
+            spectrum *= np.fft.rfft(c, nfft)
+        if scale != 1.0:
+            spectrum *= scale
+        pmf = np.clip(np.fft.irfft(spectrum, nfft)[:full], 0.0, None)
+    if len(pmf) < size:
+        pmf = np.concatenate([pmf, np.zeros(size - len(pmf))])
+    return pmf
+
+
+class TestPaddedProduct:
+    @pytest.mark.parametrize(
+        "lengths",
+        [(5,), (1,), (700, 1), (1, 1), (300, 40), (1, 9, 1), (1024, 1024, 3),
+         (600, 1, 1024), (64, 1, 500, 17), (1024, 900, 1, 1024), (2, 3, 5, 7)],
+    )
+    @pytest.mark.parametrize("pad", [0, 1, 3, 100])
+    def test_equals_concatenate_path(self, lengths, pad):
+        masses = _random_masses(lengths, seed=len(lengths) + pad)
+        if len(lengths) == 2 and 1 in lengths:
+            masses[lengths.index(1)] = np.array([0.75])  # a scale factor != 1
+        size = sum(lengths) - len(lengths) + 1 + pad
+        want = _old_product_pmf([c.copy() for c in masses], size)
+        got = _product_pmf([c.copy() for c in masses], size)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_oracle_level_masses(self, n):
+        d = GeneralizedGamma(0.8, 1.1, 1)
+        weights = [100.0, 1.0, 7.0, 2.5][:n]
+        q = d.ppf(1.0 - TAIL_TOL)
+        top = _oracle_top(d, weights)
+        tables = [_level_masses(d, w, w * q, top, INITIAL_GRID) for w in weights]
+        m = INITIAL_GRID
+        for _ in range(3):
+            masses = [next(t) for t in tables]
+            size = m + n if n > 1 else m
+            want = _old_product_pmf([c.copy() for c in masses], size)
+            assert _product_pmf(masses, size).tobytes() == want.tobytes()
+            m *= 2
+
+
+class TestNextFastLen:
+    def test_equals_scipy_up_to_2_16(self):
+        from scipy import fft
+
+        got = [orders._next_fast_len(n) for n in range(1, 2**16 + 1)]
+        assert got == [fft.next_fast_len(n, True) for n in range(1, 2**16 + 1)]
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_equals_scipy_near_oracle_lengths(self, k):
+        from scipy import fft
+
+        for n in range(4096 * 2**k - 8, 4096 * 2**k + 9):
+            assert orders._next_fast_len(n) == fft.next_fast_len(n, True), n
+
+
+def _lattice_level(n, m, top, values):
+    """A level table on the oracle's lattice: knot j is (j + n/2) * (top/m)."""
+    size = m + n if n > 1 else m
+    grid = np.arange(size, dtype=float)
+    grid += 0.5 * n
+    grid *= top / m
+    return NumericCDF(grid, values(size))
+
+
+class TestLevelGap:
+    """The lattice read of the level gap against ``np.interp``, bit for bit."""
+
+    @staticmethod
+    def _interp_gap(prev, cur):
+        dev = cur.evaluate(prev.grid) - prev.values
+        return float(np.max(np.abs(dev)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_oracle_levels(self, n):
+        d = GeneralizedGamma(0.8, 1.1, 1)
+        weights = [100.0, 1.0, 7.0, 2.5][:n]
+        q = d.ppf(1.0 - TAIL_TOL)
+        top = _oracle_top(d, weights)
+        tables = [_level_masses(d, w, w * q, top, INITIAL_GRID) for w in weights]
+        m = INITIAL_GRID
+        prev = None
+        for level in range(1, 5):
+            cur = _convolve_level([next(t) for t in tables], top, m, TAIL_TOL, level)
+            if prev is not None:
+                if n > 1:  # the last knots of prev lie past cur's last
+                    assert prev.grid[-1] > cur.grid[-1]
+                assert repr(orders._level_gap(prev, cur, n)) == repr(self._interp_gap(prev, cur))
+            prev = cur
+            m *= 2
+
+    @given(st.integers(1, 4), st.integers(1, 70), st.floats(1e-3, 1e4), st.integers(0, 2**31 - 1),
+           st.sampled_from([1, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables(self, n, m, top, seed, chunk):
+        rng = np.random.default_rng(seed)
+
+        def values(size):
+            return np.sort(rng.random(size))
+
+        prev = _lattice_level(n, m, top, values)
+        cur = _lattice_level(n, 2 * m, top, values)
+        want = self._interp_gap(prev, cur)
+        assert repr(orders._level_gap(prev, cur, n)) == repr(want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orders, "_CHUNK_KNOTS", chunk)
+            assert repr(orders._level_gap(prev, cur, n)) == repr(want)
 
 
 def _golden_oracle_cases():
