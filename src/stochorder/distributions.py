@@ -77,8 +77,8 @@ class GammaPower:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        # one fresh array, which every step overwrites; the operators are the
-        # same as in lam * max(x, 0) ** (1 / r), so are the bits
+        # one fresh array, which every step overwrites; the operators are
+        # those of lam * max(x, 0) ** (1 / r), and so are the bits
         g = np.maximum(x, 0.0, out=np.empty_like(x))
         with np.errstate(divide="ignore"):
             g **= 1.0 / self.r

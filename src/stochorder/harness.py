@@ -445,7 +445,8 @@ def _sample_weighted_sum(
 ) -> np.ndarray:
     """Draws of sum_i w_i X_i, component i from the i-th child of
     ``seed_seq``. Each component's draws are a fresh array, scaled in place;
-    the first becomes the running sum, which is 0 + w_1 X_1 bit for bit."""
+    the first becomes the running sum, which equals 0 + w_1 X_1 (but for the
+    sign of a zero, which sorts and counts as zero)."""
     total = None
     children = seed_seq.spawn(len(dists))
     for d, w, child in zip(dists, weights, children):

@@ -519,6 +519,15 @@ class TestLevelProduct:
         assert np.all(product >= 0.0)
         assert np.max(np.abs(product - pairwise)) <= 1e-14
 
+    def test_subnormal_step_still_checked(self):
+        # with h one subnormal ulp, knots (j + 1/2) * h round together: such a
+        # level is checked like any table, not taken as valid by construction
+        pmf = np.full(8, 0.125)
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            _convolve_level([pmf.copy()], 4096 * 5e-324, 4096, TAIL_TOL, 1)
+        level = _convolve_level([pmf.copy()], 4096 * 2e-310, 4096, TAIL_TOL, 1)
+        assert np.all(np.diff(level.grid) > 0)
+
     @pytest.mark.parametrize("dip", [False, True], ids=["nondecreasing", "dip"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_level_bookkeeping_equals_array_formulas(self, n, dip):
