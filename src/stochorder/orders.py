@@ -25,9 +25,6 @@ TAIL_TOL = 1e-9
 # knots of either table per chunk when two tables are compared, and the
 # chunk length of the other passes that run a chunk at a time
 _CHUNK_KNOTS = 1 << 15
-# the smallest normal float: an oracle level's knots (j + n/2) * h, j + n/2
-# running up by 1, stay strictly increasing in floats for a normal h
-_TINY = float(np.finfo(float).tiny)
 
 
 class Relation(Enum):
@@ -87,22 +84,9 @@ class NumericCDF:
             and _every_step(v, lambda lo, hi: hi - lo >= -1e-12)
         ):
             raise ParameterError("values must be a nondecreasing CDF table, without NaN")
-        if not (v.min() >= 0.0 and v.max() <= 1.0):  # clip copies only to change
-            v = np.clip(v, 0.0, 1.0)
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _valid(cls, grid, values, kind, tail_tol, meta) -> "NumericCDF":
-        """A table this module built valid by construction: a strictly
-        increasing float grid and nondecreasing values in [0, 1], taken
-        without the checks of ``__post_init__``."""
-        table = object.__new__(cls)
-        for name, value in zip(
-            ("grid", "values", "kind", "tail_tol", "meta"), (grid, values, kind, tail_tol, meta)
-        ):
-            object.__setattr__(table, name, value)
-        return table
+        # a new array, so that no later write to the caller's changes the table
+        object.__setattr__(self, "values", np.clip(v, 0.0, 1.0))
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -493,20 +477,24 @@ def _convolve_level(
         chunk -= half
         rising = rising and (not i or chunk[0] >= last) and bool(np.all(chunk[1:] >= chunk[:-1]))
         last = chunk[-1]
-    if rising:
-        # the fix-ups below leave a nondecreasing table as its clip
-        np.clip(values, 0.0, 1.0, out=values)
-    else:
+    # a nondecreasing table from 0 (pmf >= 0) to at most 1 is its own clip,
+    # which NumericCDF takes; the fix-ups leave any other nondecreasing
+    # table as its clip
+    if not (rising and values[-1] <= 1.0):
         reverse = values[::-1]
         np.minimum(reverse, 1.0, out=reverse)
         np.minimum.accumulate(reverse, out=reverse)
         np.clip(values, 0.0, 1.0, out=values)
         np.maximum.accumulate(values, out=values)
-    meta = {"levels": levels, "m": m, "h": h, "gap": math.inf, "top": top, "mean": mean}
-    if not h >= _TINY:
-        # subnormal knots could round together: validate as any table
-        return NumericCDF(positions, values, "linear", n * tail_tol, meta)
-    return NumericCDF._valid(positions, values, "linear", n * tail_tol, meta)
+    return NumericCDF(
+        positions,
+        values,
+        kind="linear",
+        tail_tol=n * tail_tol,
+        meta={
+            "levels": levels, "m": m, "h": h, "gap": math.inf, "top": top, "mean": mean,
+        },
+    )
 
 
 def _chunk_slices(ga: np.ndarray, gb: np.ndarray):
@@ -577,14 +565,12 @@ def _fold_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float):
     and the number of distinct knots.
 
     A shared knot has the same d from either table, so the maxima come
-    from each table's own differences, and its second copy can change no
-    sign. A chunk is put in merged order only where it holds significant
-    differences of both signs; otherwise its significant signs, if any,
-    are all one sign (for ``tol >= 0``, where no zero is significant). A
-    sign change across a chunk edge is counted against the last sign kept
-    before it, so the result is that of the whole difference at once. (A
-    zero maximum could differ in its sign only if d held both signs of
-    zero, which needs a table that holds -0.0.)"""
+    from each table's own differences, and its second copy in the merged
+    order can change no sign. A sign change across a chunk edge is counted
+    against the last sign kept before it, so the result is that of the
+    whole difference at once. (A zero maximum could differ in its sign
+    only if d held both signs of zero, which needs a table that holds
+    -0.0.)"""
     highs, lows = [], []
     crossings = points = 0
     last = 0.0
@@ -595,22 +581,13 @@ def _fold_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float):
                 highs.append(np.max(d))
                 lows.append(np.min(d))
         points += len(order) - int(np.count_nonzero(shared))
-        rises = bool(np.any(da > tol) or np.any(db > tol))
-        falls = bool(np.any(da < -tol) or np.any(db < -tol))
-        if tol >= 0 and not (rises and falls):
-            if not (rises or falls):
-                continue
-            first = final = 1.0 if rises else -1.0
-        else:
-            d = np.concatenate([da, db])[order]
-            signs = np.sign(d[np.abs(d) > tol])
-            if not signs.size:
-                continue
+        d = np.concatenate([da, db])[order]
+        signs = np.sign(d[np.abs(d) > tol])
+        if signs.size:
             crossings += int(np.count_nonzero(signs[1:] != signs[:-1]))
-            first, final = signs[0], signs[-1]
-        if last and first != last:
-            crossings += 1
-        last = final
+            if last and signs[0] != last:
+                crossings += 1
+            last = signs[-1]
     # max of -d is -(min of d) exactly; np.max and np.min keep a NaN
     return float(np.max(highs)), -float(np.min(lows)), crossings, points
 

@@ -77,6 +77,12 @@ class TestNumericCDF:
         assert f.values.tolist() == [0.0, 0.5, 1.0]
         assert values.tolist() == [-1e-13, 0.5, 1.0 + 1e-13]
 
+    def test_values_not_shared_with_the_input(self):
+        values = np.array([0.1, 0.5, 1.0])
+        f = NumericCDF(np.array([0.0, 1.0, 2.0]), values)
+        values[:] = 0.0
+        assert f.values.tolist() == [0.1, 0.5, 1.0]
+
     def test_step_evaluation(self):
         f = ecdf([1.0, 2.0, 3.0])
         assert f.evaluate(2.0) == pytest.approx(2 / 3)
@@ -289,11 +295,12 @@ class TestConvolveWeighted:
                               max_levels=1, refine_tol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_nan_cdf_never_converges(self, n):
-        # a NaN gap is no convergence, whichever chunk of the lattice holds it
+    def test_nan_cdf_rejected(self, n):
+        # a component CDF that gives NaN makes a level table with NaN values,
+        # which NumericCDF rejects like any other table
         spec = DensitySpec.from_dist(EXP1)
         nan_cdf = dataclasses.replace(spec, cdf=lambda x: np.full(np.shape(x), np.nan))
-        with pytest.raises(NumericError, match="last gap nan"):
+        with pytest.raises(ParameterError, match="without NaN"):
             convolve_weighted([nan_cdf] * n, [1.0] * n, max_levels=2)
 
     def test_densityspec_without_cdf(self):
@@ -520,8 +527,8 @@ class TestLevelProduct:
         assert np.max(np.abs(product - pairwise)) <= 1e-14
 
     def test_subnormal_step_still_checked(self):
-        # with h one subnormal ulp, knots (j + 1/2) * h round together: such a
-        # level is checked like any table, not taken as valid by construction
+        # with h one subnormal ulp, knots (j + 1/2) * h round together, and
+        # the level's table fails NumericCDF's check
         pmf = np.full(8, 0.125)
         with pytest.raises(ParameterError, match="strictly increasing"):
             _convolve_level([pmf.copy()], 4096 * 5e-324, 4096, TAIL_TOL, 1)
