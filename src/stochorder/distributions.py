@@ -87,6 +87,8 @@ class GammaPower:
         out = tail(self.alpha, g, out=g)
         outside = ~(x > 0)  # x <= 0, and NaN
         if outside.any():
+            if np.isnan(x[outside]).any():
+                raise ParameterError("cdf argument must not be NaN")
             out[outside] = 0.0
         return float(out) if out.ndim == 0 else out
 

@@ -440,23 +440,23 @@ def check_hypotheses(
     return HypothesisReport(maj, cond, logcc, lr)
 
 
-def _sample_weighted_sum(
-    dists: Sequence[Dist], weights: np.ndarray, n: int, seed_seq: np.random.SeedSequence
-) -> np.ndarray:
-    """Draws of sum_i w_i X_i, component i from the i-th child of
-    ``seed_seq``. Each component's draws are a fresh array, scaled in place;
-    the first becomes the running sum, which equals 0 + w_1 X_1 (but for the
-    sign of a zero, which sorts and counts as zero)."""
-    total = None
-    children = seed_seq.spawn(len(dists))
-    for d, w, child in zip(dists, weights, children):
+def _sample_weighted_sums(
+    dists: Sequence[Dist], a: np.ndarray, b: np.ndarray, n: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draws of sum_i a_i X_i and of sum_i b_i X_i, both made from the same
+    n draws of each X_i, component i from the i-th child of
+    ``SeedSequence(seed)``. Each sum keeps its own law and its own n draws;
+    the DKW band bounds each ECDF's error on its own and joins the two by a
+    union bound, which needs no independence between the samples. Only one
+    component's draws are held at a time."""
+    sum_a, sum_b, scaled = np.zeros(n), np.zeros(n), np.empty(n)
+    children = np.random.SeedSequence(seed).spawn(len(dists))
+    for d, wa, wb, child in zip(dists, a, b, children):
         draws = d.sample(n, int(child.generate_state(1)[0]))
-        draws *= w
-        if total is None:
-            total = draws
-        else:
-            total += draws
-    return np.zeros(n) if total is None else total
+        sum_a += np.multiply(draws, wa, out=scaled)
+        draws *= wb
+        sum_b += draws
+    return sum_a, sum_b
 
 
 def _anti_theorem_deviation(v: OrderVerdict, predicted: str) -> float:
@@ -475,10 +475,10 @@ def _run_comparison(
     components, the oracle's, one after the other on the calling thread;
     ``clock``, if given, times each stage."""
     predicted = "a" if s.variant is ConditionVariant.CONVEX_CASE else "b"
-    seq_a, seq_b = np.random.SeedSequence(s.seed).spawn(2)
     with timed(clock, "sampling"):
-        sample_a = _sample_weighted_sum(s.dists, a_used, s.n_samples, seq_a)
-        sample_b = _sample_weighted_sum(s.dists, b_used, s.n_samples, seq_b)
+        sample_a, sample_b = _sample_weighted_sums(
+            s.dists, a_used, b_used, s.n_samples, s.seed
+        )
     with timed(clock, "dkw"):
         verdict = st_compare_empirical(sample_a, sample_b, s.delta)
     del sample_a, sample_b

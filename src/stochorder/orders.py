@@ -71,7 +71,8 @@ class NumericCDF:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
+        # a new array, so that no later write to the caller's changes the grid
+        g = np.array(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape or len(g) < 1:
             raise ParameterError("grid and values must be equal-length 1-D arrays")
@@ -571,6 +572,8 @@ def _fold_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float):
     whole difference at once. (A zero maximum could differ in its sign
     only if d held both signs of zero, which needs a table that holds
     -0.0.)"""
+    if not tol >= 0:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
     highs, lows = [], []
     crossings = points = 0
     last = 0.0

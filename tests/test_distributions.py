@@ -104,6 +104,19 @@ class TestGammaPower:
         draws = d.sample(200_000, seed=1)
         assert np.mean(draws) == pytest.approx(d.mean(), rel=0.01)
 
+    def test_cdf_rejects_nan_scalar(self):
+        # ppf(nan) is NaN; a NaN x is no point below the support either
+        with pytest.raises(ParameterError, match="NaN"):
+            GammaPower(1.0, 1.0, 1.0).cdf(math.nan)
+
+    def test_cdf_rejects_nan_in_array(self):
+        d = GammaPower(-0.5, 3.0, 1.2)
+        with pytest.raises(ParameterError, match="NaN"):
+            d.cdf(np.array([-1.0, 0.0, 0.5, math.nan, 2.0]))
+        np.testing.assert_array_equal(
+            d.cdf(np.array([-1.0, 0.0])), [0.0, 0.0]
+        )
+
     def test_gengamma_reduction(self):
         g = GeneralizedGamma(2.0, 1.5, 0.7)
         gp = g.as_gamma_power()

@@ -235,14 +235,57 @@ class TestVerifyNonIID:
         )
 
 
+class TestSharedDraws:
+    """Both sums are weighted from one draw of each component; each keeps
+    its own law and its own n draws."""
+
+    D = GeneralizedGamma(1.5, 2.0, 1.0)
+
+    def test_one_draw_per_component_weighted_by_a_and_by_b(self, monkeypatch):
+        a, b, n, seed = np.array([3.0, 1.0, 0.5]), np.array([2.0, 1.5, 1.0]), 500, 17
+        children = np.random.SeedSequence(seed).spawn(3)
+        draws = [self.D.sample(n, int(c.generate_state(1)[0])) for c in children]
+        want_a, want_b = np.zeros(n), np.zeros(n)
+        for x, wa, wb in zip(draws, a, b):
+            want_a += wa * x
+            want_b += wb * x
+        real, calls = GammaPower.sample, []
+
+        def sample(d, size, s):
+            calls.append(s)
+            return real(d, size, s)
+
+        monkeypatch.setattr(GammaPower, "sample", sample)
+        sum_a, sum_b = harness._sample_weighted_sums([self.D] * 3, a, b, n, seed)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(sum_a, want_a)
+        np.testing.assert_array_equal(sum_b, want_b)
+
+    def test_band_conservative_on_simulated_nulls(self):
+        """With iid components and b a permutation of a the two sums have one
+        law. |F_A,n - F_B,n| then passes the band only if one ECDF leaves its
+        own DKW band, at a rate of at most 2 delta by the union bound, which
+        needs no independence between the two samples."""
+        delta, n, seeds = 0.2, 200, range(400)
+        a = np.array([3.0, 1.0, 0.5])
+        b = a[[2, 0, 1]]
+        exceed = 0
+        for seed in seeds:
+            v = st_compare_empirical(
+                *harness._sample_weighted_sums([self.D] * 3, a, b, n, seed), delta
+            )
+            exceed += max(v.max_pos_dev, v.max_neg_dev) > v.band
+        p = 2 * delta
+        # three binomial standard deviations of slack over the bound
+        assert exceed / len(seeds) <= p + 3 * math.sqrt(p * (1 - p) / len(seeds))
+
+
 def _serial_report(s, a_used, b_used):
     """The comparison of ``_run_comparison`` done one step after another
     on the calling thread."""
     predicted = "a" if s.variant is CONVEX else "b"
-    seq_a, seq_b = np.random.SeedSequence(s.seed).spawn(2)
     verdict = st_compare_empirical(
-        harness._sample_weighted_sum(s.dists, a_used, s.n_samples, seq_a),
-        harness._sample_weighted_sum(s.dists, b_used, s.n_samples, seq_b),
+        *harness._sample_weighted_sums(s.dists, a_used, b_used, s.n_samples, s.seed),
         s.delta,
     )
     oracle = st_compare_exact(
@@ -322,7 +365,7 @@ class TestOracleThread:
         def sample(*args):
             raise ParameterError("sampling")
 
-        monkeypatch.setattr(harness, "_sample_weighted_sum", sample)
+        monkeypatch.setattr(harness, "_sample_weighted_sums", sample)
         with pytest.raises(ParameterError, match="sampling"):
             verify_iid_theorem(exp_scenario(**self.SCENARIO))
         assert convolved == []

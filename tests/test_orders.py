@@ -83,6 +83,12 @@ class TestNumericCDF:
         values[:] = 0.0
         assert f.values.tolist() == [0.1, 0.5, 1.0]
 
+    def test_grid_not_shared_with_the_input(self):
+        grid = np.array([0.0, 1.0, 2.0])
+        f = NumericCDF(grid, np.array([0.1, 0.5, 1.0]))
+        grid[1] = 5.0
+        assert f.grid.tolist() == [0.0, 1.0, 2.0]
+
     def test_step_evaluation(self):
         f = ecdf([1.0, 2.0, 3.0])
         assert f.evaluate(2.0) == pytest.approx(2 / 3)
@@ -761,6 +767,16 @@ class TestCompareExact:
         f = NumericCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
         g = NumericCDF(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.5, 1.0]))
         assert crossing_count(g, f) == 0
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        # F_A <= F_B at every knot, which a negative tol would call CROSSING
+        fa = NumericCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
+        fb = NumericCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.7, 1.0]))
+        for compare in (st_compare_exact, crossing_count):
+            with pytest.raises(ParameterError, match="tol"):
+                compare(fa, fb, tol)
+        assert st_compare_exact(fa, fb, 0.0).relation is Relation.A_DOMINATES
 
     def test_oracle_vs_empirical_margin(self):
         """An exact verdict with a wide margin is never contradicted by the
