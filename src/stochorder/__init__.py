@@ -59,7 +59,6 @@ from .orders import (
     OrderVerdict,
     Relation,
     convolve_weighted,
-    crossing_count,
     dkw_epsilon,
     ecdf,
     quadrature_cdf,

@@ -26,13 +26,14 @@ from .transforms import (
     classify_pq,
 )
 from .distributions import log_concavity_classify, lr_compare
-from .orders import convolve_weighted, st_compare_exact
+from .orders import convolve_weighted
 from .harness import (
     HARNESS_CONDITION_GRID,
     PROFILE_STAGES,
     Scenario,
     StageClock,
     SuiteConfig,
+    _compare_weightings,
     check_hypotheses,
     dist_from_spec,
     run_counterexample,
@@ -41,6 +42,7 @@ from .harness import (
     transform_from_spec,
     verify_iid_theorem,
     verify_noniid_theorem,
+    write_crossing_csv,
 )
 
 _MODES = {
@@ -215,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--a", type=_parse_vector, required=True)
     p.add_argument("--b", type=_parse_vector, required=True)
+    p.add_argument("--csv", help="write x, F_a, F_b and F_a - F_b at 400 points here as CSV")
     p.add_argument("--output")
 
     p = sub.add_parser("suite", help="randomized theorem verification suite")
@@ -307,7 +310,10 @@ def _cmd_lr(args) -> int:
 
 def _cmd_convolve(args) -> int:
     dists = [dist_from_spec(_text_spec(t)) for t in args.dists.split(";")]
-    cdf = convolve_weighted(dists, args.weights)
+    if args.compare_weights is None:
+        cdf = convolve_weighted(dists, args.weights)
+    else:
+        cdf, _, verdict = _compare_weightings(dists, args.weights, args.compare_weights)
     config = {
         "dists": [d.label for d in dists],
         "weights": list(args.weights),
@@ -323,8 +329,6 @@ def _cmd_convolve(args) -> int:
         cdf.to_csv(_resolve_output(args.csv))
         result["csv"] = args.csv
     if args.compare_weights is not None:
-        other = convolve_weighted(dists, args.compare_weights)
-        verdict = st_compare_exact(cdf, other)
         result["comparison"] = {
             "relation": verdict.relation.value,
             "max_pos_dev": verdict.max_pos_dev,
@@ -376,7 +380,11 @@ def _cmd_verify(args) -> int:
 def _cmd_counterexample(args) -> int:
     report = run_counterexample(args.alpha, args.a, args.b)
     config = {"alpha": args.alpha, "a": list(args.a), "b": list(args.b)}
-    _emit(report.to_dict(), config, args.output)
+    result = report.to_dict()
+    if args.csv:
+        write_crossing_csv(_resolve_output(args.csv), *report.cdfs)
+        result["csv"] = args.csv
+    _emit(result, config, args.output)
     return 0 if report.consistent else 2
 
 

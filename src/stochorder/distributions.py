@@ -56,6 +56,8 @@ class GammaPower:
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ParameterError("density argument must not be NaN")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lx = np.log(x)
             out = (
@@ -94,6 +96,8 @@ class GammaPower:
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
+        if np.isnan(u).any():
+            raise ParameterError("ppf argument must not be NaN")
         if np.any((u < 0) | (u > 1)):
             raise DomainError("quantile level outside [0, 1]")
         uu = u if self.r > 0 else 1.0 - u

@@ -53,7 +53,6 @@ from .orders import (
     NumericCDF,
     OrderVerdict,
     Relation,
-    cdf_difference,
     convolve_weighted,
     st_compare_empirical,
     st_compare_exact,
@@ -464,6 +463,22 @@ def _anti_theorem_deviation(v: OrderVerdict, predicted: str) -> float:
     return v.max_pos_dev if predicted == "a" else v.max_neg_dev
 
 
+def _compare_weightings(
+    dists: Sequence[Dist], w_a, w_b, clock: Optional[StageClock] = None
+) -> tuple[NumericCDF, NumericCDF, OrderVerdict]:
+    """The oracle's tables of sum_i w_a[i] X_i and of sum_i w_b[i] X_i, and
+    their exact comparison; ``clock``, if given, times the three stages.
+    Both functions are looked up in this module at each call, where the
+    benchmark's traced run puts its wrappers."""
+    with timed(clock, "oracle_a"):
+        cdf_a = convolve_weighted(dists, w_a)
+    with timed(clock, "oracle_b"):
+        cdf_b = convolve_weighted(dists, w_b)
+    with timed(clock, "exact"):
+        verdict = st_compare_exact(cdf_a, cdf_b)
+    return cdf_a, cdf_b, verdict
+
+
 def _run_comparison(
     s: Scenario,
     hyp: HypothesisReport,
@@ -484,13 +499,7 @@ def _run_comparison(
     del sample_a, sample_b
     oracle: Optional[OrderVerdict] = None
     if len(s.dists) <= ORACLE_MAX_N:
-        with timed(clock, "oracle_a"):
-            cdf_a = convolve_weighted(s.dists, a_used)
-        with timed(clock, "oracle_b"):
-            cdf_b = convolve_weighted(s.dists, b_used)
-        with timed(clock, "exact"):
-            oracle = st_compare_exact(cdf_a, cdf_b)
-        del cdf_a, cdf_b
+        oracle = _compare_weightings(s.dists, a_used, b_used, clock)[2]
     consistent = _anti_theorem_deviation(verdict, predicted) <= verdict.band
     if oracle is not None:
         consistent = consistent and (
@@ -557,14 +566,13 @@ def pairwise_exchange_check(
     d2: Dist,
     c: WeightVector | Sequence[float],
     phi: Transform,
-    t_grid: Optional[np.ndarray] = None,
     tol: float = 1e-6,
 ) -> bool:
     """Exchange inequality for two variables with d1 lr-dominating d2.
 
     With w_hi >= w_lo the images of the two coefficients under phi, checks
     w_hi*X1 + w_lo*X2 >=_st w_lo*X1 + w_hi*X2 via the convolution oracle,
-    at the points of ``t_grid`` or, by default, at the knots of both tables.
+    at the knots of both tables.
     """
     cv = as_weight_vector(c)
     if len(cv) != 2:
@@ -576,13 +584,8 @@ def pairwise_exchange_check(
     w_lo, w_hi = w
     if w_lo <= 0:
         raise DomainError("phi maps a coefficient to a nonpositive weight")
-    f_big_first = convolve_weighted([d1, d2], (w_hi, w_lo))
-    f_swapped = convolve_weighted([d1, d2], (w_lo, w_hi))
-    if t_grid is None:
-        diff = cdf_difference(f_big_first, f_swapped)
-    else:
-        diff = f_big_first.evaluate(t_grid) - f_swapped.evaluate(t_grid)
-    return bool(np.max(diff) <= tol)
+    verdict = _compare_weightings([d1, d2], (w_hi, w_lo), (w_lo, w_hi))[2]
+    return verdict.max_pos_dev <= tol
 
 
 def run_counterexample(
@@ -612,9 +615,7 @@ def run_counterexample(
         )
     n = len(av)
     dist = GeneralizedGamma(p=1.0, alpha=float(alpha), lam=1.0)
-    fa = convolve_weighted([dist] * n, av)
-    fb = convolve_weighted([dist] * n, bv)
-    verdict = st_compare_exact(fa, fb)
+    fa, fb, verdict = _compare_weightings([dist] * n, av, bv)
     mean_a = float(alpha * np.sum(av))
     mean_b = float(alpha * np.sum(bv))
     verdict.meta.update(
@@ -635,6 +636,17 @@ def run_counterexample(
         label=f"counterexample alpha={alpha:g}",
         cdfs=(fa, fb),
     )
+
+
+def write_crossing_csv(path: str, cdf_a: NumericCDF, cdf_b: NumericCDF) -> None:
+    """F_a, F_b and F_a - F_b at 400 evenly spaced points of [0, the lower
+    of the two tables' last knots], as CSV for plotting."""
+    xs = np.linspace(0.0, min(cdf_a.grid[-1], cdf_b.grid[-1]), 400)
+    va, vb = cdf_a.evaluate(xs), cdf_b.evaluate(xs)
+    with open(path, "w") as f:
+        f.write("x,F_a,F_b,diff\n")
+        for x, ya, yb in zip(xs, va, vb):
+            f.write(f"{x:.10g},{ya:.10g},{yb:.10g},{ya - yb:.10g}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Decision procedures for the usual stochastic order: DKW-banded empirical
 comparison, a grid-convolution oracle for weighted sums of
-independent nonnegative variables, and crossing-count analysis of CDF
-differences.
+independent nonnegative variables, and the exact comparison of two CDF
+tables with the crossing count of their difference.
 """
 
 from __future__ import annotations
@@ -520,70 +520,46 @@ def _chunk_slices(ga: np.ndarray, gb: np.ndarray):
         ia, ib = ja, jb
 
 
-def _chunk_parts(cdf_a: NumericCDF, cdf_b: NumericCDF, sa: slice, sb: slice):
-    """``(da, db, order, shared)`` for the knots ``cdf_a.grid[sa]`` and
-    ``cdf_b.grid[sb]``: F_A - F_B at each grid's knots (a table evaluated at
-    its own knots returns its own values), the stable merge order of the
-    two grids' concatenation, and where a merged knot equals the next one.
+def st_compare_exact(
+    cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float = DEFAULT_EXACT_TOL
+) -> OrderVerdict:
+    """Verdict from the sign pattern of F_A - F_B on the union of the two
+    grids: its maxima, the sign changes that are left after dropping the
+    knots where |F_A - F_B| <= tol (the verdict's ``crossing_count``), and
+    the number of distinct knots (``meta["grid_points"]``). The union is
+    taken one chunk of ``_chunk_slices`` at a time, so that on two 1M-knot
+    oracle tables it holds about 3 MB beside them.
 
-    The merge is a stable sort of the concatenation, which is one linear
-    merge of two sorted runs (two ``searchsorted`` calls took eight times
-    as long). A knot in both grids comes out twice in a row, A's copy
-    first, with the same difference from either table.
-    """
-    ga, gb = cdf_a.grid[sa], cdf_b.grid[sb]
-    da = cdf_b.evaluate(ga)
-    np.subtract(cdf_a.values[sa], da, out=da)
-    db = cdf_a.evaluate(gb)
-    db -= cdf_b.values[sb]
-    grid = np.concatenate([ga, gb])
-    order = np.argsort(grid, kind="stable")
-    merged = grid[order]
-    return da, db, order, merged[1:] == merged[:-1]
-
-
-def _difference_chunks(cdf_a: NumericCDF, cdf_b: NumericCDF):
-    """Yield F_A - F_B at every knot of either table in increasing order,
-    each knot once (B's copy of a shared knot is dropped), one chunk of
-    ``_chunk_slices`` at a time."""
-    for sa, sb in _chunk_slices(cdf_a.grid, cdf_b.grid):
-        da, db, order, shared = _chunk_parts(cdf_a, cdf_b, sa, sb)
-        d = np.concatenate([da, db])[order]
-        yield np.delete(d, np.flatnonzero(shared) + 1) if shared.any() else d
-
-
-def cdf_difference(cdf_a: NumericCDF, cdf_b: NumericCDF) -> np.ndarray:
-    """F_A - F_B at every knot of either table in increasing order, each
-    knot once: the values of the union-grid formula, without ``union1d``.
-    It is the concatenation of the chunks of ``_difference_chunks``."""
-    return np.concatenate(list(_difference_chunks(cdf_a, cdf_b)))
-
-
-def _fold_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float):
-    """``(max_pos, max_neg, crossings, points)`` of F_A - F_B over the
-    union of the two grids, one chunk of ``_chunk_slices`` at a time: the
-    maxima of d and -d, the sign changes of d after dropping |d| <= tol,
-    and the number of distinct knots.
-
-    A shared knot has the same d from either table, so the maxima come
-    from each table's own differences, and its second copy in the merged
-    order can change no sign. A sign change across a chunk edge is counted
-    against the last sign kept before it, so the result is that of the
-    whole difference at once. (A zero maximum could differ in its sign
-    only if d held both signs of zero, which needs a table that holds
-    -0.0.)"""
+    In each chunk, d = F_A - F_B is taken at each grid's own knots (a table
+    evaluated at its own knots returns its own values), and the two are put
+    in merged order by a stable sort of the grids' concatenation, which is
+    one linear merge of two sorted runs (two ``searchsorted`` calls took
+    eight times as long). A knot in both grids comes out twice in a row,
+    A's copy first, with the same d from either table: the maxima come from
+    each table's own differences, and the second copy can change no sign.
+    A sign change across a chunk edge is counted against the last sign kept
+    before it, so the result is that of the whole difference at once. (A
+    zero maximum could differ in its sign only if d held both signs of
+    zero, which needs a table that holds -0.0.)"""
     if not tol >= 0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
     highs, lows = [], []
     crossings = points = 0
     last = 0.0
     for sa, sb in _chunk_slices(cdf_a.grid, cdf_b.grid):
-        da, db, order, shared = _chunk_parts(cdf_a, cdf_b, sa, sb)
+        ga, gb = cdf_a.grid[sa], cdf_b.grid[sb]
+        da = cdf_b.evaluate(ga)
+        np.subtract(cdf_a.values[sa], da, out=da)
+        db = cdf_a.evaluate(gb)
+        db -= cdf_b.values[sb]
         for d in (da, db):
             if d.size:
                 highs.append(np.max(d))
                 lows.append(np.min(d))
-        points += len(order) - int(np.count_nonzero(shared))
+        grid = np.concatenate([ga, gb])
+        order = np.argsort(grid, kind="stable")
+        merged = grid[order]
+        points += len(order) - int(np.count_nonzero(merged[1:] == merged[:-1]))
         d = np.concatenate([da, db])[order]
         signs = np.sign(d[np.abs(d) > tol])
         if signs.size:
@@ -592,30 +568,15 @@ def _fold_difference(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float):
                 crossings += 1
             last = signs[-1]
     # max of -d is -(min of d) exactly; np.max and np.min keep a NaN
-    return float(np.max(highs)), -float(np.min(lows)), crossings, points
-
-
-def st_compare_exact(
-    cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float = DEFAULT_EXACT_TOL
-) -> OrderVerdict:
-    """Verdict from the sign pattern of F_A - F_B on the union of the two
-    grids, taken one chunk of knots at a time (``_difference_chunks``), so
-    that on two 1M-knot oracle tables it holds about 3 MB beside them."""
-    max_pos, max_neg, crossings, points = _fold_difference(cdf_a, cdf_b, tol)
-    relation = _relation_from_devs(max_pos, max_neg, tol)
+    max_pos, max_neg = float(np.max(highs)), -float(np.min(lows))
     return OrderVerdict(
-        relation,
+        _relation_from_devs(max_pos, max_neg, tol),
         max_pos,
         max_neg,
         band=tol,
         crossing_count=crossings,
         meta={"exact": True, "grid_points": points},
     )
-
-
-def crossing_count(cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float = DEFAULT_EXACT_TOL) -> int:
-    """Sign changes of F_A - F_B after suppressing sub-tol excursions."""
-    return _fold_difference(cdf_a, cdf_b, tol)[2]
 
 
 def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:

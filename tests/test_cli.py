@@ -126,6 +126,19 @@ class TestConvolve:
         assert lines[0] == "x,F"
         assert len(lines) == res["grid_points"] + 1
 
+    def test_comparison_calls_the_names_harness_holds(self, capsys, monkeypatch):
+        # the benchmark's traced run counts oracle calls through these names
+        calls = []
+        for name in ("convolve_weighted", "st_compare_exact"):
+            def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        assert run(["convolve", "--dists", "gengamma:1,1,1;gengamma:1,1,1",
+                    "--weights", "4,1", "--compare-weights", "2,2"]) == 0
+        assert calls == ["convolve_weighted", "convolve_weighted", "st_compare_exact"]
+        assert json.loads(capsys.readouterr().out)["result"]["comparison"]["crossing_count"] == 0
+
     def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("STOCHORDER_OUTPUT_DIR", str(tmp_path))
         assert run(["convolve", "--dists", "gengamma:1,1,1",

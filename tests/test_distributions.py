@@ -105,7 +105,7 @@ class TestGammaPower:
         assert np.mean(draws) == pytest.approx(d.mean(), rel=0.01)
 
     def test_cdf_rejects_nan_scalar(self):
-        # ppf(nan) is NaN; a NaN x is no point below the support either
+        # a NaN x is no point below the support
         with pytest.raises(ParameterError, match="NaN"):
             GammaPower(1.0, 1.0, 1.0).cdf(math.nan)
 
@@ -116,6 +116,19 @@ class TestGammaPower:
         np.testing.assert_array_equal(
             d.cdf(np.array([-1.0, 0.0])), [0.0, 0.0]
         )
+
+    @pytest.mark.parametrize("method", ["pdf", "logpdf", "ppf"])
+    @pytest.mark.parametrize(
+        "d", [GammaPower(1.0, 1.0, 1.0), GammaPower(-0.5, 3.0, 1.2), GeneralizedGamma(2.0, 1.5, 0.7)]
+    )
+    def test_nan_rejected(self, d, method):
+        # no silent 0.0, -inf or NaN, as cdf; GeneralizedGamma delegates
+        f = getattr(d, method)
+        with pytest.raises(ParameterError, match="NaN"):
+            f(math.nan)
+        with pytest.raises(ParameterError, match="NaN"):
+            f(np.array([0.25, math.nan, 0.5]))
+        assert np.all(np.isfinite(f(np.array([0.25, 0.5]))))
 
     def test_gengamma_reduction(self):
         g = GeneralizedGamma(2.0, 1.5, 0.7)

@@ -42,8 +42,8 @@ from stochorder import (
     verify_iid_theorem,
     verify_noniid_theorem,
 )
-import stochorder
 from stochorder import harness
+from stochorder.cli import run as cli_run
 from stochorder.harness import (
     _check_log_concavity,
     _dist_to_spec,
@@ -456,7 +456,7 @@ class TestCounterexample:
             rep.verdict.max_pos_dev, rep.verdict.max_neg_dev)
         assert "cdfs" not in rep.to_dict()
 
-    def test_crossing_demo_convolves_each_sum_once(self, tmp_path, monkeypatch):
+    def test_counterexample_csv_convolves_each_sum_once(self, tmp_path, monkeypatch, capsys):
         calls = []
         real = harness.convolve_weighted
 
@@ -465,15 +465,17 @@ class TestCounterexample:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "convolve_weighted", counted)
-        monkeypatch.setattr(stochorder, "convolve_weighted", counted)
         out = tmp_path / "crossing.csv"
-        script = Path(__file__).parents[1] / "scripts" / "crossing_demo.py"
-        monkeypatch.setattr(sys, "argv", [str(script), "--points", "7", "--out", str(out)])
-        with pytest.raises(SystemExit) as done:
-            runpy.run_path(str(script), run_name="__main__")
-        assert done.value.code == 0
+        assert cli_run(["counterexample", "--alpha", "1", "--a", "2,1,1",
+                        "--b", "1.5,1.5,1", "--csv", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["csv"] == str(out)
         assert len(calls) == 2
-        assert len(out.read_text().splitlines()) == 8
+        lines = out.read_text().splitlines()
+        assert len(lines) == 401
+        assert lines[0] == "x,F_a,F_b,diff"
+        diff = np.array([float(line.split(",")[3]) for line in lines[1:]])
+        signs = np.sign(diff[np.abs(diff) > 1e-6])
+        assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
 
 
 class TestBenchCompare:

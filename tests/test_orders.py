@@ -21,7 +21,6 @@ from stochorder import (
     ParameterError,
     Relation,
     convolve_weighted,
-    crossing_count,
     dkw_epsilon,
     ecdf,
     lr_compare,
@@ -761,21 +760,19 @@ class TestCompareExact:
         v = st_compare_exact(fa, fb)
         assert v.relation is Relation.CROSSING
         assert v.crossing_count == 1
-        assert crossing_count(fa, fb) == 1
 
     def test_shifted_pair_has_no_crossing(self):
         f = NumericCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
         g = NumericCDF(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.5, 1.0]))
-        assert crossing_count(g, f) == 0
+        assert st_compare_exact(g, f).crossing_count == 0
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
     def test_negative_or_nan_tol_rejected(self, tol):
         # F_A <= F_B at every knot, which a negative tol would call CROSSING
         fa = NumericCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
         fb = NumericCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.7, 1.0]))
-        for compare in (st_compare_exact, crossing_count):
-            with pytest.raises(ParameterError, match="tol"):
-                compare(fa, fb, tol)
+        with pytest.raises(ParameterError, match="tol"):
+            st_compare_exact(fa, fb, tol)
         assert st_compare_exact(fa, fb, 0.0).relation is Relation.A_DOMINATES
 
     def test_oracle_vs_empirical_margin(self):
@@ -794,7 +791,7 @@ class TestCompareExact:
 
 def _union_grid_comparison(fa, fb, tol):
     """The comparison on the sorted union of the two grids: the reference
-    for ``st_compare_exact`` and ``crossing_count``."""
+    for ``st_compare_exact``."""
     grid = np.union1d(fa.grid, fb.grid)
     d = fa.evaluate(grid) - fb.evaluate(grid)
     signs = np.sign(d[np.abs(d) > tol])
@@ -838,7 +835,6 @@ class TestCompareExactWithoutUnionGrid:
         assert repr(v.max_pos_dev) == repr(max_pos)
         assert repr(v.max_neg_dev) == repr(max_neg)
         assert v.crossing_count == crossings
-        assert crossing_count(fa, fb, tol) == crossings
         assert v.meta["grid_points"] == points
 
     def test_shared_knots_counted_once(self):
@@ -884,26 +880,31 @@ def _exact_fields(fa, fb, tol):
     v = st_compare_exact(fa, fb, tol)
     # repr tells the signs of zero apart
     return (repr(v.max_pos_dev), repr(v.max_neg_dev), v.crossing_count,
-            crossing_count(fa, fb, tol), v.meta["grid_points"])
+            v.meta["grid_points"])
 
 
 def _assert_chunks_agree(fa, fb, tol, k):
-    """With chunks of k knots, ``st_compare_exact``, ``crossing_count`` and
-    ``cdf_difference`` give bit for bit what they give in one chunk, which
-    is the union-grid formula."""
+    """With chunks of k knots, ``st_compare_exact`` gives bit for bit what
+    it gives in one chunk, which is the union-grid formula. Returns the
+    distinct knots of each chunk of ``_chunk_slices``."""
     assert max(len(fa.grid), len(fb.grid)) <= orders._CHUNK_KNOTS
     one_shot = _exact_fields(fa, fb, tol)
     max_pos, max_neg, crossings, points = _union_grid_comparison(fa, fb, tol)
-    assert one_shot == (repr(max_pos), repr(max_neg), crossings, crossings, points)
-    whole = orders.cdf_difference(fa, fb)
+    assert one_shot == (repr(max_pos), repr(max_neg), crossings, points)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orders, "_CHUNK_KNOTS", k)
-        chunks = list(orders._difference_chunks(fa, fb))
+        slices = list(orders._chunk_slices(fa.grid, fb.grid))
         assert _exact_fields(fa, fb, tol) == one_shot
-        assert orders.cdf_difference(fa, fb).tobytes() == whole.tobytes()
-    # each chunk holds at most k knots of each grid
+    # each chunk holds at most k knots of each grid, and the chunks tile
+    # both grids
+    assert all(len(fa.grid[sa]) <= k and len(fb.grid[sb]) <= k for sa, sb in slices)
+    for grid, parts in ((fa.grid, [sa for sa, _ in slices]), (fb.grid, [sb for _, sb in slices])):
+        assert np.concatenate([grid[p] for p in parts]).tobytes() == grid.tobytes()
+    # both grids are cut at the same x, so the chunks' knots, each shared
+    # knot once, are the union grid in increasing order
+    chunks = [np.union1d(fa.grid[sa], fb.grid[sb]) for sa, sb in slices]
     assert all(1 <= len(c) <= 2 * k for c in chunks)
-    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    assert np.concatenate(chunks).tobytes() == np.union1d(fa.grid, fb.grid).tobytes()
     return chunks
 
 
@@ -977,7 +978,7 @@ class TestChunkedComparison:
         fa = NumericCDF(grid, base + pattern / 2)
         fb = NumericCDF(grid, base - pattern / 2)
         _assert_chunks_agree(fa, fb, 1e-6, k)
-        assert crossing_count(fa, fb) == 3
+        assert st_compare_exact(fa, fb).crossing_count == 3
 
     @pytest.mark.parametrize("kind", ["linear", "step"])
     def test_oracle_sized_tables_stay_small(self, kind):
