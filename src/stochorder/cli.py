@@ -320,8 +320,8 @@ def _cmd_convolve(args) -> int:
         "compare_weights": list(args.compare_weights) if args.compare_weights else None,
     }
     result = {
-        "grid_points": int(len(cdf.grid)),
-        "grid_max": float(cdf.grid[-1]),
+        "grid_points": len(cdf.values),
+        "grid_max": float(cdf.knots(slice(-1, None))[0]),
         "tail_tol": cdf.tail_tol,
         "meta": cdf.meta,
     }

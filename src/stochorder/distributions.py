@@ -18,7 +18,10 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported in the methods that use it, as scipy.integrate
+# is in DensitySpec: ``import stochorder``, and the commands that evaluate
+# no gamma function, then load no scipy at all
 
 from .errors import DomainError, NumericError, ParameterError
 from .transforms import Transform
@@ -55,6 +58,8 @@ class GammaPower:
         return f"gammapower(r={self.r:g}, alpha={self.alpha:g}, lam={self.lam:g})"
 
     def logpdf(self, x):
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise ParameterError("density argument must not be NaN")
@@ -78,6 +83,8 @@ class GammaPower:
         return out
 
     def cdf(self, x):
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         # one fresh array, which every step overwrites; the operators are
         # those of lam * max(x, 0) ** (1 / r), and so are the bits
@@ -95,6 +102,8 @@ class GammaPower:
         return float(out) if out.ndim == 0 else out
 
     def ppf(self, u):
+        from scipy import special
+
         u = np.asarray(u, dtype=float)
         if np.isnan(u).any():
             raise ParameterError("ppf argument must not be NaN")
@@ -106,6 +115,8 @@ class GammaPower:
         return float(out) if out.ndim == 0 else out
 
     def mean(self) -> float:
+        from scipy import special
+
         if self.alpha + self.r <= 0:
             return math.inf
         return math.exp(

@@ -641,7 +641,8 @@ def run_counterexample(
 def write_crossing_csv(path: str, cdf_a: NumericCDF, cdf_b: NumericCDF) -> None:
     """F_a, F_b and F_a - F_b at 400 evenly spaced points of [0, the lower
     of the two tables' last knots], as CSV for plotting."""
-    xs = np.linspace(0.0, min(cdf_a.grid[-1], cdf_b.grid[-1]), 400)
+    last = slice(-1, None)
+    xs = np.linspace(0.0, min(cdf_a.knots(last)[0], cdf_b.knots(last)[0]), 400)
     va, vb = cdf_a.evaluate(xs), cdf_b.evaluate(xs)
     with open(path, "w") as f:
         f.write("x,F_a,F_b,diff\n")

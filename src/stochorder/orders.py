@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,48 +54,130 @@ class OrderVerdict:
         )
 
 
-@dataclass(frozen=True)
+class Lattice(NamedTuple):
+    """The knots ``(j + offset) * step``, j = 0, 1, ...: the grid of an
+    oracle table, kept as two numbers. The knot numbers j + offset are whole
+    or half numbers far below 2**52, so a float ``arange`` of them is exact,
+    and each knot is one rounded product: the same bits however many of
+    them are built at once."""
+
+    offset: float
+    step: float
+
+    def knots(self, r: range) -> np.ndarray:
+        k = np.arange(r.start + self.offset, r.stop + self.offset, r.step)
+        k *= self.step
+        return k
+
+
 class NumericCDF:
     """CDF tabulated on an increasing grid.
 
-    ``kind`` is "step" (right-continuous, e.g. an ECDF) or "linear"
-    (continuous distribution tabulated pointwise). ``tail_tol`` records how
-    much upper-tail mass the construction may have truncated, and ``meta``
-    how the table was built.
+    ``grid`` is an array of knots, or a ``Lattice``: the oracle's tables
+    keep only the lattice's offset and step beside their values, and build
+    the knots they read a chunk at a time (``knots``). Reading ``grid``
+    builds the whole array, for a lattice table on every read. ``kind`` is
+    "step" (right-continuous, e.g. an ECDF) or "linear" (continuous
+    distribution tabulated pointwise). ``tail_tol`` records how much
+    upper-tail mass the construction may have truncated, and ``meta`` how
+    the table was built.
     """
 
-    grid: np.ndarray
-    values: np.ndarray
-    kind: str = "linear"
-    tail_tol: float = 0.0
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("lattice", "_grid", "values", "kind", "tail_tol", "meta")
 
-    def __post_init__(self):
-        # a new array, so that no later write to the caller's changes the grid
-        g = np.array(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape or len(g) < 1:
+    def __init__(self, grid, values, kind: str = "linear", tail_tol: float = 0.0,
+                 meta: Optional[dict] = None):
+        v = np.asarray(values, dtype=float)
+        if isinstance(grid, Lattice):
+            self.lattice, self._grid = grid, None
+        else:
+            # a new array, so that no later write to the caller's changes the grid
+            self.lattice, self._grid = None, np.array(grid, dtype=float)
+        if v.ndim != 1 or len(v) < 1 or (self._grid is not None and self._grid.shape != v.shape):
             raise ParameterError("grid and values must be equal-length 1-D arrays")
+        self.values = v
         # each check holds only where every comparison is true, so NaN fails it
-        if not _every_step(g, lambda lo, hi: hi > lo):
+        if not _every_step(self.knots, len(v), lambda lo, hi: hi > lo):
             raise ParameterError("grid must be strictly increasing, without NaN")
         if not (
             v[0] >= -1e-12
             and v[-1] <= 1 + 1e-12
-            and _every_step(v, lambda lo, hi: hi - lo >= -1e-12)
+            and _every_step(v.__getitem__, len(v), lambda lo, hi: hi - lo >= -1e-12)
         ):
             raise ParameterError("values must be a nondecreasing CDF table, without NaN")
-        object.__setattr__(self, "grid", g)
         # a new array, so that no later write to the caller's changes the table
-        object.__setattr__(self, "values", np.clip(v, 0.0, 1.0))
+        self.values = np.clip(v, 0.0, 1.0)
+        self.kind = kind
+        self.tail_tol = tail_tol
+        self.meta = {} if meta is None else meta
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.knots()
+
+    def knots(self, s: slice = slice(None)) -> np.ndarray:
+        """``grid[s]``: a view of an explicit grid, which callers must not
+        write to; a lattice table builds just those knots."""
+        if self.lattice is None:
+            return self._grid[s]
+        return self.lattice.knots(range(len(self.values))[s])
+
+    def _knot(self, k: int) -> float:
+        """Knot k >= 0, the bits of ``grid[k]``."""
+        if self.lattice is None:
+            return self._grid[k]
+        return (k + self.lattice.offset) * self.lattice.step
+
+    def _count_below(self, x: float) -> int:
+        """The number of knots below x, ``grid.searchsorted(x)``. On a
+        lattice, x / step - offset is within a knot of the count, and the
+        knots around it are compared with x."""
+        if self.lattice is None:
+            return int(self._grid.searchsorted(x))
+        size = len(self.values)
+        # Python floats, whose division gives inf without a warning
+        k = int(min(max(float(x) / self.lattice.step - self.lattice.offset, 0.0), size))
+        while k > 0 and self._knot(k - 1) >= x:
+            k -= 1
+        while k < size and self._knot(k) < x:
+            k += 1
+        return k
+
+    def _window(self, x: np.ndarray) -> slice:
+        """The knots ``evaluate`` reads for x, which must be free of NaN:
+        all of an explicit grid; of a lattice, from the last knot below
+        min(x) to the first at or above max(x). Every x then lies in the
+        same cell of the window as of the whole grid, or beyond the end it
+        shares with it."""
+        size = len(self.values)
+        if x.size == 0:
+            return slice(0, 1)
+        lo = np.min(x)
+        if np.isnan(lo):  # np.min keeps a NaN
+            raise ParameterError("a CDF cannot be evaluated at NaN")
+        if self.lattice is None:
+            return slice(0, size)
+        below = self._count_below
+        return slice(max(below(lo) - 1, 0), min(below(np.max(x)) + 1, size))
 
     def evaluate(self, x) -> np.ndarray:
+        """F at x: ``np.interp`` of a linear table, or the value of the last
+        knot at or below x of a step table; 0 below the grid. A lattice
+        table builds only the knots around x (see ``_window``), and gives
+        the bits it would give on its whole grid. NaN is rejected."""
         x = np.asarray(x, dtype=float)
+        window = self._window(x)
+        return self._read(x, window, self.knots(window))
+
+    def _read(self, x: np.ndarray, window: slice, knots: np.ndarray) -> np.ndarray:
+        """F at x from ``knots``, the knots of ``window``, which holds the
+        cell of every x, or the end of the grid that x lies beyond."""
+        values = self.values[window]
         if self.kind == "step":
-            idx = np.searchsorted(self.grid, x, side="right")
+            idx = np.searchsorted(knots, x, side="right")
             # [()] gives a scalar for a scalar x, as np.interp does
-            return np.where(idx > 0, self.values[idx - 1], 0.0)[()]
-        return np.interp(x, self.grid, self.values, left=0.0, right=float(self.values[-1]))
+            return np.where(idx > 0, values[idx - 1], 0.0)[()]
+        return np.interp(x, knots, values, left=0.0, right=float(self.values[-1]))
 
     def to_csv(self, fp) -> None:
         """Two-column CSV (abscissa, value) for plotting."""
@@ -110,18 +192,22 @@ class NumericCDF:
                 f.close()
 
 
-def _every_step(x: np.ndarray, ok) -> bool:
-    """Whether ``ok(x[i], x[i + 1])`` holds for every i, taken
-    ``_CHUNK_KNOTS`` pairs at a time, so that no temporary is as long as x."""
-    for i in range(0, len(x) - 1, _CHUNK_KNOTS):
-        j = min(i + _CHUNK_KNOTS, len(x) - 1)
-        if not np.all(ok(x[i:j], x[i + 1 : j + 1])):
+def _every_step(read, size: int, ok) -> bool:
+    """Whether ``ok(x[i], x[i + 1])`` holds for every i of an x of the given
+    size, which ``read(s)`` gives slices ``x[s]`` of; taken ``_CHUNK_KNOTS``
+    pairs at a time, so that no temporary is as long as x."""
+    for i in range(0, size - 1, _CHUNK_KNOTS):
+        x = read(slice(i, min(i + _CHUNK_KNOTS, size - 1) + 1))
+        if not np.all(ok(x[:-1], x[1:])):
             return False
     return True
 
 
 def dkw_epsilon(n: int, delta: float) -> float:
-    """Half-width of the distribution-free confidence band."""
+    """Half-width of the distribution-free confidence band for n >= 1
+    samples."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     if not 0 < delta < 1:
         raise ParameterError("delta must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
@@ -268,20 +354,28 @@ def _cells(x: float, m: int) -> int:
     return min(max(math.ceil(x), 1), m)
 
 
-def _level_masses(d: Dist, w: float, stop: float, top: float, m: int):
-    """Yield the probabilities of w*X falling in each of the cells of
-    [0, top] that ``_edge_cdf_tables`` keeps for m cells, then for 2m
-    cells, and so on, cut after the last nonzero cell."""
-    for table in _edge_cdf_tables(d.cdf, w, stop, top, m):
-        yield _nonzero_prefix(np.subtract(table[1:], table[:-1]))
+def _kept_cells(table: np.ndarray) -> int:
+    """The number of cells of an edge table up to its last increment that
+    is not <= 0 (a NaN one counts), and at least one: the length of the
+    table's masses (``_cell_masses``) cut after the last nonzero cell. The
+    increments are taken a chunk at a time from the end."""
+    k = len(table) - 1
+    if table[k] - table[k - 1] > 0:  # the common case, without a scan
+        return k
+    for i in range(k, 0, -_CHUNK_KNOTS):
+        j = max(i - _CHUNK_KNOTS, 0)
+        kept = np.flatnonzero(~(table[j + 1 : i + 1] - table[j:i] <= 0))
+        if kept.size:
+            return j + int(kept[-1]) + 1
+    return 1
 
 
-def _nonzero_prefix(masses: np.ndarray) -> np.ndarray:
+def _cell_masses(table: np.ndarray, cells: int) -> np.ndarray:
+    """The probabilities of the first ``cells`` cells of an edge table,
+    negative rounding clipped to 0."""
+    masses = np.subtract(table[1 : cells + 1], table[:cells])
     np.maximum(masses, 0.0, out=masses)  # np.clip(masses, 0, None), without its wrapper
-    if masses[-1] > 0:  # the common case, without a scan
-        return masses
-    nz = np.flatnonzero(masses)
-    return masses[: nz[-1] + 1] if nz.size else masses[:1]
+    return masses
 
 
 def convolve_weighted(
@@ -308,8 +402,9 @@ def convolve_weighted(
     is ``n * tail_tol``. The stops sum to ``top``, so the linear
     convolution is at most m + 1 long and is kept whole, padded with zeros
     to the level's m + n points. A component's table is carried from one
-    level to the next (see ``_edge_cdf_tables``). Every component needs a
-    callable ``cdf`` and ``ppf``; a density-only component (a
+    level to the next (see ``_edge_cdf_tables``). The result keeps its
+    knots as a ``Lattice``: knot j is ``(j + n/2) * h``. Every component
+    needs a callable ``cdf`` and ``ppf``; a density-only component (a
     ``DensitySpec`` without them) is rejected.
     """
     w = as_weight_vector(weights).as_array()
@@ -333,13 +428,17 @@ def convolve_weighted(
         raise NumericError(f"cannot truncate support (T={top})")
 
     components = [
-        _level_masses(d, wi, si, top, initial_grid) for (d, wi), si in zip(active, stops)
+        _edge_cdf_tables(d.cdf, wi, si, top, initial_grid) for (d, wi), si in zip(active, stops)
     ]
     prev: NumericCDF | None = None
     m = initial_grid
     gap = math.inf
     for levels in range(1, max_levels + 2):
-        cur = _convolve_level([next(c) for c in components], top, m, tail_tol, levels)
+        tables = [next(c) for c in components]
+        cells = [_kept_cells(t) for t in tables]
+        # the masses are made one component at a time, as the product
+        # takes them
+        cur = _convolve_level(cells, map(_cell_masses, tables, cells), top, m, tail_tol, levels)
         if prev is not None:
             gap = _level_gap(prev, cur, len(components))
             if gap < refine_tol:
@@ -365,8 +464,9 @@ def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
     ``np.interp`` gives ``slope * (x - xp[k]) + fp[k]`` with the slope of
     that cell. Knots past ``cur``'s last take its last value, as
     ``evaluate`` does. The work runs in chunks of ``_CHUNK_KNOTS`` knots,
-    so no temporary is as long as a table."""
-    pg, pv, cg, cv = prev.grid, prev.values, cur.grid, cur.values
+    and builds only the knots of each chunk, so no temporary is as long as
+    a table."""
+    pv, cv = prev.values, cur.values
     off, odd = n // 2, n % 2
     # the prev knots whose cur cell (or knot) ends at or before cur's last knot
     inner = min(len(pv), max(0, (len(cv) - 1 - odd - off) // 2 + 1))
@@ -376,9 +476,10 @@ def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
         lo = slice(off + 2 * i, off + 2 * j, 2)
         if odd:
             hi = slice(off + 2 * i + 1, off + 2 * j + 1, 2)
+            at = cur.knots(lo)
             dev = cv[hi] - cv[lo]
-            dev /= cg[hi] - cg[lo]
-            dev *= pg[i:j] - cg[lo]
+            dev /= cur.knots(hi) - at
+            dev *= prev.knots(slice(i, j)) - at
             dev += cv[lo]
             dev -= pv[i:j]
         else:
@@ -407,36 +508,44 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _product_pmf(masses: list[np.ndarray], size: int = 0) -> np.ndarray:
-    """The linear convolution of ``masses`` as one spectral product: one
-    real FFT per component at a common length no shorter than the
-    convolution, one inverse FFT. Length-1 masses are scale factors and
-    take no transform. The result is padded with zeros to ``size`` where
-    the convolution is shorter.
+def _product_pmf(
+    lengths: Sequence[int], masses: Iterable[np.ndarray], size: int = 0
+) -> np.ndarray:
+    """The linear convolution of ``masses``, arrays of the given
+    ``lengths``, as one spectral product: one real FFT per component at a
+    common length no shorter than the convolution, one inverse FFT.
+    Length-1 masses are scale factors and take no transform. The result is
+    padded with zeros to ``size`` where the convolution is shorter.
 
-    ``masses`` is emptied, and each array is dropped once it is transformed,
-    so that the level's masses are not all alive beside the two spectra
-    (the B-sum oracle runs beside the A-sum, so every level's peak counts
-    twice). Every transform after the first goes into one reused buffer,
-    and the inverse transform goes straight into the padded result, which
-    is clipped in place. The transforms are numpy's: ``scipy.fft`` keeps a
-    plan for every length it has seen (about 8 bytes per point, up to 16
-    lengths), which would hold on to tens of MB after the largest levels;
-    numpy's keep none and give the same bits."""
-    arrays = [c for c in masses if len(c) > 1]
-    scale = math.prod(float(c[0]) for c in masses if len(c) == 1)
-    masses.clear()
-    full = sum(len(c) - 1 for c in arrays) + 1
-    if len(arrays) < 2:
+    The lengths fix the transform length before any array is made, so that
+    ``masses`` (an iterator, in the oracle) makes each array only as it is
+    transformed, and drops it then: the level's masses are never all alive
+    beside the two spectra (the B-sum oracle runs beside the A-sum's table,
+    so every level's peak counts). Every transform after the first goes
+    into one reused buffer, and the inverse transform goes straight into
+    the padded result, which is clipped in place. The transforms are
+    numpy's: ``scipy.fft`` keeps a plan for every length it has seen (about
+    8 bytes per point, up to 16 lengths), which would hold on to tens of MB
+    after the largest levels; numpy's keep none and give the same bits."""
+    full = sum(lengths) - len(lengths) + 1
+    nfft = _next_fast_len(full) if sum(k > 1 for k in lengths) > 1 else 0
+    scale = 1.0
+    only = spectrum = term = None
+    for c in masses:
+        if len(c) == 1:
+            scale *= float(c[0])
+        elif not nfft:
+            only = c
+        elif spectrum is None:
+            spectrum = np.fft.rfft(c, nfft)
+            term = np.empty_like(spectrum)
+        else:
+            spectrum *= np.fft.rfft(c, nfft, out=term)
+        del c
+    if not nfft:
         pmf = np.zeros(max(full, size))
-        np.multiply(arrays[0] if arrays else 1.0, scale, out=pmf[:full])
+        np.multiply(1.0 if only is None else only, scale, out=pmf[:full])
         return pmf
-    nfft = _next_fast_len(full)
-    arrays.reverse()  # popped in the given order
-    spectrum = np.fft.rfft(arrays.pop(), nfft)
-    term = np.empty_like(spectrum)
-    while arrays:
-        spectrum *= np.fft.rfft(arrays.pop(), nfft, out=term)
     del term
     if scale != 1.0:
         spectrum *= scale
@@ -449,19 +558,22 @@ def _product_pmf(masses: list[np.ndarray], size: int = 0) -> np.ndarray:
 
 
 def _convolve_level(
-    masses: list[np.ndarray], top: float, m: int, tail_tol: float, levels: int
+    lengths: Sequence[int], masses: Iterable[np.ndarray], top: float, m: int,
+    tail_tol: float, levels: int,
 ) -> NumericCDF:
-    n = len(masses)
+    """The level's table on the lattice ``(j + n/2) * h``, from the n
+    components' masses (see ``_product_pmf``)."""
+    n = len(lengths)
     size = m + n if n > 1 else m
     h = top / m
-    pmf = _product_pmf(masses, size)
-    # j + n/2 for each knot j: a float arange adds whole steps to its start,
-    # exactly
-    positions = np.arange(0.5 * n, size + 0.5 * n)
-    positions *= h
+    pmf = _product_pmf(lengths, masses, size)
+    lattice = Lattice(0.5 * n, h)
     # np.sum's pairwise order depends on the length, so the mean takes one
-    # whole product
-    mean = float(np.sum(positions * pmf))
+    # whole product, made in the knots' own array
+    moments = lattice.knots(range(size))
+    moments *= pmf
+    mean = float(np.sum(moments))
+    del moments
     # values = cumsum(pmf) - pmf / 2 in pmf's own buffer, one cache-sized
     # chunk at a time: each chunk's first entry takes the running sum, so
     # the sums are the sequential cumsum's bit for bit
@@ -488,7 +600,7 @@ def _convolve_level(
         np.clip(values, 0.0, 1.0, out=values)
         np.maximum.accumulate(values, out=values)
     return NumericCDF(
-        positions,
+        lattice,
         values,
         kind="linear",
         tail_tol=n * tail_tol,
@@ -498,24 +610,26 @@ def _convolve_level(
     )
 
 
-def _chunk_slices(ga: np.ndarray, gb: np.ndarray):
-    """Yield ``(sa, sb)``, slices of two sorted grids that hold at most
+def _chunk_slices(fa: NumericCDF, fb: NumericCDF):
+    """Yield ``(sa, sb)``, slices of two tables' knots that hold at most
     ``_CHUNK_KNOTS`` knots of A and at most as many of B, in increasing
     order.
 
     Both grids are cut at the same x: the lower of the two knots that
     follow each table's next ``_CHUNK_KNOTS`` knots. A knot in both grids
     thus falls in one chunk, so that the comparison holds a few chunk-sized
-    arrays at a time, not several as long as both tables together.
+    arrays at a time, not several as long as both tables together. Only
+    the knots at the cuts are read.
     """
+    na, nb = len(fa.values), len(fb.values)
     ia = ib = 0
-    while ia < len(ga) or ib < len(gb):
-        ja = min(ia + _CHUNK_KNOTS, len(ga))
-        jb = min(ib + _CHUNK_KNOTS, len(gb))
-        if ja < len(ga) and (jb == len(gb) or ga[ja] <= gb[jb]):
-            jb = int(gb.searchsorted(ga[ja]))
-        elif jb < len(gb):
-            ja = int(ga.searchsorted(gb[jb]))
+    while ia < na or ib < nb:
+        ja = min(ia + _CHUNK_KNOTS, na)
+        jb = min(ib + _CHUNK_KNOTS, nb)
+        if ja < na and (jb == nb or fa._knot(ja) <= fb._knot(jb)):
+            jb = fb._count_below(fa._knot(ja))
+        elif jb < nb:
+            ja = fa._count_below(fb._knot(jb))
         yield slice(ia, ja), slice(ib, jb)
         ia, ib = ja, jb
 
@@ -528,10 +642,12 @@ def st_compare_exact(
     knots where |F_A - F_B| <= tol (the verdict's ``crossing_count``), and
     the number of distinct knots (``meta["grid_points"]``). The union is
     taken one chunk of ``_chunk_slices`` at a time, so that on two 1M-knot
-    oracle tables it holds about 3 MB beside them.
+    oracle tables it holds about 3 MB beside them; the knots of a lattice
+    table are built a chunk at a time too.
 
     In each chunk, d = F_A - F_B is taken at each grid's own knots (a table
-    evaluated at its own knots returns its own values), and the two are put
+    evaluated at its own knots returns its own values, and each table is
+    read only on its chunk and a knot either side), and the two are put
     in merged order by a stable sort of the grids' concatenation, which is
     one linear merge of two sorted runs (two ``searchsorted`` calls took
     eight times as long). A knot in both grids comes out twice in a row,
@@ -546,11 +662,19 @@ def st_compare_exact(
     highs, lows = [], []
     crossings = points = 0
     last = 0.0
-    for sa, sb in _chunk_slices(cdf_a.grid, cdf_b.grid):
-        ga, gb = cdf_a.grid[sa], cdf_b.grid[sb]
-        da = cdf_b.evaluate(ga)
+    na, nb = len(cdf_a.values), len(cdf_b.values)
+    for sa, sb in _chunk_slices(cdf_a, cdf_b):
+        # each table's chunk and a knot either side of it hold the cell of
+        # every knot of the other table's chunk, as the two are cut at the
+        # same x: the knots are built once for both uses
+        wa = slice(max(sa.start - 1, 0), min(sa.stop + 1, na))
+        wb = slice(max(sb.start - 1, 0), min(sb.stop + 1, nb))
+        ka, kb = cdf_a.knots(wa), cdf_b.knots(wb)
+        ga = ka[sa.start - wa.start : sa.stop - wa.start]
+        gb = kb[sb.start - wb.start : sb.stop - wb.start]
+        da = cdf_b._read(ga, wb, kb)
         np.subtract(cdf_a.values[sa], da, out=da)
-        db = cdf_a.evaluate(gb)
+        db = cdf_a._read(gb, wa, ka)
         db -= cdf_b.values[sb]
         for d in (da, db):
             if d.size:

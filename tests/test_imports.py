@@ -1,10 +1,11 @@
 """Import footprint, checked in a fresh interpreter.
 
-``scipy.integrate`` (with ``scipy.optimize`` and ``scipy.linalg`` behind it)
-is a third of ``import stochorder``'s time, and only ``DensitySpec``'s
-normalization check and ``quadrature_cdf`` use it, so it is imported inside
-them. These tests run in a subprocess because pytest has usually imported
-``scipy.integrate`` already, through ``tests/test_distributions.py``.
+``import stochorder`` loads no scipy. ``scipy.special`` is imported by the
+gamma-family methods that use it, and ``scipy.integrate`` (with
+``scipy.optimize`` and ``scipy.linalg`` behind it) only by ``DensitySpec``'s
+normalization check and ``quadrature_cdf``. These tests run in a subprocess
+because pytest has usually imported both already, through
+``tests/test_distributions.py``.
 """
 
 import json
@@ -43,8 +44,11 @@ def test_import_leaves_out_scipy_integrate():
 import json, sys
 import stochorder, stochorder.cli
 loaded = {{m: m in sys.modules for m in
-          ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft")}}
+          ("scipy", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft")}}
 from stochorder import DensitySpec, GammaPower, GeneralizedGamma, quadrature_cdf
+cdf = GeneralizedGamma(1, 1, 1).cdf(1.0)
+special_after_cdf = "scipy.special" in sys.modules
+integrate_after_cdf = "scipy.integrate" in sys.modules
 spec = DensitySpec.from_dist(GammaPower(1, 2, 1))
 f = quadrature_cdf(GeneralizedGamma(1, 1, 1), {POINTS!r})
 print(json.dumps({{
@@ -52,15 +56,22 @@ print(json.dumps({{
     "support": list(spec.support),
     "mean": spec.mean_value,
     "cdf": f.values.tolist(),
+    "exp_cdf": cdf,
+    "special_after_cdf": special_after_cdf,
+    "integrate_after_cdf": integrate_after_cdf,
     "integrate_after": "scipy.integrate" in sys.modules,
 }}))
 """)
     assert got["loaded"] == {
+        "scipy": False,
         "scipy.integrate": False,
         "scipy.optimize": False,
-        "scipy.special": True,
+        "scipy.special": False,
         "scipy.fft": False,
     }
+    # the first gamma evaluation loads scipy.special, and only that
+    assert got["exp_cdf"] == GeneralizedGamma(1, 1, 1).cdf(1.0)
+    assert (got["special_after_cdf"], got["integrate_after_cdf"]) == (True, False)
     spec = DensitySpec.from_dist(GammaPower(1, 2, 1))
     assert got["support"] == list(spec.support)
     assert got["mean"] == spec.mean_value
@@ -84,3 +95,20 @@ print(json.dumps({
     assert got["presets"] == list(SuiteConfig().presets)  # one per preset
     assert got["statuses"] == ["consistent"] * 9
     assert got["integrate"] is False
+
+
+def test_commands_without_gamma_functions_load_no_scipy():
+    got = fresh_python("""
+import contextlib, io, json, sys
+from stochorder.cli import run
+codes = []
+for argv in (["major", "--x", "2,2", "--y", "3,1"], ["chain", "--x", "2,2", "--y", "3,1"],
+             ["conditions", "--phi", "exp", "--psi", "power:2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(argv))
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+""")
+    assert got == {"codes": [0, 0, 0], "scipy": []}

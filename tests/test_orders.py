@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,9 @@ from stochorder.harness import dist_from_spec
 from stochorder.orders import (
     INITIAL_GRID,
     TAIL_TOL,
+    Lattice,
     _convolve_level,
     _edge_cdf_tables,
-    _level_masses,
     _product_pmf,
 )
 
@@ -97,6 +98,18 @@ class TestNumericCDF:
     def test_linear_evaluation(self):
         f = NumericCDF(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert f.evaluate(0.25) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("table", ["linear", "step", "lattice"])
+    @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan, 1.5], [[math.nan]]])
+    def test_nan_evaluation_rejected(self, table, x):
+        # a step table used to give 1.0 at NaN, and a linear one NaN
+        if table == "lattice":
+            f = NumericCDF(Lattice(1.0, 0.5), [0.1, 0.5, 1.0])
+        else:
+            f = NumericCDF([0.0, 1.0, 2.0], [0.1, 0.5, 1.0], kind=table)
+        with pytest.raises(ParameterError, match="NaN"):
+            f.evaluate(x)
+        assert f.evaluate([]).shape == (0,)
 
     def test_csv_export(self):
         f = NumericCDF(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -170,6 +183,14 @@ class TestCompareEmpirical:
         )
         with pytest.raises(ParameterError):
             dkw_epsilon(100, 2.0)
+
+    @pytest.mark.parametrize("n", [0, -5, 2.5, math.nan, True, "10", None])
+    def test_band_needs_an_integer_count_of_at_least_one(self, n):
+        # n = 0 used to divide by zero, and n = -5 to take the root of a
+        # negative number
+        with pytest.raises(ParameterError, match="n must be an integer >= 1"):
+            dkw_epsilon(n, 0.01)
+        assert dkw_epsilon(np.int64(100), 0.01) == dkw_epsilon(100, 0.01)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -356,6 +377,21 @@ def _oracle_top(d, weights):
     return sum(w * d.ppf(1.0 - TAIL_TOL) for w in weights)
 
 
+def _level_masses(d, w, stop, top, m):
+    """Yield a component's cell masses level by level, as the oracle makes
+    them: its edge table's cells up to the last nonzero one."""
+    for table in _edge_cdf_tables(d.cdf, w, stop, top, m):
+        yield orders._cell_masses(table, orders._kept_cells(table))
+
+
+def _product(masses, size=0):
+    return _product_pmf([len(c) for c in masses], iter(masses), size)
+
+
+def _level(masses, top, m, level):
+    return _convolve_level([len(c) for c in masses], iter(masses), top, m, TAIL_TOL, level)
+
+
 def _fresh_table(d, w, top, m, k):
     """A component's CDF at the first k + 1 edges of m cells of [0, top],
     evaluated from scratch."""
@@ -422,10 +458,10 @@ class TestOracleLevels:
         size = m + n if n > 1 else m
         full = [np.concatenate([c, np.zeros(m - len(c))]) for c in masses]
         want = _pairwise_pmf(full)[:size]
-        got = _product_pmf([c.copy() for c in masses])
+        got = _product([c.copy() for c in masses])
         got = np.concatenate([got, np.zeros(size - len(got))])
         assert np.max(np.abs(got - want)) <= 1e-14
-        level = _convolve_level(masses, top, m, TAIL_TOL, 1)
+        level = _level(masses, top, m, 1)
         assert len(level.grid) == size
         assert np.max(np.abs(np.cumsum(want) - 0.5 * want - level.values)) <= 1e-14
 
@@ -494,6 +530,38 @@ class TestClosedFormGammaSums:
         assert np.max(np.abs(f.values - exact)) < 5e-8
 
 
+def _old_nonzero_prefix(masses):
+    """The cut of a component's masses before the lengths came first: after
+    the last nonzero cell, and at least one cell."""
+    masses = np.maximum(masses, 0.0)
+    nz = np.flatnonzero(masses)
+    return masses[: nz[-1] + 1] if nz.size else masses[:1]
+
+
+class TestKeptCells:
+    """The length of a component's masses, read off its edge table, against
+    the cut of the whole difference array."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 15])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_cut_of_differences(self, seed, chunk):
+        rng = np.random.default_rng(seed)
+        table = np.cumsum(rng.random(rng.integers(2, 40)))
+        table /= table[-1]
+        flat = rng.integers(0, len(table))
+        table[len(table) - flat :] = table[len(table) - flat - 1]  # saturated tail
+        if seed % 3 == 0:
+            table[rng.integers(0, len(table))] = math.nan
+        if seed % 4 == 1:
+            table[:] = 1.0  # no positive increment at all
+        want = _old_nonzero_prefix(np.diff(table))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orders, "_CHUNK_KNOTS", chunk)
+            cells = orders._kept_cells(table)
+        got = orders._cell_masses(table, cells)
+        assert got.tobytes() == want.tobytes()
+
+
 def _random_masses(lengths, seed):
     rng = np.random.default_rng(seed)
     masses = []
@@ -525,19 +593,39 @@ class TestLevelProduct:
     )
     def test_product_matches_pairwise(self, lengths):
         masses = _random_masses(lengths, seed=sum(lengths))
-        product = _product_pmf([c.copy() for c in masses])
+        product = _product([c.copy() for c in masses])
         pairwise = _pairwise_pmf([c.copy() for c in masses])
         assert len(product) == len(pairwise) == sum(lengths) - len(lengths) + 1
         assert np.all(product >= 0.0)
         assert np.max(np.abs(product - pairwise)) <= 1e-14
+
+    def test_masses_made_one_at_a_time(self):
+        # each array is dropped before the next one is asked for
+        masses = _random_masses((300, 1, 40, 500, 1), seed=3)
+        want = _product([c.copy() for c in masses], 900)
+        alive = []
+
+        def made(c):
+            a = c.copy()
+            alive.append(weakref.ref(a))
+            return a
+
+        def stream():
+            for c in masses:
+                assert all(r() is None for r in alive)
+                yield made(c)
+
+        got = _product_pmf([len(c) for c in masses], stream(), 900)
+        assert got.tobytes() == want.tobytes()
+        assert len(alive) == len(masses)
 
     def test_subnormal_step_still_checked(self):
         # with h one subnormal ulp, knots (j + 1/2) * h round together, and
         # the level's table fails NumericCDF's check
         pmf = np.full(8, 0.125)
         with pytest.raises(ParameterError, match="strictly increasing"):
-            _convolve_level([pmf.copy()], 4096 * 5e-324, 4096, TAIL_TOL, 1)
-        level = _convolve_level([pmf.copy()], 4096 * 2e-310, 4096, TAIL_TOL, 1)
+            _level([pmf.copy()], 4096 * 5e-324, 4096, 1)
+        level = _level([pmf.copy()], 4096 * 2e-310, 4096, 1)
         assert np.all(np.diff(level.grid) > 0)
 
     @pytest.mark.parametrize("dip", [False, True], ids=["nondecreasing", "dip"])
@@ -553,7 +641,7 @@ class TestLevelProduct:
         if dip:
             pmf[500] = -0.01
         masses = [pmf.copy()] + [np.ones(1)] * (n - 1)
-        got = _convolve_level(masses, top, m, TAIL_TOL, 3)
+        got = _level(masses, top, m, 3)
         size = m + n if n > 1 else m
         want = np.concatenate([pmf, np.zeros(size - m)])
         h = top / m
@@ -604,7 +692,7 @@ class TestPaddedProduct:
             masses[lengths.index(1)] = np.array([0.75])  # a scale factor != 1
         size = sum(lengths) - len(lengths) + 1 + pad
         want = _old_product_pmf([c.copy() for c in masses], size)
-        got = _product_pmf([c.copy() for c in masses], size)
+        got = _product([c.copy() for c in masses], size)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -619,7 +707,7 @@ class TestPaddedProduct:
             masses = [next(t) for t in tables]
             size = m + n if n > 1 else m
             want = _old_product_pmf([c.copy() for c in masses], size)
-            assert _product_pmf(masses, size).tobytes() == want.tobytes()
+            assert _product(masses, size).tobytes() == want.tobytes()
             m *= 2
 
 
@@ -648,7 +736,8 @@ def _lattice_level(n, m, top, values):
 
 
 class TestLevelGap:
-    """The lattice read of the level gap against ``np.interp``, bit for bit."""
+    """The lattice read of the level gap against ``np.interp``, bit for bit,
+    on explicit grids and on lattice tables."""
 
     @staticmethod
     def _interp_gap(prev, cur):
@@ -665,7 +754,7 @@ class TestLevelGap:
         m = INITIAL_GRID
         prev = None
         for level in range(1, 5):
-            cur = _convolve_level([next(t) for t in tables], top, m, TAIL_TOL, level)
+            cur = _level([next(t) for t in tables], top, m, level)
             if prev is not None:
                 if n > 1:  # the last knots of prev lie past cur's last
                     assert prev.grid[-1] > cur.grid[-1]
@@ -685,10 +774,15 @@ class TestLevelGap:
         prev = _lattice_level(n, m, top, values)
         cur = _lattice_level(n, 2 * m, top, values)
         want = self._interp_gap(prev, cur)
+        on_lattice = [NumericCDF(Lattice(0.5 * n, top / k), f.values) for f, k in ((prev, m), (cur, 2 * m))]
+        assert on_lattice[0].grid.tobytes() == prev.grid.tobytes()
+        assert on_lattice[1].grid.tobytes() == cur.grid.tobytes()
         assert repr(orders._level_gap(prev, cur, n)) == repr(want)
+        assert repr(orders._level_gap(*on_lattice, n)) == repr(want)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orders, "_CHUNK_KNOTS", chunk)
             assert repr(orders._level_gap(prev, cur, n)) == repr(want)
+            assert repr(orders._level_gap(*on_lattice, n)) == repr(want)
 
 
 def _golden_oracle_cases():
@@ -893,7 +987,7 @@ def _assert_chunks_agree(fa, fb, tol, k):
     assert one_shot == (repr(max_pos), repr(max_neg), crossings, points)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orders, "_CHUNK_KNOTS", k)
-        slices = list(orders._chunk_slices(fa.grid, fb.grid))
+        slices = list(orders._chunk_slices(fa, fb))
         assert _exact_fields(fa, fb, tol) == one_shot
     # each chunk holds at most k knots of each grid, and the chunks tile
     # both grids
@@ -996,6 +1090,117 @@ class TestChunkedComparison:
             tracemalloc.stop()
         assert v.meta["grid_points"] == 2 * n
         assert extra < 6 * 2**20
+
+
+def _lattice_table(n, size, h, seed, kind="linear"):
+    """A table on the oracle's lattice, knot j at (j + n/2) * h, with
+    random nondecreasing values, some of them in flat runs."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.random(size))
+    values[rng.random(size) < 0.2] = 0.0
+    return NumericCDF(Lattice(0.5 * n, h), np.maximum.accumulate(values), kind=kind)
+
+
+def _explicit_copy(f):
+    return NumericCDF(f.grid.copy(), f.values.copy(), kind=f.kind)
+
+
+def _probe_points(f, rng):
+    """Every knot, the knots' neighbouring floats, the cell midpoints, both
+    ends and beyond both ends, and random points across the table."""
+    g = f.grid
+    return np.concatenate([
+        g, np.nextafter(g, -math.inf), np.nextafter(g, math.inf), (g[:-1] + g[1:]) / 2,
+        [-math.inf, -1.0, 0.0, g[0] / 2, g[-1] * 2, 1e308, math.inf],
+        rng.uniform(-g[0], 2 * g[-1], 40),
+    ])
+
+
+class TestLatticeTables:
+    """The oracle's tables keep their knots as a ``Lattice`` and build them
+    where they are read; every read equals the explicit grid's, bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_grid_equals_formula(self, n):
+        d = GeneralizedGamma(1, 1.5, 1)
+        f = convolve_weighted([d] * n, [4.0, 1.0, 2.5, 0.5][:n])
+        size, h = len(f.values), f.meta["h"]
+        assert f.lattice == Lattice(0.5 * n, h)
+        assert size == f.meta["m"] + (n if n > 1 else 0)
+        want = np.arange(0.5 * n, size + 0.5 * n) * h
+        assert f.grid.tobytes() == want.tobytes()
+        for s in (slice(3, 90, 7), slice(-5, None), slice(None, None, -3), slice(size, None)):
+            assert f.knots(s).tobytes() == want[s].tobytes(), s
+        assert [f._knot(k) for k in (0, 1, size - 1)] == [want[0], want[1], want[-1]]
+
+    @pytest.mark.parametrize("h", [0.37, 1e-3, 2e-310, 1e305])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["linear", "step"])
+    def test_evaluate_equals_interp_on_grid(self, n, h, kind):
+        rng = np.random.default_rng(n)
+        f = _lattice_table(n, 60, h, seed=n, kind=kind)
+        g, v = f.grid, f.values
+        x = _probe_points(f, rng)
+        rng.shuffle(x)
+        if kind == "linear":
+            want = np.interp(x, g, v, left=0.0, right=float(v[-1]))
+        else:
+            want = _explicit_copy(f).evaluate(x)
+        assert f.evaluate(x).tobytes() == want.tobytes()
+        # a window as narrow as one point, and runs of neighbouring points
+        for i, xi in enumerate(x):
+            got = f.evaluate(xi)
+            assert np.ndim(got) == 0 and repr(float(got)) == repr(float(want[i])), xi
+        order = np.argsort(x)
+        for i in range(0, len(x), 7):
+            pick = order[i : i + 7]
+            assert f.evaluate(x[pick]).tobytes() == want[pick].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_count_below_equals_searchsorted(self, n):
+        rng = np.random.default_rng(n)
+        for h in (0.37, 2e-310):
+            f = _lattice_table(n, 50, h, seed=n)
+            for x in _probe_points(f, rng):
+                assert f._count_below(x) == np.searchsorted(f.grid, x), x
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1e-6, 1e-3, 0.05]), st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_compare_exact_equals_explicit_copies(self, seed, tol, k):
+        rng = np.random.default_rng(seed)
+        h_a = rng.uniform(0.05, 2.0)
+        h_b = h_a * rng.choice([1.0, 2.0, 0.5, 1.5, rng.uniform(0.3, 3.0)])
+        n_a, n_b = (int(i) for i in rng.integers(1, 5, size=2))
+        fa = _lattice_table(n_a, int(rng.integers(1, 80)), h_a, seed, rng.choice(["linear", "step"]))
+        fb = _lattice_table(n_b, int(rng.integers(1, 80)), h_b, seed + 1, rng.choice(["linear", "step"]))
+        want = _exact_fields(_explicit_copy(fa), _explicit_copy(fb), tol)
+        assert _exact_fields(fa, fb, tol) == want
+        assert _exact_fields(fa, _explicit_copy(fb), tol) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orders, "_CHUNK_KNOTS", k)
+            assert _exact_fields(fa, fb, tol) == want
+        v, w = st_compare_exact(fa, fb, tol), st_compare_exact(_explicit_copy(fa), _explicit_copy(fb), tol)
+        assert v.relation is w.relation
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_level_holds_one_array(self, n):
+        # a 2**20-cell level keeps its values and no grid: one array as long
+        # as the table
+        m = 1 << 20
+        pmf = np.full(m, 1.0 / m)
+        masses = [pmf] + [np.ones(1)] * (n - 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = _level(masses, 20.0, m, 9)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        size = len(f.values)
+        assert size == m + (n if n > 1 else 0)
+        assert f.lattice is not None and f._grid is None
+        assert 8 * size <= held < 8 * size + 64 * 1024
 
 
 class TestQuadratureCDF:
