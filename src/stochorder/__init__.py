@@ -29,6 +29,7 @@ from .majorization import (
     weak_completion,
 )
 from .transforms import (
+    ClosedFormConditions,
     ConditionReport,
     ConditionVariant,
     Direction,
@@ -37,6 +38,7 @@ from .transforms import (
     Transform,
     check_convexity_conditions,
     classify_pq,
+    closed_form_conditions,
     make_exp,
     make_log_shift,
     make_power,

@@ -348,9 +348,13 @@ class LRVerdict(Enum):
 
 @dataclass(frozen=True)
 class LRResult:
+    """``basis`` is "analytic" where the closed-form rule decided, "grid"
+    where the grid scan refuted the order, None where nothing decided."""
+
     verdict: LRVerdict
     witness: Optional[tuple[float, float]] = None
     detail: str = ""
+    basis: Optional[str] = None
 
 
 def _as_gamma_power(d: Dist) -> Optional[GammaPower]:
@@ -375,11 +379,11 @@ def lr_compare(d1: Dist, d2: Dist, grid_n: int = 256, tol: float = 1e-9) -> LRRe
         inc_in_g = da >= 0 and dl <= 0
         dec_in_g = da <= 0 and dl >= 0
         if inc_in_g and dec_in_g:  # identical
-            return LRResult(LRVerdict.D1_LR_GREATER, detail="equal distributions")
+            return LRResult(LRVerdict.D1_LR_GREATER, detail="equal distributions", basis="analytic")
         if inc_in_g or dec_in_g:
             ratio_increasing = inc_in_g if g1.r > 0 else dec_in_g
             v = LRVerdict.D1_LR_GREATER if ratio_increasing else LRVerdict.D2_LR_GREATER
-            return LRResult(v, detail="analytic gamma-power rule")
+            return LRResult(v, detail="analytic gamma-power rule", basis="analytic")
         # one parameter pushes each way: unimodal ratio, no ordering;
         # the turning point of the ratio sits at g* = (a1-a2)/(l1-l2)
         xstar = float((da / dl) ** g1.r)
@@ -387,6 +391,7 @@ def lr_compare(d1: Dist, d2: Dist, grid_n: int = 256, tol: float = 1e-9) -> LRRe
             LRVerdict.NOT_ORDERED,
             witness=(xstar, xstar),
             detail="density ratio rises and falls",
+            basis="analytic",
         )
 
     lo1, hi1 = _effective_support(d1)
@@ -416,6 +421,7 @@ def lr_compare(d1: Dist, d2: Dist, grid_n: int = 256, tol: float = 1e-9) -> LRRe
             LRVerdict.NOT_ORDERED,
             witness=(float(xs[min(i, j)]), float(xs[max(i, j) + 1])),
             detail="ratio both rises and falls on grid",
+            basis="grid",
         )
     return LRResult(LRVerdict.UNKNOWN, detail="grid evidence one-sided only")
 

@@ -13,6 +13,7 @@ case the i-th smallest.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,7 @@ from .transforms import (
     GridSpec,
     Transform,
     check_convexity_conditions,
+    closed_form_conditions,
     make_exp,
     make_log_shift,
     make_power,
@@ -58,9 +60,10 @@ from .orders import (
     st_compare_exact,
 )
 
-# Condition grid for hypothesis checks. Narrower than the classifier default
-# so that exp-family factors stay representable; the product condition is
-# still compared in log scale.
+# Condition grid for hypothesis checks on custom transforms (built-in kinds
+# are decided in closed form). Narrower than the classifier default so that
+# exp-family factors stay representable; the product condition is still
+# compared in log scale.
 HARNESS_CONDITION_GRID = GridSpec(1e-2, 1e2, 24)
 ORACLE_MAX_N = 4
 
@@ -102,9 +105,14 @@ class CheckStatus(Enum):
 
 @dataclass(frozen=True)
 class HypothesisCheck:
+    """One hypothesis's status. ``basis`` says what decided it: "analytic"
+    (a closed form or a finite exact check), "grid" (a scan of sample
+    points), or None for an UNKNOWN that no rule decided."""
+
     status: CheckStatus
     detail: str = ""
     witness: Optional[tuple] = None
+    basis: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ class HypothesisReport:
 
     def to_dict(self) -> dict:
         return {
-            name: {"status": c.status.value, "detail": c.detail,
+            name: {"status": c.status.value, "basis": c.basis, "detail": c.detail,
                    "witness": list(c.witness) if c.witness is not None else None}
             for name, c in self.items()
         }
@@ -165,6 +173,8 @@ class Scenario:
             raise ParameterError(
                 f"dists/a/b lengths differ: {n}, {len(self.a)}, {len(self.b)}"
             )
+        object.__setattr__(self, "n_samples", _integral(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", _integral(self.seed, "seed"))
         _check_sampling(self.n_samples, self.delta)
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
@@ -199,8 +209,8 @@ class Scenario:
                 a=tuple(data["a"]),
                 b=tuple(data["b"]),
                 premise_mode=MajorizationMode(data.get("premise_mode", "full")),
-                n_samples=_integral(data.get("n_samples", 100_000), "n_samples"),
-                seed=_integral(data.get("seed", 42), "seed"),
+                n_samples=data.get("n_samples", 100_000),
+                seed=data.get("seed", 42),
                 delta=float(data.get("delta", 0.01)),
                 label=str(data.get("label", "")),
             )
@@ -220,11 +230,18 @@ def _check_sampling(n_samples: int, delta: float) -> None:
 
 
 def _integral(value, name: str) -> int:
-    """An integer field of a scenario file; a bool or a fractional number is
-    rejected rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """An integer field: an int, a numpy integer, or a number or text with an
+    integer value. A bool, or a fractional or non-finite number, is rejected
+    rather than truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if float(value).is_integer():
+                return int(float(value))
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _dist_to_spec(d: Dist) -> list:
@@ -370,13 +387,14 @@ def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisChe
                 CheckStatus.FAIL,
                 f"{d.label}: {res.detail}",
                 witness=(res.witness,) if res.witness is not None else None,
+                basis="analytic",
             )
-    return HypothesisCheck(CheckStatus.PASS, "log-concave for every component")
+    return HypothesisCheck(CheckStatus.PASS, "log-concave for every component", basis="analytic")
 
 
 def _check_lr_chain(dists: Sequence[Dist]) -> HypothesisCheck:
     if all(d == dists[0] for d in dists[1:]):
-        return HypothesisCheck(CheckStatus.PASS, "identical distributions")
+        return HypothesisCheck(CheckStatus.PASS, "identical distributions", basis="analytic")
     for i in range(len(dists) - 1):
         res = lr_compare(dists[i], dists[i + 1])
         if res.verdict is LRVerdict.D1_LR_GREATER:
@@ -390,8 +408,46 @@ def _check_lr_chain(dists: Sequence[Dist]) -> HypothesisCheck:
             status,
             f"pair ({i}, {i + 1}): {res.verdict.value} ({res.detail})",
             witness=res.witness,
+            basis=res.basis,
         )
-    return HypothesisCheck(CheckStatus.PASS, "lr-decreasing chain verified")
+    # only the closed-form rule certifies a pair
+    return HypothesisCheck(CheckStatus.PASS, "lr-decreasing chain verified", basis="analytic")
+
+
+def _check_conditions(
+    phi: Transform, psi: Transform, variant: ConditionVariant, grid: GridSpec
+) -> HypothesisCheck:
+    """Conditions (a) and (b): in closed form for built-in transform kinds,
+    on ``grid`` where either transform is custom."""
+    closed = closed_form_conditions(phi, psi, variant)
+    if closed is not None:
+        failed = []
+        if not closed.condition_a_holds:
+            failed.append(f"phi'' has sign {closed.phi2_sign:+d} in the {variant.value} case")
+        if not closed.condition_b_holds:
+            failed.append(f"inf r_phi r_psi = {closed.ratio_inf:.6g} < 1")
+        if failed:
+            return HypothesisCheck(
+                CheckStatus.FAIL, "closed form: " + "; ".join(failed), basis="analytic"
+            )
+        return HypothesisCheck(
+            CheckStatus.PASS,
+            f"closed form: phi'' sign {closed.phi2_sign:+d}, "
+            f"inf r_phi r_psi = {closed.ratio_inf:.6g}",
+            basis="analytic",
+        )
+    try:
+        rep = check_convexity_conditions(phi, psi, variant, grid)
+    except NumericError as exc:
+        return HypothesisCheck(CheckStatus.UNKNOWN, f"grid evaluation failed: {exc}")
+    if rep.both_hold:
+        return HypothesisCheck(CheckStatus.PASS, f"grid: {rep.grid_spec}", basis="grid")
+    return HypothesisCheck(
+        CheckStatus.FAIL,
+        f"worst violation {rep.worst_violation:.3g}",
+        witness=rep.worst_point,
+        basis="grid",
+    )
 
 
 def check_hypotheses(
@@ -401,7 +457,8 @@ def check_hypotheses(
 
     The premise order is checked between the phi-inverse images of the
     weight vectors; a weak premise mode must match the mode licensed by the
-    variant and the direction of phi.
+    variant and the direction of phi. The coupling conditions go to
+    ``condition_grid`` only where a transform has no closed form.
     """
     inv_a = _inverse_weights(s.phi, s.a)
     inv_b = _inverse_weights(s.phi, s.b)
@@ -412,28 +469,18 @@ def check_hypotheses(
         maj = HypothesisCheck(
             CheckStatus.FAIL,
             f"mode {mode.value} not licensed here (expected {licensed.value})",
+            basis="analytic",
         )
     elif check_majorize(inv_b, inv_a, mode):
         maj = HypothesisCheck(
             CheckStatus.PASS,
             "full majorization premise" if full else f"weak premise ({mode.value})",
+            basis="analytic",
         )
     else:
-        maj = HypothesisCheck(CheckStatus.FAIL, "premise order fails")
+        maj = HypothesisCheck(CheckStatus.FAIL, "premise order fails", basis="analytic")
 
-    try:
-        rep = check_convexity_conditions(s.phi, s.psi, s.variant, condition_grid)
-        if rep.both_hold:
-            cond = HypothesisCheck(CheckStatus.PASS, f"grid: {rep.grid_spec}")
-        else:
-            cond = HypothesisCheck(
-                CheckStatus.FAIL,
-                f"worst violation {rep.worst_violation:.3g}",
-                witness=rep.worst_point,
-            )
-    except NumericError as exc:
-        cond = HypothesisCheck(CheckStatus.UNKNOWN, f"grid evaluation failed: {exc}")
-
+    cond = _check_conditions(s.phi, s.psi, s.variant, condition_grid)
     logcc = _check_log_concavity(s.dists, s.psi)
     lr = _check_lr_chain(s.dists)
     return HypothesisReport(maj, cond, logcc, lr)
@@ -625,7 +672,9 @@ def run_counterexample(
         verdict.relation is Relation.CROSSING and verdict.crossing_count == 1
     )
     consistent = crossing_as_predicted and abs(mean_a - mean_b) < mean_tol
-    trivially = HypothesisCheck(CheckStatus.PASS, "counterexample preconditions hold")
+    trivially = HypothesisCheck(
+        CheckStatus.PASS, "counterexample preconditions hold", basis="analytic"
+    )
     hyp = HypothesisReport(trivially, trivially, trivially, trivially)
     return TheoremReport(
         hypothesis=hyp,
@@ -745,6 +794,8 @@ class SuiteConfig:
     presets: tuple[str, ...] = tuple(_PRESETS)
 
     def __post_init__(self):
+        for name in ("n_scenarios", "master_seed", "n_samples"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
         if self.n_scenarios < 1:
             raise ParameterError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
         if self.master_seed < 0:

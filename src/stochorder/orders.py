@@ -180,13 +180,14 @@ class NumericCDF:
         return np.interp(x, knots, values, left=0.0, right=float(self.values[-1]))
 
     def to_csv(self, fp) -> None:
-        """Two-column CSV (abscissa, value) for plotting."""
+        """Two-column CSV (abscissa, value) for plotting; each number is the
+        ``repr`` of a Python float, which reads back bit for bit."""
         own = isinstance(fp, str)
         f = open(fp, "w") if own else fp
         try:
             f.write("x,F\n")
             for x, v in zip(self.grid, self.values):
-                f.write(f"{x!r},{v!r}\n")
+                f.write(f"{float(x)!r},{float(v)!r}\n")
         finally:
             if own:
                 f.close()

@@ -2,14 +2,19 @@
 convexity conditions coupling a transform pair, and the (p, q) region
 classifier for the power family.
 
-The two scalar conditions checked on a grid are
+The two scalar conditions are
 
     (a)  sign condition on phi''            (>= 0 convex case, <= 0 concave)
     (b)  phi''(u) psi''(v) phi(u) psi(v) >= [phi'(u) psi'(v)]^2
 
-A true/true report certifies the conditions on the grid only: the
-conditions are universally quantified over (0, inf)^2, so a grid check can
-falsify but never prove them.
+For the built-in kinds (power, exp, logshift) ``closed_form_conditions``
+decides both over all of (0, inf)^2. With r_f = f f'' / f'^2, condition (b)
+reads r_phi(u) r_psi(v) >= 1, and r_f is the constant (a - 1)/a for x^a, 1
+for exp and -log(u + e) for logshift, so (b) holds iff the infimum of the
+product is at least 1. ``check_convexity_conditions`` scans a grid instead,
+for hand-built (custom) transforms: a true/true grid report certifies the
+conditions on the grid only, since a grid check can falsify but never prove
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -281,6 +286,57 @@ def check_convexity_conditions(
         worst_violation_b=worst_b,
         worst_point_b=(pts[ib], pts[jb]),
         grid_spec=grid.describe(),
+    )
+
+
+def _curvature_ratio(t: Transform) -> Optional[tuple[int, float, float]]:
+    """The sign of t'' on (0, inf), and the infimum and supremum there of
+    r_t = t t'' / t'^2, for a built-in kind; None for a custom transform.
+    The kind is trusted, not checked against the functions."""
+    kind = t.kind[0]
+    if kind == "power":
+        a = float(t.kind[1])
+        r = (a - 1.0) / a
+        return int(a > 1 or a < 0) - int(0 < a < 1), r, r
+    if kind == "exp":
+        return 1, 1.0, 1.0
+    if kind == "logshift":
+        # -log(u + e) runs over (-inf, -1) as u runs over (0, inf)
+        return -1, -math.inf, -1.0
+    return None
+
+
+@dataclass(frozen=True)
+class ClosedFormConditions:
+    """Conditions (a) and (b) decided over all of (0, inf)^2: ``phi2_sign``
+    is the sign of phi'' there, and ``ratio_inf`` the infimum of
+    r_phi(u) r_psi(v)."""
+
+    condition_a_holds: bool
+    condition_b_holds: bool
+    phi2_sign: int
+    ratio_inf: float
+
+
+def closed_form_conditions(
+    phi: Transform, psi: Transform, variant: ConditionVariant
+) -> Optional[ClosedFormConditions]:
+    """Conditions (a) and (b) for two transforms of built-in kind, decided in
+    closed form; None where either is custom. Condition (b) takes the grid's
+    grace margin on the log scale: conjugate pairs on 1/p + 1/q = 1 have a
+    product of 1 up to rounding."""
+    ratio_phi, ratio_psi = _curvature_ratio(phi), _curvature_ratio(psi)
+    if ratio_phi is None or ratio_psi is None:
+        return None
+    sign = ratio_phi[0]
+    # a product over a box is least at a corner; a zero end makes a zero
+    # product, also against an infinite one
+    inf = min(x * y if x and y else 0.0 for x in ratio_phi[1:] for y in ratio_psi[1:])
+    return ClosedFormConditions(
+        condition_a_holds=sign >= 0 if variant is ConditionVariant.CONVEX_CASE else sign <= 0,
+        condition_b_holds=inf > 0 and -math.log(inf) <= _COND_B_LOG_TOL,
+        phi2_sign=sign,
+        ratio_inf=inf,
     )
 
 

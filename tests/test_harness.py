@@ -19,6 +19,7 @@ from stochorder import (
     DomainError,
     GammaPower,
     GeneralizedGamma,
+    GridSpec,
     MajorizationMode,
     NumericError,
     OrderError,
@@ -26,8 +27,10 @@ from stochorder import (
     Relation,
     Scenario,
     SuiteConfig,
+    check_convexity_conditions,
     check_hypotheses,
     check_majorize,
+    closed_form_conditions,
     convolve_weighted,
     generate_scenario,
     make_exp,
@@ -45,6 +48,7 @@ from stochorder import (
 from stochorder import harness
 from stochorder.cli import run as cli_run
 from stochorder.harness import (
+    HARNESS_CONDITION_GRID,
     _check_log_concavity,
     _dist_to_spec,
     dist_from_spec,
@@ -95,6 +99,27 @@ class TestScenario:
     def test_missing_field_rejected(self):
         with pytest.raises(ParameterError):
             Scenario.from_dict({"dists": []})
+
+    # each used to be built and to fail later in sampling with numpy's
+    # TypeError, or (seed=True) to run and write "seed": true
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            exp_scenario([1, 2], [1.5, 1.5], seed=2.5)
+
+    def test_fractional_sample_count_rejected(self):
+        with pytest.raises(ParameterError, match="n_samples must be an integer"):
+            exp_scenario([1, 2], [1.5, 1.5], n_samples=5000.5)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            exp_scenario([1, 2], [1.5, 1.5], seed=True)
+
+    def test_numpy_and_integral_values_pass_as_ints(self):
+        s = exp_scenario([1, 2], [1.5, 1.5], seed=np.int64(7), n_samples=np.uint32(5000))
+        t = exp_scenario([1, 2], [1.5, 1.5], seed=7.0, n_samples=5000)
+        for scenario in (s, t):
+            assert type(scenario.seed) is int and type(scenario.n_samples) is int
+        assert json.loads(json.dumps(s.to_dict())) == json.loads(json.dumps(t.to_dict()))
 
     def test_is_iid(self):
         assert exp_scenario([1, 2], [1.5, 1.5]).is_iid
@@ -151,8 +176,10 @@ class TestCheckHypotheses:
             phi=make_power(1 / 3), psi=make_power(1 / 3), variant=CONVEX,
             a=(8.0, 1.0), b=(4.0, 4.0),
         )
-        hyp = check_hypotheses(s)
-        assert hyp.conditions_ok.status is CheckStatus.FAIL
+        check = check_hypotheses(s).conditions_ok
+        # x^(1/3) pair: r = -2 for each, so (b) holds and only (a) fails
+        assert (check.status, check.basis, check.witness) == (CheckStatus.FAIL, "analytic", None)
+        assert check.detail == "closed form: phi'' has sign -1 in the convex case"
 
     def test_logconcavity_failure_reported(self):
         # X^2 with X gamma(alpha=0.5) is not log-concave
@@ -172,6 +199,119 @@ class TestCheckHypotheses:
         )
         hyp = check_hypotheses(s)
         assert hyp.lr_chain_ok.status is CheckStatus.FAIL
+        assert hyp.lr_chain_ok.basis == "analytic"
+
+
+def _custom_sqrt():
+    """x^(1/2), hand-built, so that no closed form applies to it."""
+    return Transform(
+        eval=math.sqrt,
+        d1=lambda x: 0.5 / math.sqrt(x),
+        d2=lambda x: -0.25 * x**-1.5,
+        inverse=lambda y: y * y,
+        direction=Direction.INCREASING,
+        label="custom-sqrt",
+    )
+
+
+class TestHypothesisBasis:
+    """Every hypothesis records what decided it: "analytic", "grid", or None
+    for an UNKNOWN."""
+
+    def _conjugate(self, phi, variant=CONCAVE, dists=(GeneralizedGamma(2, 1, 1),) * 2):
+        # transformed coordinates (16, 1) majorize (9, 8) under x^(1/2)
+        return Scenario(
+            dists=dists, phi=phi, psi=make_power(0.5), variant=variant,
+            a=(4.0, 1.0), b=(3.0, 8.0**0.5),
+        )
+
+    def test_builtin_scenario_is_analytic_throughout(self):
+        hyp = check_hypotheses(self._conjugate(make_power(0.5)))
+        assert hyp.all_pass
+        assert [c.basis for _, c in hyp.items()] == ["analytic"] * 4
+        assert hyp.conditions_ok.detail == "closed form: phi'' sign -1, inf r_phi r_psi = 1"
+        for entry in hyp.to_dict().values():
+            assert list(entry) == ["status", "basis", "detail", "witness"]
+            assert entry["basis"] == "analytic"
+
+    def test_builtin_kinds_never_reach_the_grid(self, monkeypatch):
+        monkeypatch.setattr(
+            harness, "check_convexity_conditions",
+            lambda *a, **k: pytest.fail("the condition grid was scanned"),
+        )
+        for i, preset in enumerate(SuiteConfig().presets):
+            s = generate_scenario(preset, np.random.SeedSequence(i))
+            assert check_hypotheses(s).conditions_ok.basis == "analytic"
+
+    def test_custom_transform_goes_to_the_grid(self):
+        hyp = check_hypotheses(self._conjugate(_custom_sqrt()))
+        assert hyp.all_pass
+        assert hyp.conditions_ok.basis == "grid"
+        assert hyp.conditions_ok.detail == "grid: log-spaced 24 points on [0.01, 100]"
+        assert hyp.to_dict()["conditions_ok"]["basis"] == "grid"
+        # the other three do not depend on phi's kind
+        assert [c.basis for _, c in hyp.items()] == ["analytic", "grid", "analytic", "analytic"]
+
+    def test_custom_failure_on_the_grid_has_a_witness(self):
+        # phi'' < 0 fails the convex case
+        check = check_hypotheses(self._conjugate(_custom_sqrt(), CONVEX)).conditions_ok
+        assert (check.status, check.basis) == (CheckStatus.FAIL, "grid")
+        assert check.witness is not None
+
+    def test_closed_form_failure_of_condition_b(self):
+        # exp against x^(1/2): r = 1 times r = -1
+        s = Scenario(
+            dists=(GeneralizedGamma(2, 2, 1),) * 2,
+            phi=make_exp(), psi=make_power(0.5), variant=CONVEX,
+            a=(8.0, 1.0), b=(4.0, 4.0),
+        )
+        assert check_hypotheses(s).conditions_ok.detail == "closed form: inf r_phi r_psi = -1 < 1"
+
+    def test_grid_that_cannot_be_evaluated_is_unknown(self):
+        custom_exp = Transform(
+            eval=math.exp, d1=math.exp, d2=math.exp, inverse=math.log,
+            direction=Direction.INCREASING, label="custom-exp",
+        )
+        s = exp_scenario([4.0, 1.0], [2.0, 2.0])
+        s = Scenario(dists=s.dists, phi=custom_exp, psi=make_exp(), variant=CONVEX,
+                     a=s.a, b=s.b)
+        check = check_hypotheses(s, condition_grid=GridSpec(1e-3, 1e3, 8)).conditions_ok
+        assert (check.status, check.basis) == (CheckStatus.UNKNOWN, None)
+        assert check_hypotheses(s).conditions_ok.basis == "grid"
+
+    def test_lr_chain_basis(self):
+        # different powers leave the closed form: the grid can refute the
+        # order, never certify it
+        refuted = (GeneralizedGamma(1, 2, 1), GeneralizedGamma(2, 1, 1))
+        one_sided = (GeneralizedGamma(1, 3, 1), GeneralizedGamma(2, 1, 1))
+        for dists, status, basis in ((refuted, CheckStatus.FAIL, "grid"),
+                                     (one_sided, CheckStatus.UNKNOWN, None)):
+            check = check_hypotheses(self._conjugate(make_power(0.5), dists=dists)).lr_chain_ok
+            assert (check.status, check.basis) == (status, basis)
+
+    def test_counterexample_preconditions_are_analytic(self):
+        rep = run_counterexample(1.0, (2.0, 1.0, 1.0), (1.5, 1.5, 1.0))
+        assert {e["basis"] for e in rep.hypothesis.to_dict().values()} == {"analytic"}
+
+
+class TestConditionsOnPresets:
+    """The closed form agrees with the suite's condition grid on generated
+    scenarios: every preset sits on the boundary 1/p + 1/q = 1, or (logshift)
+    inside the region."""
+
+    @pytest.mark.parametrize("master_seed", [0, 5, 13, 42])
+    def test_closed_form_equals_grid(self, master_seed):
+        presets = SuiteConfig().presets
+        for i in range(45):
+            preset = presets[i % len(presets)]
+            s = generate_scenario(preset, np.random.SeedSequence(master_seed, spawn_key=(i,)))
+            closed = closed_form_conditions(s.phi, s.psi, s.variant)
+            grid = check_convexity_conditions(s.phi, s.psi, s.variant, HARNESS_CONDITION_GRID)
+            assert closed.condition_a_holds and closed.condition_b_holds, (preset, i)
+            assert grid.both_hold, (preset, i)
+            # conjugate pairs sit within rounding of the product 1
+            if preset != "logshift":
+                assert closed.ratio_inf == pytest.approx(1.0, abs=1e-14)
 
 
 class TestVerifyIID:
@@ -771,6 +911,7 @@ class TestLogConcavityFallback:
         spec = DensitySpec.from_dist(GeneralizedGamma(1, 2, 1))
         check = _check_log_concavity([spec], make_power(1.0))
         assert check.status is CheckStatus.UNKNOWN
+        assert check.basis is None
         assert check.detail.endswith("no closed-form rule")
         custom = Transform(
             eval=math.sqrt,
@@ -856,6 +997,23 @@ class TestSuiteConfig:
     def test_bad_sampling_rejected(self, fields):
         with pytest.raises(ParameterError):
             SuiteConfig(**fields)
+
+    def test_fractional_scenario_count_rejected(self):
+        with pytest.raises(ParameterError, match="n_scenarios must be an integer"):
+            SuiteConfig(n_scenarios=2.5)
+
+    def test_fractional_master_seed_rejected(self):
+        with pytest.raises(ParameterError, match="master_seed must be an integer"):
+            SuiteConfig(master_seed=1.5)
+
+    def test_fractional_sample_count_rejected(self):
+        with pytest.raises(ParameterError, match="n_samples must be an integer"):
+            SuiteConfig(n_samples=5000.5)
+
+    def test_numpy_integers_pass(self):
+        cfg = SuiteConfig(n_scenarios=np.int64(3), master_seed=np.int32(4), n_samples=6000.0)
+        assert cfg.to_dict() == SuiteConfig(n_scenarios=3, master_seed=4, n_samples=6000).to_dict()
+        assert all(type(cfg.to_dict()[k]) is int for k in ("n_scenarios", "master_seed", "n_samples"))
 
 
 class TestSpecParsers:

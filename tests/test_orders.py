@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -118,6 +119,22 @@ class TestNumericCDF:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "x,F"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_csv_rows_read_back_bit_for_bit(self, lattice):
+        # numpy 2 scalars used to be written as "np.float64(...)"
+        table = convolve_weighted([GeneralizedGamma(1, 1, 1)], [1.0])
+        if not lattice:
+            table = NumericCDF(table.grid, table.values)
+        buf = io.StringIO()
+        table.to_csv(buf)
+        buf.seek(0)
+        rows = list(csv.reader(buf))
+        assert rows[0] == ["x", "F"]
+        xs = np.array([float(x) for x, _ in rows[1:]])
+        fs = np.array([float(v) for _, v in rows[1:]])
+        assert xs.tobytes() == table.grid.tobytes()
+        assert fs.tobytes() == table.values.tobytes()
 
 
 class TestEcdf:

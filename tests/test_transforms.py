@@ -16,6 +16,7 @@ from stochorder import (
     PQRegion,
     check_convexity_conditions,
     classify_pq,
+    closed_form_conditions,
     make_exp,
     make_log_shift,
     make_power,
@@ -240,6 +241,115 @@ class TestConvexityConditions:
             check_convexity_conditions(
                 make_exp(), make_exp(), CONVEX, GridSpec(1e-3, 1e3, 8)
             )
+
+
+def _holds(rep):
+    return rep.condition_a_holds, rep.condition_b_holds
+
+
+class TestClosedFormConditions:
+    """The closed form for built-in kinds decides conditions (a) and (b) over
+    all of (0, inf)^2; the grid scan is its reference wherever the two can
+    only agree."""
+
+    HARNESS_GRID = GridSpec(1e-2, 1e2, 24)
+
+    @staticmethod
+    def _agree(phi, psi, grid):
+        for variant in (CONVEX, CONCAVE):
+            closed = closed_form_conditions(phi, psi, variant)
+            want = _holds(check_convexity_conditions(phi, psi, variant, grid))
+            assert _holds(closed) == want, (phi.label, psi.label, variant, closed)
+
+    def test_random_power_pairs_off_the_boundary(self):
+        # acceptance 02's draws: (p, q) away from 0, 1 and 1/p + 1/q = 1
+        rng = np.random.default_rng(20240817)
+        grid = GridSpec(0.5, 2.0, 16)
+        checked = 0
+        while checked < 300:
+            p, q = rng.uniform(-5.0, 5.0, size=2)
+            if min(abs(p), abs(q), abs(p - 1), abs(q - 1)) <= 1e-3:
+                continue
+            if abs(1.0 / p + 1.0 / q - 1.0) <= 1e-3:
+                continue
+            checked += 1
+            self._agree(make_power(1.0 / q), make_power(1.0 / p), grid)
+
+    @pytest.mark.parametrize("other", [make_exp, make_log_shift])
+    def test_exp_and_logshift_against_powers_in_both_roles(self, other):
+        # exponents within 0.01 of 1/2 (the logshift boundary, where the grid
+        # may differ; see the pinned test below) and of 0 and 1 are left out
+        rng = np.random.default_rng(19)
+        rs = [r for r in rng.uniform(-3.0, 3.0, 120)
+              if min(abs(r), abs(r - 0.5), abs(r - 1.0)) > 1e-2]
+        for r in rs + [-1.0, 0.25, 2.0]:
+            self._agree(other(), make_power(r), self.HARNESS_GRID)
+            self._agree(make_power(r), other(), self.HARNESS_GRID)
+
+    def test_builtin_pairs_without_powers(self):
+        for phi in (make_exp(), make_log_shift()):
+            for psi in (make_exp(), make_log_shift()):
+                self._agree(phi, psi, self.HARNESS_GRID)
+
+    def test_ratio_infimum(self):
+        # r = (a - 1)/a for x^a, 1 for exp, (-inf, -1) for logshift
+        assert closed_form_conditions(make_exp(), make_exp(), CONVEX).ratio_inf == 1.0
+        assert closed_form_conditions(
+            make_power(2.0), make_power(3.0), CONVEX
+        ).ratio_inf == pytest.approx(1 / 3, rel=1e-15)
+        assert closed_form_conditions(
+            make_log_shift(), make_power(0.25), CONCAVE
+        ).ratio_inf == 3.0
+        assert closed_form_conditions(
+            make_log_shift(), make_log_shift(), CONCAVE
+        ).ratio_inf == 1.0
+        # a zero ratio (x^1) against an unbounded one is a zero product
+        closed = closed_form_conditions(make_power(1.0), make_log_shift(), CONVEX)
+        assert closed.ratio_inf == 0.0 and closed.phi2_sign == 0
+        assert closed.condition_a_holds and not closed.condition_b_holds
+        assert closed_form_conditions(make_exp(), make_log_shift(), CONVEX).ratio_inf == -math.inf
+
+    @pytest.mark.parametrize("a,sign", [(-0.5, 1), (0.5, -1), (1.0, 0), (2.0, 1)])
+    def test_condition_a_is_the_sign_of_phi2(self, a, sign):
+        convex = closed_form_conditions(make_power(a), make_exp(), CONVEX)
+        concave = closed_form_conditions(make_power(a), make_exp(), CONCAVE)
+        assert convex.phi2_sign == sign
+        assert (convex.condition_a_holds, concave.condition_a_holds) == (sign >= 0, sign <= 0)
+
+    def test_conjugate_boundary_takes_the_grace_margin(self):
+        # 1/p + 1/q = 1 up to rounding: the product is 1 within an ulp or two
+        for p in np.linspace(1.2, 4.0, 57):
+            closed = closed_form_conditions(
+                make_power(1.0 - 1.0 / p), make_power(1.0 / p), CONCAVE
+            )
+            assert _holds(closed) == (True, True), p
+            assert closed.ratio_inf == pytest.approx(1.0, abs=1e-14)
+
+    def test_logshift_difference_from_the_grid_pinned(self):
+        # logshift against x^b needs b <= 1/2 over (0, inf): the ratio product
+        # (1 - 1/b) (-log(u + e)) tends to 1/b - 1 < 1 as u -> 0. The grid
+        # starts at u = 0.01, where -log(0.01 + e) = -1.0037, so it passes b up
+        # to about 0.50092
+        phi = make_log_shift()
+        for b, grid_b, closed_b in ((0.5, True, True), (0.5005, True, False),
+                                    (0.5009, True, False), (0.501, False, False)):
+            psi = make_power(b)
+            grid = check_convexity_conditions(phi, psi, CONCAVE, self.HARNESS_GRID)
+            closed = closed_form_conditions(phi, psi, CONCAVE)
+            assert (grid.condition_b_holds, closed.condition_b_holds) == (grid_b, closed_b), b
+            assert grid.condition_a_holds and closed.condition_a_holds
+
+    def test_custom_transform_has_no_closed_form(self):
+        custom = Transform(
+            eval=math.sqrt,
+            d1=lambda x: 0.5 / math.sqrt(x),
+            d2=lambda x: -0.25 * x**-1.5,
+            inverse=lambda y: y * y,
+            direction=Direction.INCREASING,
+            label="custom",
+        )
+        assert closed_form_conditions(custom, make_power(0.5), CONCAVE) is None
+        assert closed_form_conditions(make_power(0.5), custom, CONCAVE) is None
 
 
 class TestClassifyPQ:
