@@ -14,21 +14,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
 from .errors import ParameterError, StochOrderError
 from .majorization import MajorizationMode, check_majorize, t_transform_chain
-from .transforms import (
-    ConditionVariant,
-    GridSpec,
-    check_convexity_conditions,
-    classify_pq,
-)
+from .transforms import ConditionVariant, classify_pq, closed_form_conditions
 from .distributions import log_concavity_classify, lr_compare
 from .orders import convolve_weighted
 from .harness import (
-    HARNESS_CONDITION_GRID,
     PROFILE_STAGES,
     Scenario,
     StageClock,
@@ -99,11 +94,6 @@ def _parse_variant(text: str) -> ConditionVariant:
     raise argparse.ArgumentTypeError(f"variant must be convex or concave, got {text!r}")
 
 
-def _parse_grid(text: str) -> GridSpec:
-    lo, hi, n = text.split(",")
-    return GridSpec(float(lo), float(hi), int(n))
-
-
 def _parse_lc_variant(text: str):
     if text in ("identity", "log"):
         return text
@@ -172,12 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_parse_vector, required=True)
     p.add_argument("--output")
 
-    p = sub.add_parser("conditions", help="grid check of the coupling conditions")
+    p = sub.add_parser("conditions", help="closed-form check of the coupling conditions")
     p.add_argument("--phi", type=_parse_transform_arg, required=True)
     p.add_argument("--psi", type=_parse_transform_arg, required=True)
     p.add_argument("--variant", type=_parse_variant, default=ConditionVariant.CONVEX_CASE)
-    p.add_argument("--grid", type=_parse_grid, default=None,
-                   help="lo,hi,n (log-spaced)")
     p.add_argument("--output")
 
     p = sub.add_parser("classify", help="power-pair parameter region")
@@ -249,26 +237,14 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
-    grid = args.grid if args.grid is not None else HARNESS_CONDITION_GRID
-    rep = check_convexity_conditions(args.phi, args.psi, args.variant, grid)
+    # the parser builds only built-in kinds, which all have a closed form
+    rep = closed_form_conditions(args.phi, args.psi, args.variant)
     config = {
         "phi": list(args.phi.kind),
         "psi": list(args.psi.kind),
         "variant": args.variant.value,
-        "grid": [grid.lo, grid.hi, grid.n],
     }
-    _emit(
-        {
-            "condition_a_holds": rep.condition_a_holds,
-            "condition_b_holds": rep.condition_b_holds,
-            "worst_violation_a": rep.worst_violation_a,
-            "worst_violation_b": rep.worst_violation_b,
-            "worst_point": list(rep.worst_point),
-            "grid_spec": rep.grid_spec,
-        },
-        config,
-        args.output,
-    )
+    _emit(asdict(rep), config, args.output)
     return 0
 
 

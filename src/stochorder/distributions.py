@@ -27,7 +27,6 @@ from .errors import DomainError, NumericError, ParameterError
 from .transforms import Transform
 
 _NORMALIZATION_TOL = 1e-6
-_LOGCC_TAIL = 5e-4          # central 0.999 probability mass
 _EPS = float(np.finfo(float).eps)
 
 
@@ -179,7 +178,8 @@ class DensitySpec:
     ``support`` bounds may be +-inf conceptually but are stored as effective
     integration bounds. The convolution oracle takes a spec only with a
     ``cdf`` and a ``ppf`` (as :meth:`from_dist` gives it); a density-only
-    spec serves the numeric log-concavity scan and ``quadrature_cdf``.
+    spec serves ``quadrature_cdf``. No closed-form rule covers a spec, so
+    its log-concavity and lr order are UNKNOWN.
     """
 
     pdf: Callable
@@ -348,8 +348,8 @@ class LRVerdict(Enum):
 
 @dataclass(frozen=True)
 class LRResult:
-    """``basis`` is "analytic" where the closed-form rule decided, "grid"
-    where the grid scan refuted the order, None where nothing decided."""
+    """``basis`` is "analytic" where the closed-form rule decided, None for
+    an UNKNOWN (a ``DensitySpec`` component, which no rule covers)."""
 
     verdict: LRVerdict
     witness: Optional[tuple[float, float]] = None
@@ -365,79 +365,81 @@ def _as_gamma_power(d: Dist) -> Optional[GammaPower]:
     return None
 
 
-def lr_compare(d1: Dist, d2: Dist, grid_n: int = 256, tol: float = 1e-9) -> LRResult:
-    """Likelihood-ratio-order comparison of two densities.
+def _lr_cross_power(g1: GammaPower, g2: GammaPower) -> LRResult:
+    """The closed-form rule for powers r1 != r2.
 
-    Same-power gamma pairs are decided analytically from the monotonicity
-    of ``g**(a1-a2) * exp(-(l1-l2) g)``; ties report D1_LR_GREATER. Other
-    pairs fall back to a grid scan of the log ratio, which can refute
-    orderedness (NOT_ORDERED with a witness) but not certify it (UNKNOWN).
+    With b = 1/r, the slope x (log f1/f2)'(x) is A - l1 b1 x**b1 + l2 b2 x**b2,
+    A = a1 b1 - a2 b2. Its one turning point x* solves x*^(b2-b1) =
+    l1 b1**2 / (l2 b2**2); it is a minimum for b2 > b1 and a maximum for
+    b2 < b1, and the slope is unbounded the other way, so its sign at x*
+    decides. There the slope is A + c T with c = (r2 - r1)/r1**2 and
+    T = l1 x*^b1; it is summed in logs, so no term overflows.
+    """
+    r1, r2 = g1.r, g2.r
+    # log x* = log(l1 b1**2 / (l2 b2**2)) / (b2 - b1) = k r1, and log T = log l1 + k
+    k = (
+        math.log(g1.lam) - math.log(g2.lam) + 2.0 * (math.log(abs(r2)) - math.log(abs(r1)))
+    ) * r2 / (r1 - r2)
+    log_ct = math.log(g1.lam) + k + math.log(abs(r2 - r1)) - 2.0 * math.log(abs(r1))
+    a = g1.alpha / r1 - g2.alpha / r2
+    log_a = math.log(abs(a)) if a else -math.inf
+    top = max(log_a, log_ct)  # the slope at x*, divided by exp(top)
+    slope = math.copysign(math.exp(log_a - top), a) + math.copysign(
+        math.exp(log_ct - top), r2 - r1
+    )
+    is_min = (r1 > r2) == ((r1 > 0) == (r2 > 0))  # b2 > b1
+    if slope >= 0 if is_min else slope <= 0:
+        v = LRVerdict.D1_LR_GREATER if is_min else LRVerdict.D2_LR_GREATER
+        return LRResult(v, detail="analytic gamma-power rule", basis="analytic")
+    with np.errstate(over="ignore", invalid="ignore"):
+        xstar = float(np.exp(k * r1))
+    return LRResult(
+        LRVerdict.NOT_ORDERED,
+        witness=(xstar, xstar) if 0 < xstar < math.inf else None,
+        detail="density ratio rises and falls",
+        basis="analytic",
+    )
+
+
+def lr_compare(d1: Dist, d2: Dist) -> LRResult:
+    """Likelihood-ratio-order comparison of two densities, in closed form.
+
+    Same-power gamma pairs are decided from the monotonicity of
+    ``g**(a1-a2) * exp(-(l1-l2) g)``; ties report D1_LR_GREATER. Pairs of
+    different powers go to ``_lr_cross_power``. A ``DensitySpec`` component
+    has no closed-form rule and gets UNKNOWN.
     """
     g1, g2 = _as_gamma_power(d1), _as_gamma_power(d2)
-    if g1 is not None and g2 is not None and g1.r == g2.r:
-        da, dl = g1.alpha - g2.alpha, g1.lam - g2.lam
-        inc_in_g = da >= 0 and dl <= 0
-        dec_in_g = da <= 0 and dl >= 0
-        if inc_in_g and dec_in_g:  # identical
-            return LRResult(LRVerdict.D1_LR_GREATER, detail="equal distributions", basis="analytic")
-        if inc_in_g or dec_in_g:
-            ratio_increasing = inc_in_g if g1.r > 0 else dec_in_g
-            v = LRVerdict.D1_LR_GREATER if ratio_increasing else LRVerdict.D2_LR_GREATER
-            return LRResult(v, detail="analytic gamma-power rule", basis="analytic")
-        # one parameter pushes each way: unimodal ratio, no ordering;
-        # the turning point of the ratio sits at g* = (a1-a2)/(l1-l2)
-        xstar = float((da / dl) ** g1.r)
-        return LRResult(
-            LRVerdict.NOT_ORDERED,
-            witness=(xstar, xstar),
-            detail="density ratio rises and falls",
-            basis="analytic",
-        )
-
-    lo1, hi1 = _effective_support(d1)
-    lo2, hi2 = _effective_support(d2)
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if not lo < hi:
-        raise DomainError("supports do not overlap")
-    xs = (
-        np.geomspace(lo, hi, grid_n)
-        if lo > 0
-        else np.linspace(lo, hi, grid_n)
+    if g1 is None or g2 is None:
+        return LRResult(LRVerdict.UNKNOWN, detail="no closed-form rule")
+    if g1.r != g2.r:
+        return _lr_cross_power(g1, g2)
+    da, dl = g1.alpha - g2.alpha, g1.lam - g2.lam
+    inc_in_g = da >= 0 and dl <= 0
+    dec_in_g = da <= 0 and dl >= 0
+    if inc_in_g and dec_in_g:  # identical
+        return LRResult(LRVerdict.D1_LR_GREATER, detail="equal distributions", basis="analytic")
+    if inc_in_g or dec_in_g:
+        ratio_increasing = inc_in_g if g1.r > 0 else dec_in_g
+        v = LRVerdict.D1_LR_GREATER if ratio_increasing else LRVerdict.D2_LR_GREATER
+        return LRResult(v, detail="analytic gamma-power rule", basis="analytic")
+    # one parameter pushes each way: unimodal ratio, no ordering;
+    # the turning point of the ratio sits at g* = (a1-a2)/(l1-l2)
+    xstar = float((da / dl) ** g1.r)
+    return LRResult(
+        LRVerdict.NOT_ORDERED,
+        witness=(xstar, xstar),
+        detail="density ratio rises and falls",
+        basis="analytic",
     )
-    f1 = np.asarray([float(d1.pdf(x)) for x in xs])
-    f2 = np.asarray([float(d2.pdf(x)) for x in xs])
-    ok = (f1 > 0) & (f2 > 0)
-    xs, f1, f2 = xs[ok], f1[ok], f2[ok]
-    if len(xs) < 3:
-        return LRResult(LRVerdict.UNKNOWN, detail="too few usable grid points")
-    lr = np.log(f1) - np.log(f2)
-    diffs = np.diff(lr)
-    rises = diffs > tol
-    falls = diffs < -tol
-    if rises.any() and falls.any():
-        i = int(np.nonzero(rises)[0][0])
-        j = int(np.nonzero(falls)[0][0])
-        return LRResult(
-            LRVerdict.NOT_ORDERED,
-            witness=(float(xs[min(i, j)]), float(xs[max(i, j) + 1])),
-            detail="ratio both rises and falls on grid",
-            basis="grid",
-        )
-    return LRResult(LRVerdict.UNKNOWN, detail="grid evidence one-sided only")
-
-
-def _effective_support(d: Dist, tail: float = _LOGCC_TAIL) -> tuple[float, float]:
-    if isinstance(d, DensitySpec):
-        return d.support
-    lo, hi = float(d.ppf(tail)), float(d.ppf(1.0 - tail))
-    return (min(lo, hi), max(lo, hi))
 
 
 def transformed_density(d: Dist, psi: Transform) -> DensitySpec:
     """Density of ``psi^{-1}(X)`` by change of variables."""
-    lo_x, hi_x = (
-        d.support if isinstance(d, DensitySpec) else _effective_support(d, tail=1e-12)
-    )
+    if isinstance(d, DensitySpec):
+        lo_x, hi_x = d.support
+    else:
+        lo_x, hi_x = sorted((float(d.ppf(1e-12)), float(d.ppf(1.0 - 1e-12))))
     a, b = psi.inverse(lo_x), psi.inverse(hi_x)
     lo_y, hi_y = (a, b) if a < b else (b, a)
     probe = np.linspace(lo_y, hi_y, 33)

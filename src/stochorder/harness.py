@@ -106,8 +106,9 @@ class CheckStatus(Enum):
 @dataclass(frozen=True)
 class HypothesisCheck:
     """One hypothesis's status. ``basis`` says what decided it: "analytic"
-    (a closed form or a finite exact check), "grid" (a scan of sample
-    points), or None for an UNKNOWN that no rule decided."""
+    (a closed form or a finite exact check), "grid" (the coupling conditions
+    of a custom transform, scanned at sample points; never the lr chain), or
+    None for an UNKNOWN that no rule decided."""
 
     status: CheckStatus
     detail: str = ""
@@ -415,10 +416,10 @@ def _check_lr_chain(dists: Sequence[Dist]) -> HypothesisCheck:
 
 
 def _check_conditions(
-    phi: Transform, psi: Transform, variant: ConditionVariant, grid: GridSpec
+    phi: Transform, psi: Transform, variant: ConditionVariant
 ) -> HypothesisCheck:
     """Conditions (a) and (b): in closed form for built-in transform kinds,
-    on ``grid`` where either transform is custom."""
+    on ``HARNESS_CONDITION_GRID`` where either transform is custom."""
     closed = closed_form_conditions(phi, psi, variant)
     if closed is not None:
         failed = []
@@ -437,7 +438,7 @@ def _check_conditions(
             basis="analytic",
         )
     try:
-        rep = check_convexity_conditions(phi, psi, variant, grid)
+        rep = check_convexity_conditions(phi, psi, variant, HARNESS_CONDITION_GRID)
     except NumericError as exc:
         return HypothesisCheck(CheckStatus.UNKNOWN, f"grid evaluation failed: {exc}")
     if rep.both_hold:
@@ -450,15 +451,13 @@ def _check_conditions(
     )
 
 
-def check_hypotheses(
-    s: Scenario, condition_grid: GridSpec = HARNESS_CONDITION_GRID
-) -> HypothesisReport:
+def check_hypotheses(s: Scenario) -> HypothesisReport:
     """Evaluate every hypothesis of the scenario's theorem.
 
     The premise order is checked between the phi-inverse images of the
     weight vectors; a weak premise mode must match the mode licensed by the
-    variant and the direction of phi. The coupling conditions go to
-    ``condition_grid`` only where a transform has no closed form.
+    variant and the direction of phi. The coupling conditions go to the
+    grid only where a transform has no closed form.
     """
     inv_a = _inverse_weights(s.phi, s.a)
     inv_b = _inverse_weights(s.phi, s.b)
@@ -480,7 +479,7 @@ def check_hypotheses(
     else:
         maj = HypothesisCheck(CheckStatus.FAIL, "premise order fails", basis="analytic")
 
-    cond = _check_conditions(s.phi, s.psi, s.variant, condition_grid)
+    cond = _check_conditions(s.phi, s.psi, s.variant)
     logcc = _check_log_concavity(s.dists, s.psi)
     lr = _check_lr_chain(s.dists)
     return HypothesisReport(maj, cond, logcc, lr)

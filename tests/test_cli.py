@@ -58,9 +58,29 @@ class TestClassify:
 class TestConditions:
     def test_convex_exp_pair(self, capsys):
         assert run(["conditions", "--phi", "exp", "--psi", "exp",
-                    "--variant", "convex", "--grid", "0.5,2,16"]) == 0
+                    "--variant", "convex"]) == 0
         res = json.loads(capsys.readouterr().out)["result"]
         assert res["condition_a_holds"] and res["condition_b_holds"]
+
+    def test_reports_the_closed_form(self, capsys):
+        # the grid starts at u = 0.01 and passes this pair; the closed form
+        # takes u -> 0, where r_logshift r_psi falls below 1
+        assert run(["conditions", "--phi", "logshift", "--psi", "power:0.5005",
+                    "--variant", "concave"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"] == {"phi": ["logshift"], "psi": ["power", 0.5005],
+                                 "variant": "concave"}
+        assert list(doc["result"]) == ["condition_a_holds", "condition_b_holds",
+                                       "phi2_sign", "ratio_inf"]
+        assert doc["result"]["condition_a_holds"] is True
+        assert doc["result"]["condition_b_holds"] is False
+        assert doc["result"]["phi2_sign"] == -1
+        assert doc["result"]["ratio_inf"] == pytest.approx(0.4995 / 0.5005, rel=1e-12)
+
+    def test_grid_option_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as e:
+            run(["conditions", "--phi", "exp", "--psi", "exp", "--grid", "0.5,2,16"])
+        assert e.value.code == 1
 
     def test_bad_variant_usage_error(self):
         with pytest.raises(SystemExit) as e:
@@ -100,6 +120,16 @@ class TestLogconcaveAndLR:
                     "--d2", "gengamma:2,1.5,2"]) == 0
         res = json.loads(capsys.readouterr().out)["result"]
         assert res["verdict"] == "d1_lr_greater"
+
+    @pytest.mark.parametrize("d1, d2, verdict", [
+        # the central masses do not overlap; the slope is least at x = 2500
+        ("gengamma:1,1,100", "gengamma:2,1,0.01", "not_ordered"),
+        # exponential against Weibull: the slope 1 - x + 2 x**2 stays positive
+        ("gengamma:1,3,1", "gengamma:2,1,1", "d1_lr_greater"),
+    ])
+    def test_lr_across_powers(self, capsys, d1, d2, verdict):
+        assert run(["lr", "--d1", d1, "--d2", d2]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == verdict
 
     def test_bad_dist_spec(self):
         with pytest.raises(SystemExit) as e:
@@ -169,6 +199,18 @@ class TestVerify:
         res = json.loads(capsys.readouterr().out)["result"]
         assert res["consistent"] is True
         assert res["predicted"] == "a"
+
+    def test_cross_power_chain_is_analytic(self, tmp_path, capsys):
+        # exponential then Weibull with shape 2: lr-decreasing in closed form
+        data = self.scenario_dict([4.0, 1.0], [2.0, 2.0])
+        data.update(dists=[["gengamma", 1, 3, 1], ["gengamma", 2, 1, 1]])
+        path = tmp_path / "cross.json"
+        path.write_text(json.dumps(data))
+        assert run(["verify", "--scenario", str(path)]) == 0
+        res = json.loads(capsys.readouterr().out)["result"]
+        assert res["consistent"] is True
+        assert res["hypothesis"]["lr_chain_ok"]["status"] == "pass"
+        assert res["hypothesis"]["lr_chain_ok"]["basis"] == "analytic"
 
     def test_failed_hypothesis_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stochorder import (
     GammaPower,
     GeneralizedGamma,
     LogConcavity,
+    LRResult,
     LRVerdict,
     ParameterError,
     dkw_epsilon,
@@ -331,6 +333,25 @@ class TestLRCompare:
         # exponential vs Rayleigh-type: the log ratio x - x^2 rises then falls
         assert res.verdict in (LRVerdict.NOT_ORDERED, LRVerdict.UNKNOWN)
 
+    def test_cross_power_pairs_are_decided(self):
+        # x (log f1/f2)' = 1 - x + 2 x**2 has its minimum 7/8 at x = 1/4
+        d1, d2 = GeneralizedGamma(1, 3, 1), GeneralizedGamma(2, 1, 1)
+        assert lr_compare(d1, d2) == LRResult(
+            LRVerdict.D1_LR_GREATER, detail="analytic gamma-power rule", basis="analytic"
+        )
+        assert lr_compare(d2, d1).verdict is LRVerdict.D2_LR_GREATER
+        # -1 - 100 x + 0.02 x**2 is least at x = 2500; the central masses
+        # of these two do not overlap
+        res = lr_compare(GeneralizedGamma(1, 1, 100), GeneralizedGamma(2, 1, 0.01))
+        assert res.verdict is LRVerdict.NOT_ORDERED
+        assert res.witness == pytest.approx((2500.0, 2500.0), rel=1e-12)
+
+    def test_witness_outside_the_floats_is_none(self):
+        # powers 1 and 1 + 1e-9 put log x* near -7e8
+        res = lr_compare(GammaPower(1.0, 1.0, 2.0), GammaPower(1.0 + 1e-9, 1.0, 1.0))
+        assert res.verdict is LRVerdict.NOT_ORDERED
+        assert res.witness is None
+
     def test_lr_implies_st_empirically(self):
         d1 = GeneralizedGamma(1.5, 3.0, 1.0)
         d2 = GeneralizedGamma(1.5, 2.0, 1.0)
@@ -342,6 +363,132 @@ class TestLRCompare:
         fb = ecdf(d2.sample(n, seed=6))
         # F_{d1} must not exceed F_{d2} beyond the joint band anywhere
         assert np.max(fa.evaluate(xs) - fb.evaluate(xs)) <= band
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _cross_power_panel(n: int, seed: int) -> list[tuple[GammaPower, GammaPower]]:
+    """Pairs of different powers: |r| log-uniform on [1/4, 4] with either
+    sign, alpha log-uniform on [1/4, 4] and lam on [1/10, 10]."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < n:
+        r = rng.choice([-1.0, 1.0], 2) * np.exp(rng.uniform(-math.log(4), math.log(4), 2))
+        alpha = np.exp(rng.uniform(-math.log(4), math.log(4), 2))
+        lam = np.exp(rng.uniform(-math.log(10), math.log(10), 2))
+        if r[0] != r[1]:
+            pairs.append(tuple(GammaPower(*map(float, p)) for p in zip(r, alpha, lam)))
+    return pairs
+
+
+def _log_xstar(d1: GammaPower, d2: GammaPower) -> float:
+    """log x*, where x*^(b2-b1) = l1 b1**2 / (l2 b2**2) with b = 1/r."""
+    b1, b2 = 1.0 / d1.r, 1.0 / d2.r
+    return (math.log(d1.lam * b1**2) - math.log(d2.lam * b2**2)) / (b2 - b1)
+
+
+def _slope(d1: GammaPower, d2: GammaPower, x: float) -> tuple[float, float]:
+    """x (log f1/f2)'(x) = A - l1 b1 x**b1 + l2 b2 x**b2, summed directly,
+    and a bound on its rounding."""
+    b1, b2 = 1.0 / d1.r, 1.0 / d2.r
+    terms = (d1.alpha * b1 - d2.alpha * b2, -d1.lam * b1 * x**b1, d2.lam * b2 * x**b2)
+    return sum(terms), 16 * _EPS * sum(map(abs, terms))
+
+
+def _logpdf_with_error(d: GammaPower, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``d.logpdf(x)`` and a bound on its rounding: some ulps of its terms."""
+    with np.errstate(over="ignore"):
+        size = (
+            abs(d.alpha * math.log(d.lam)) + abs(math.lgamma(d.alpha)) + abs(math.log(abs(d.r)))
+            + np.abs((d.alpha / d.r - 1.0) * np.log(x)) + d.lam * x ** (1.0 / d.r)
+        )
+    return d.logpdf(x), 64 * _EPS * size
+
+
+def _scan_rises_falls(d1: GammaPower, d2: GammaPower, log_xstar: float) -> tuple[bool, bool]:
+    """Whether ``logpdf(x, d1) - logpdf(x, d2)`` rises, and whether it falls,
+    past rounding between neighbours of a log grid around x*."""
+    span = 10.0 * max(abs(d1.r), abs(d2.r))  # x**b moves by e**10 or more
+    x = np.exp(np.clip(log_xstar + np.linspace(-span, span, 4001), -700.0, 700.0))
+    (l1, e1), (l2, e2) = _logpdf_with_error(d1, x), _logpdf_with_error(d2, x)
+    ok = np.isfinite(l1) & np.isfinite(l2) & np.isfinite(e1 + e2)
+    h, err = (l1 - l2)[ok], (e1 + e2)[ok]
+    diffs, tol = np.diff(h), err[1:] + err[:-1]
+    return bool((diffs > tol).any()), bool((diffs < -tol).any())
+
+
+def _former_grid_verdict(d1: GammaPower, d2: GammaPower) -> str:
+    """The 256-point grid scan that took pairs of different powers before the
+    closed form did: "not_ordered" where the log density ratio both rose and
+    fell past 1e-9 over the overlap of the central 0.999 masses, "unknown"
+    otherwise, "no overlap" where the masses did not meet."""
+    bounds = [sorted(float(d.ppf(u)) for u in (5e-4, 1 - 5e-4)) for d in (d1, d2)]
+    lo, hi = max(bounds[0][0], bounds[1][0]), min(bounds[0][1], bounds[1][1])
+    if not lo < hi:
+        return "no overlap"
+    xs = np.geomspace(lo, hi, 256)
+    f1, f2 = d1.pdf(xs), d2.pdf(xs)
+    ok = (f1 > 0) & (f2 > 0)
+    if ok.sum() < 3:
+        return "unknown"
+    diffs = np.diff(np.log(f1[ok]) - np.log(f2[ok]))
+    return "not_ordered" if (diffs > 1e-9).any() and (diffs < -1e-9).any() else "unknown"
+
+
+class TestLRCrossPower:
+    """The closed-form rule for powers r1 != r2, against a sign scan of the
+    log density ratio on a seeded panel."""
+
+    PANEL = _cross_power_panel(3000, seed=20)
+
+    def test_rule_agrees_with_the_slope_scan(self):
+        counts = Counter()
+        for d1, d2 in self.PANEL:
+            res = lr_compare(d1, d2)
+            assert res.basis == "analytic"
+            log_xstar = _log_xstar(d1, d2)
+            counts[res.verdict] += 1
+            if not -700.0 < log_xstar < 700.0:
+                # x* outside the floats: no witness, and nothing to scan
+                counts["x* outside floats"] += 1
+                if res.verdict is LRVerdict.NOT_ORDERED:
+                    assert res.witness is None
+                continue
+            rises, falls = _scan_rises_falls(d1, d2, log_xstar)
+            if rises and falls:
+                counts["scan sees both"] += 1
+                assert res.verdict is LRVerdict.NOT_ORDERED, (d1, d2)
+            if res.verdict is LRVerdict.D1_LR_GREATER:
+                assert not falls, (d1, d2)
+            elif res.verdict is LRVerdict.D2_LR_GREATER:
+                assert not rises, (d1, d2)
+            else:
+                assert res.verdict is LRVerdict.NOT_ORDERED
+                w, _ = res.witness
+                assert w == pytest.approx(math.exp(log_xstar), rel=1e-9)
+                # the slope's extreme breaks the order that its far side keeps:
+                # a minimum (b2 > b1) is negative, a maximum positive
+                slope, err = _slope(d1, d2, w)
+                if 1.0 / d2.r > 1.0 / d1.r:
+                    assert slope < err, (d1, d2)
+                else:
+                    assert slope > -err, (d1, d2)
+        assert counts[LRVerdict.UNKNOWN] == 0
+        assert min(counts[v] for v in (LRVerdict.D1_LR_GREATER, LRVerdict.D2_LR_GREATER)) > 100
+        assert counts["scan sees both"] > 0.9 * counts[LRVerdict.NOT_ORDERED]
+        assert counts["x* outside floats"] < 0.05 * len(self.PANEL)
+
+    def test_every_grid_refutation_stands(self):
+        # the grid could refute an order but never certify one; every pair it
+        # refuted is still NOT_ORDERED, and every pair is now decided
+        counts = Counter()
+        for d1, d2 in self.PANEL:
+            grid, verdict = _former_grid_verdict(d1, d2), lr_compare(d1, d2).verdict
+            counts[grid, verdict.value] += 1
+            if grid == "not_ordered":
+                assert verdict is LRVerdict.NOT_ORDERED, (d1, d2)
+        assert counts["not_ordered", "not_ordered"] > 1000
 
 
 class TestTransformedDensity:

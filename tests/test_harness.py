@@ -267,7 +267,7 @@ class TestHypothesisBasis:
         )
         assert check_hypotheses(s).conditions_ok.detail == "closed form: inf r_phi r_psi = -1 < 1"
 
-    def test_grid_that_cannot_be_evaluated_is_unknown(self):
+    def test_grid_that_cannot_be_evaluated_is_unknown(self, monkeypatch):
         custom_exp = Transform(
             eval=math.exp, d1=math.exp, d2=math.exp, inverse=math.log,
             direction=Direction.INCREASING, label="custom-exp",
@@ -275,19 +275,25 @@ class TestHypothesisBasis:
         s = exp_scenario([4.0, 1.0], [2.0, 2.0])
         s = Scenario(dists=s.dists, phi=custom_exp, psi=make_exp(), variant=CONVEX,
                      a=s.a, b=s.b)
-        check = check_hypotheses(s, condition_grid=GridSpec(1e-3, 1e3, 8)).conditions_ok
-        assert (check.status, check.basis) == (CheckStatus.UNKNOWN, None)
         assert check_hypotheses(s).conditions_ok.basis == "grid"
+        # exp(1000) overflows
+        monkeypatch.setattr(harness, "HARNESS_CONDITION_GRID", GridSpec(1e-3, 1e3, 8))
+        check = check_hypotheses(s).conditions_ok
+        assert (check.status, check.basis) == (CheckStatus.UNKNOWN, None)
 
     def test_lr_chain_basis(self):
-        # different powers leave the closed form: the grid can refute the
-        # order, never certify it
+        # pairs of different powers are decided in closed form too; only a
+        # DensitySpec component has no rule
         refuted = (GeneralizedGamma(1, 2, 1), GeneralizedGamma(2, 1, 1))
-        one_sided = (GeneralizedGamma(1, 3, 1), GeneralizedGamma(2, 1, 1))
-        for dists, status, basis in ((refuted, CheckStatus.FAIL, "grid"),
-                                     (one_sided, CheckStatus.UNKNOWN, None)):
+        certified = (GeneralizedGamma(1, 3, 1), GeneralizedGamma(2, 1, 1))
+        for dists, status in ((refuted, CheckStatus.FAIL), (certified, CheckStatus.PASS)):
             check = check_hypotheses(self._conjugate(make_power(0.5), dists=dists)).lr_chain_ok
-            assert (check.status, check.basis) == (status, basis)
+            assert (check.status, check.basis) == (status, "analytic")
+        spec = DensitySpec.from_dist(GeneralizedGamma(2, 2, 1))
+        dists = (spec, GeneralizedGamma(2, 1, 1))
+        check = check_hypotheses(self._conjugate(make_power(0.5), dists=dists)).lr_chain_ok
+        assert (check.status, check.basis) == (CheckStatus.UNKNOWN, None)
+        assert check.detail == "pair (0, 1): unknown (no closed-form rule)"
 
     def test_counterexample_preconditions_are_analytic(self):
         rep = run_counterexample(1.0, (2.0, 1.0, 1.0), (1.5, 1.5, 1.0))
