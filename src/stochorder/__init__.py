@@ -26,7 +26,6 @@ from .majorization import (
     check_majorize,
     sort_increasing,
     t_transform_chain,
-    weak_completion,
 )
 from .transforms import (
     ClosedFormConditions,
@@ -77,7 +76,6 @@ from .harness import (
     TheoremReport,
     check_hypotheses,
     generate_scenario,
-    pairwise_exchange_check,
     run_counterexample,
     run_scenario,
     run_suite,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -75,7 +76,7 @@ def _text_spec(text: str) -> list[str]:
 def _parse_transform_arg(text: str):
     try:
         return transform_from_spec(_text_spec(text))
-    except StochOrderError as exc:  # a bad exponent, or a map that fails validation
+    except StochOrderError as exc:  # a bad or out-of-range exponent
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
@@ -117,7 +118,7 @@ def _resolve_output(path: Optional[str]) -> Optional[str]:
 def _emit(report: dict, config: dict, output: Optional[str]) -> None:
     doc = {"tool": "stochorder", "version": __version__, "config": config,
            "result": report}
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     path = _resolve_output(output)
     if path is None:
         sys.stdout.write(text)
@@ -142,7 +143,7 @@ def _write_profile(path: str, command: str, entries: list[dict]) -> None:
            "clock": "thread CPU (time.thread_time) and wall (time.perf_counter) seconds",
            "totals": totals, "scenarios": entries}
     with open(_resolve_output(path), "w") as f:
-        f.write(json.dumps(doc, indent=2) + "\n")
+        f.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,14 +238,15 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
-    # the parser builds only built-in kinds, which all have a closed form
-    rep = closed_form_conditions(args.phi, args.psi, args.variant)
+    result = asdict(closed_form_conditions(args.phi, args.psi, args.variant))
+    if result["ratio_inf"] == -math.inf:  # JSON has no -Infinity
+        result["ratio_inf"] = None
     config = {
         "phi": list(args.phi.kind),
         "psi": list(args.psi.kind),
         "variant": args.variant.value,
     }
-    _emit(asdict(rep), config, args.output)
+    _emit(result, config, args.output)
     return 0
 
 

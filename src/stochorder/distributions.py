@@ -1,6 +1,8 @@
 """Generalized gamma machinery: densities, exact sampling via gamma draws,
 closed-form log-concavity classification of power, log and shifted-exp
-transforms of the variable, and likelihood-ratio-order comparison.
+transforms of the variable, and closed-form likelihood-ratio-order
+comparison. ``Dist`` is one of the two families below; every layer above
+takes only these.
 
 ``GeneralizedGamma(p, alpha, lam)`` has density proportional to
 ``x**(alpha*p - 1) * exp(-lam * x**p)`` on (0, inf); equivalently
@@ -13,7 +15,7 @@ must map the variable back to a gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
@@ -171,24 +173,22 @@ class GeneralizedGamma:
         return self.as_gamma_power().sample(n, seed)
 
 
+Dist = Union[GeneralizedGamma, GammaPower]
+
+
+def _as_gamma_power(d: Dist) -> GammaPower:
+    return d.as_gamma_power() if isinstance(d, GeneralizedGamma) else d
+
+
 @dataclass(frozen=True)
 class DensitySpec:
-    """A density on an interval, normalization-checked at construction.
-
-    ``support`` bounds may be +-inf conceptually but are stored as effective
-    integration bounds. The convolution oracle takes a spec only with a
-    ``cdf`` and a ``ppf`` (as :meth:`from_dist` gives it); a density-only
-    spec serves ``quadrature_cdf``. No closed-form rule covers a spec, so
-    its log-concavity and lr order are UNKNOWN.
-    """
+    """A density on an interval, normalization-checked at construction: what
+    ``transformed_density`` returns. It is no ``Dist``, and no layer above
+    takes it."""
 
     pdf: Callable
     support: tuple[float, float]
     label: str = "density"
-    cdf: Optional[Callable] = None
-    ppf: Optional[Callable] = None
-    mean_value: Optional[float] = None
-    meta: tuple = field(default=())
 
     def __post_init__(self):
         lo, hi = self.support
@@ -205,22 +205,6 @@ class DensitySpec:
             raise NumericError(
                 f"{self.label}: density integrates to {total}, not 1"
             )
-
-    @classmethod
-    def from_dist(cls, d: GeneralizedGamma | GammaPower, tail: float = 1e-12) -> "DensitySpec":
-        lo = float(d.ppf(tail))
-        hi = float(d.ppf(1.0 - tail))
-        return cls(
-            pdf=d.pdf,
-            support=(min(lo, hi), max(lo, hi)),
-            label=d.label,
-            cdf=d.cdf,
-            ppf=d.ppf,
-            mean_value=d.mean(),
-        )
-
-
-Dist = Union[GeneralizedGamma, GammaPower, DensitySpec]
 
 
 class LogConcavity(Enum):
@@ -308,7 +292,7 @@ def _logshift_witness(x_dist: GammaPower) -> Optional[float]:
 
 
 def log_concavity_classify(
-    d: GeneralizedGamma | GammaPower, variant: VariantSpec = "identity"
+    d: Dist, variant: VariantSpec = "identity"
 ) -> LogConcavityResult:
     """Classify log-concavity of the transformed variable, in closed form.
 
@@ -317,7 +301,7 @@ def log_concavity_classify(
     the witness is a point of positive log-density curvature. ``log`` of the
     variable is always log-concave, and ``logshift``, exp(X) - e, never is.
     """
-    base = d.as_gamma_power() if isinstance(d, GeneralizedGamma) else d
+    base = _as_gamma_power(d)
     if variant == "logshift":
         return LogConcavityResult(
             LogConcavity.NOT_LOG_CONCAVE,
@@ -343,26 +327,17 @@ class LRVerdict(Enum):
     D1_LR_GREATER = "d1_lr_greater"
     D2_LR_GREATER = "d2_lr_greater"
     NOT_ORDERED = "not_ordered"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class LRResult:
-    """``basis`` is "analytic" where the closed-form rule decided, None for
-    an UNKNOWN (a ``DensitySpec`` component, which no rule covers)."""
+    """``basis`` is always "analytic": the closed-form rule decides every
+    pair of gamma-family components."""
 
     verdict: LRVerdict
     witness: Optional[tuple[float, float]] = None
     detail: str = ""
-    basis: Optional[str] = None
-
-
-def _as_gamma_power(d: Dist) -> Optional[GammaPower]:
-    if isinstance(d, GeneralizedGamma):
-        return d.as_gamma_power()
-    if isinstance(d, GammaPower):
-        return d
-    return None
+    basis: str = "analytic"
 
 
 def _lr_cross_power(g1: GammaPower, g2: GammaPower) -> LRResult:
@@ -390,14 +365,13 @@ def _lr_cross_power(g1: GammaPower, g2: GammaPower) -> LRResult:
     is_min = (r1 > r2) == ((r1 > 0) == (r2 > 0))  # b2 > b1
     if slope >= 0 if is_min else slope <= 0:
         v = LRVerdict.D1_LR_GREATER if is_min else LRVerdict.D2_LR_GREATER
-        return LRResult(v, detail="analytic gamma-power rule", basis="analytic")
+        return LRResult(v, detail="analytic gamma-power rule")
     with np.errstate(over="ignore", invalid="ignore"):
         xstar = float(np.exp(k * r1))
     return LRResult(
         LRVerdict.NOT_ORDERED,
         witness=(xstar, xstar) if 0 < xstar < math.inf else None,
         detail="density ratio rises and falls",
-        basis="analytic",
     )
 
 
@@ -406,23 +380,20 @@ def lr_compare(d1: Dist, d2: Dist) -> LRResult:
 
     Same-power gamma pairs are decided from the monotonicity of
     ``g**(a1-a2) * exp(-(l1-l2) g)``; ties report D1_LR_GREATER. Pairs of
-    different powers go to ``_lr_cross_power``. A ``DensitySpec`` component
-    has no closed-form rule and gets UNKNOWN.
+    different powers go to ``_lr_cross_power``.
     """
     g1, g2 = _as_gamma_power(d1), _as_gamma_power(d2)
-    if g1 is None or g2 is None:
-        return LRResult(LRVerdict.UNKNOWN, detail="no closed-form rule")
     if g1.r != g2.r:
         return _lr_cross_power(g1, g2)
     da, dl = g1.alpha - g2.alpha, g1.lam - g2.lam
     inc_in_g = da >= 0 and dl <= 0
     dec_in_g = da <= 0 and dl >= 0
     if inc_in_g and dec_in_g:  # identical
-        return LRResult(LRVerdict.D1_LR_GREATER, detail="equal distributions", basis="analytic")
+        return LRResult(LRVerdict.D1_LR_GREATER, detail="equal distributions")
     if inc_in_g or dec_in_g:
         ratio_increasing = inc_in_g if g1.r > 0 else dec_in_g
         v = LRVerdict.D1_LR_GREATER if ratio_increasing else LRVerdict.D2_LR_GREATER
-        return LRResult(v, detail="analytic gamma-power rule", basis="analytic")
+        return LRResult(v, detail="analytic gamma-power rule")
     # one parameter pushes each way: unimodal ratio, no ordering;
     # the turning point of the ratio sits at g* = (a1-a2)/(l1-l2)
     xstar = float((da / dl) ** g1.r)
@@ -430,16 +401,12 @@ def lr_compare(d1: Dist, d2: Dist) -> LRResult:
         LRVerdict.NOT_ORDERED,
         witness=(xstar, xstar),
         detail="density ratio rises and falls",
-        basis="analytic",
     )
 
 
 def transformed_density(d: Dist, psi: Transform) -> DensitySpec:
     """Density of ``psi^{-1}(X)`` by change of variables."""
-    if isinstance(d, DensitySpec):
-        lo_x, hi_x = d.support
-    else:
-        lo_x, hi_x = sorted((float(d.ppf(1e-12)), float(d.ppf(1.0 - 1e-12))))
+    lo_x, hi_x = sorted((float(d.ppf(1e-12)), float(d.ppf(1.0 - 1e-12))))
     a, b = psi.inverse(lo_x), psi.inverse(hi_x)
     lo_y, hi_y = (a, b) if a < b else (b, a)
     probe = np.linspace(lo_y, hi_y, 33)
@@ -454,5 +421,5 @@ def transformed_density(d: Dist, psi: Transform) -> DensitySpec:
     return DensitySpec(
         pdf=pdf_y,
         support=(lo_y, hi_y),
-        label=f"{psi.label}^-1({getattr(d, 'label', 'X')})",
+        label=f"{psi.label}^-1({d.label})",
     )

@@ -3,6 +3,10 @@
 log-concavity, lr chains), Monte-Carlo plus exact-oracle conclusion tests,
 the unique-crossing counterexample, and randomized scenario suites.
 
+A scenario's components are gamma-family variables (``GeneralizedGamma`` or
+``GammaPower``) and its phi and psi are built-in transform kinds, so every
+hypothesis is decided in closed form or by a finite exact check.
+
 Direction conventions: in the convex case the a-weighted sum is predicted
 to dominate stochastically; in the concave case the b-weighted sum is.
 For non-identical variables (given in lr-decreasing order) the convex case
@@ -24,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, OrderError, ParameterError, StochOrderError
+from .errors import DomainError, OrderError, ParameterError, StochOrderError
 from .majorization import (
     MajorizationMode,
     WeightVector,
@@ -34,9 +38,7 @@ from .majorization import (
 from .transforms import (
     ConditionVariant,
     Direction,
-    GridSpec,
     Transform,
-    check_convexity_conditions,
     closed_form_conditions,
     make_exp,
     make_log_shift,
@@ -60,11 +62,6 @@ from .orders import (
     st_compare_exact,
 )
 
-# Condition grid for hypothesis checks on custom transforms (built-in kinds
-# are decided in closed form). Narrower than the classifier default so that
-# exp-family factors stay representable; the product condition is still
-# compared in log scale.
-HARNESS_CONDITION_GRID = GridSpec(1e-2, 1e2, 24)
 ORACLE_MAX_N = 4
 
 
@@ -105,10 +102,9 @@ class CheckStatus(Enum):
 
 @dataclass(frozen=True)
 class HypothesisCheck:
-    """One hypothesis's status. ``basis`` says what decided it: "analytic"
-    (a closed form or a finite exact check), "grid" (the coupling conditions
-    of a custom transform, scanned at sample points; never the lr chain), or
-    None for an UNKNOWN that no rule decided."""
+    """One hypothesis's status. ``basis`` says what decided it: "analytic",
+    a closed form or a finite exact check, for every hypothesis that
+    ``check_hypotheses`` reports."""
 
     status: CheckStatus
     detail: str = ""
@@ -151,7 +147,8 @@ class HypothesisReport:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One executable instance of a weighted-sum comparison theorem."""
+    """One executable instance of a weighted-sum comparison theorem. Each
+    component is a ``GeneralizedGamma`` or a ``GammaPower``."""
 
     dists: tuple[Dist, ...]
     phi: Transform
@@ -167,6 +164,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "dists", tuple(self.dists))
+        for d in self.dists:
+            if not isinstance(d, Dist):
+                raise ParameterError(f"components are gengamma or gammapower, not {d!r}")
         object.__setattr__(self, "a", as_weight_vector(self.a))
         object.__setattr__(self, "b", as_weight_vector(self.b))
         n = len(self.dists)
@@ -248,9 +248,7 @@ def _integral(value, name: str) -> int:
 def _dist_to_spec(d: Dist) -> list:
     if isinstance(d, GeneralizedGamma):
         return ["gengamma", d.p, d.alpha, d.lam]
-    if isinstance(d, GammaPower):
-        return ["gammapower", d.r, d.alpha, d.lam]
-    raise ParameterError(f"cannot serialize distribution {d!r}")
+    return ["gammapower", d.r, d.alpha, d.lam]
 
 
 def _spec_fields(spec, arity: dict[str, int], what: str) -> tuple[str, list[float]]:
@@ -360,15 +358,11 @@ def _psi_variant(psi: Transform):
     """The transform of X whose log-concavity the hypothesis needs.
 
     psi^{-1}(X) for psi = exp is log X; for psi = x^r it is X^(1/r); for
-    psi = logshift it is exp(X) - e. Returns None for a hand-built psi.
+    psi = logshift it is exp(X) - e.
     """
-    if psi.kind[0] == "exp":
-        return "log"
     if psi.kind[0] == "power":
-        return ("power", 1.0 / float(psi.kind[1]))
-    if psi.kind[0] == "logshift":
-        return "logshift"
-    return None
+        return ("power", 1.0 / psi.kind[1])
+    return "log" if psi.kind[0] == "exp" else "logshift"
 
 
 def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisCheck:
@@ -378,10 +372,6 @@ def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisChe
         if d in seen:
             continue
         seen.append(d)
-        if variant is None or not isinstance(d, (GeneralizedGamma, GammaPower)):
-            return HypothesisCheck(
-                CheckStatus.UNKNOWN, f"{psi.label}^-1({d.label}): no closed-form rule"
-            )
         res = log_concavity_classify(d, variant)
         if res.verdict is LogConcavity.NOT_LOG_CONCAVE:
             return HypothesisCheck(
@@ -398,56 +388,35 @@ def _check_lr_chain(dists: Sequence[Dist]) -> HypothesisCheck:
         return HypothesisCheck(CheckStatus.PASS, "identical distributions", basis="analytic")
     for i in range(len(dists) - 1):
         res = lr_compare(dists[i], dists[i + 1])
-        if res.verdict is LRVerdict.D1_LR_GREATER:
-            continue
-        status = (
-            CheckStatus.UNKNOWN
-            if res.verdict is LRVerdict.UNKNOWN
-            else CheckStatus.FAIL
-        )
-        return HypothesisCheck(
-            status,
-            f"pair ({i}, {i + 1}): {res.verdict.value} ({res.detail})",
-            witness=res.witness,
-            basis=res.basis,
-        )
-    # only the closed-form rule certifies a pair
+        if res.verdict is not LRVerdict.D1_LR_GREATER:
+            return HypothesisCheck(
+                CheckStatus.FAIL,
+                f"pair ({i}, {i + 1}): {res.verdict.value} ({res.detail})",
+                witness=res.witness,
+                basis=res.basis,
+            )
     return HypothesisCheck(CheckStatus.PASS, "lr-decreasing chain verified", basis="analytic")
 
 
 def _check_conditions(
     phi: Transform, psi: Transform, variant: ConditionVariant
 ) -> HypothesisCheck:
-    """Conditions (a) and (b): in closed form for built-in transform kinds,
-    on ``HARNESS_CONDITION_GRID`` where either transform is custom."""
+    """Conditions (a) and (b), decided in closed form."""
     closed = closed_form_conditions(phi, psi, variant)
-    if closed is not None:
-        failed = []
-        if not closed.condition_a_holds:
-            failed.append(f"phi'' has sign {closed.phi2_sign:+d} in the {variant.value} case")
-        if not closed.condition_b_holds:
-            failed.append(f"inf r_phi r_psi = {closed.ratio_inf:.6g} < 1")
-        if failed:
-            return HypothesisCheck(
-                CheckStatus.FAIL, "closed form: " + "; ".join(failed), basis="analytic"
-            )
+    failed = []
+    if not closed.condition_a_holds:
+        failed.append(f"phi'' has sign {closed.phi2_sign:+d} in the {variant.value} case")
+    if not closed.condition_b_holds:
+        failed.append(f"inf r_phi r_psi = {closed.ratio_inf:.6g} < 1")
+    if failed:
         return HypothesisCheck(
-            CheckStatus.PASS,
-            f"closed form: phi'' sign {closed.phi2_sign:+d}, "
-            f"inf r_phi r_psi = {closed.ratio_inf:.6g}",
-            basis="analytic",
+            CheckStatus.FAIL, "closed form: " + "; ".join(failed), basis="analytic"
         )
-    try:
-        rep = check_convexity_conditions(phi, psi, variant, HARNESS_CONDITION_GRID)
-    except NumericError as exc:
-        return HypothesisCheck(CheckStatus.UNKNOWN, f"grid evaluation failed: {exc}")
-    if rep.both_hold:
-        return HypothesisCheck(CheckStatus.PASS, f"grid: {rep.grid_spec}", basis="grid")
     return HypothesisCheck(
-        CheckStatus.FAIL,
-        f"worst violation {rep.worst_violation:.3g}",
-        witness=rep.worst_point,
-        basis="grid",
+        CheckStatus.PASS,
+        f"closed form: phi'' sign {closed.phi2_sign:+d}, "
+        f"inf r_phi r_psi = {closed.ratio_inf:.6g}",
+        basis="analytic",
     )
 
 
@@ -456,8 +425,8 @@ def check_hypotheses(s: Scenario) -> HypothesisReport:
 
     The premise order is checked between the phi-inverse images of the
     weight vectors; a weak premise mode must match the mode licensed by the
-    variant and the direction of phi. The coupling conditions go to the
-    grid only where a transform has no closed form.
+    variant and the direction of phi. The coupling conditions, the
+    log-concavity and the lr chain are decided in closed form.
     """
     inv_a = _inverse_weights(s.phi, s.a)
     inv_b = _inverse_weights(s.phi, s.b)
@@ -605,33 +574,6 @@ def verify_noniid_theorem(
         a_used = np.sort(s.a.as_array())
         b_used = np.sort(s.b.as_array())
     return _run_comparison(s, hyp, a_used, b_used, clock)
-
-
-def pairwise_exchange_check(
-    d1: Dist,
-    d2: Dist,
-    c: WeightVector | Sequence[float],
-    phi: Transform,
-    tol: float = 1e-6,
-) -> bool:
-    """Exchange inequality for two variables with d1 lr-dominating d2.
-
-    With w_hi >= w_lo the images of the two coefficients under phi, checks
-    w_hi*X1 + w_lo*X2 >=_st w_lo*X1 + w_hi*X2 via the convolution oracle,
-    at the knots of both tables.
-    """
-    cv = as_weight_vector(c)
-    if len(cv) != 2:
-        raise ParameterError("pairwise check needs exactly two coefficients")
-    res = lr_compare(d1, d2)
-    if res.verdict is not LRVerdict.D1_LR_GREATER:
-        raise OrderError(f"lr premise not established: {res.verdict.value}")
-    w = sorted(float(phi.eval(float(t))) for t in cv)
-    w_lo, w_hi = w
-    if w_lo <= 0:
-        raise DomainError("phi maps a coefficient to a nonpositive weight")
-    verdict = _compare_weightings([d1, d2], (w_hi, w_lo), (w_lo, w_hi))[2]
-    return verdict.max_pos_dev <= tol
 
 
 def run_counterexample(

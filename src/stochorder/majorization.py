@@ -1,5 +1,5 @@
 """Vector preorders (majorization and its weak variants), constructive
-T-transform chains, and weak-order completions.
+T-transform chains, and an exact-integer reference for the orders.
 
 Conventions: ``x <=_m y`` (``FULL``) means the partial sums of the smallest
 components of ``x`` dominate those of ``y`` and the totals agree; ``WEAK_SUP``
@@ -84,10 +84,6 @@ def sort_increasing(v: VectorLike) -> WeightVector:
     """Stable nondecreasing rearrangement."""
     arr = as_weight_vector(v).as_array()
     return WeightVector(tuple(np.sort(arr, kind="stable")))
-
-
-def _slack(tol: float, *sums: float) -> float:
-    return tol * (1.0 + max(abs(s) for s in sums))
 
 
 # looked up once: check_majorize runs per vector pair in premise screening
@@ -208,80 +204,6 @@ def t_transform_chain(
         raise InternalError("T-transform reduction did not terminate in n steps")
     steps_rev[-1] = sort_increasing(xv)  # snap the endpoint exactly
     return TChain(tuple(reversed(steps_rev)))
-
-
-def _dominance_family(c: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """Partial-sum family of ``c majorizes v``: top sums of ``c`` dominate
-    those of ``v`` (decreasing arrangement); total equality is not required
-    here and is reported separately by callers that care."""
-    tc = np.cumsum(np.sort(c)[::-1])
-    tv = np.cumsum(np.sort(v)[::-1])
-    return all(tc[j] >= tv[j] - _slack(tol, tc[j], tv[j]) for j in range(len(c)))
-
-
-def weak_completion(
-    u: VectorLike,
-    v: VectorLike,
-    mode: MajorizationMode,
-    tol: float = DEFAULT_TOL,
-) -> WeightVector:
-    """Construct the sandwich vector ``c`` between ``u`` and ``v``.
-
-    ``WEAK_SUP``: requires ``u <=^w v``; returns ``c >= u`` componentwise
-    whose decreasing partial sums dominate those of ``v``.
-    ``WEAK_SUB``: requires ``v <=_w u``; returns ``c <= u`` componentwise
-    with the same dominance family, matching total sums when feasible.
-
-    The dominance family is asserted before returning; the total-sum clause
-    of full majorization cannot always hold (the endpoint totals may differ)
-    and is deliberately not enforced.
-    """
-    ua = as_weight_vector(u).as_array()
-    va = as_weight_vector(v).as_array()
-    if ua.shape != va.shape:
-        raise DimensionError(f"length mismatch: {len(ua)} vs {len(va)}")
-
-    if mode is MajorizationMode.WEAK_SUP:
-        if not check_majorize(ua, va, MajorizationMode.WEAK_SUP, tol):
-            raise OrderError("weak_completion(WEAK_SUP) requires u <=^w v")
-        c = ua.copy()
-        tc = np.cumsum(np.sort(c)[::-1])
-        tv = np.cumsum(np.sort(va)[::-1])
-        # raising the largest coordinate lifts every top partial sum equally
-        bump = float(np.max(tv - tc))
-        if bump > 0:
-            c[int(np.argmax(c))] += bump
-        if not (np.all(c >= ua - _slack(tol, *c, *ua)) and _dominance_family(c, va, tol)):
-            raise InternalError("weak_completion postcondition failed (WEAK_SUP)")
-        return WeightVector(tuple(c))
-
-    if mode is MajorizationMode.WEAK_SUB:
-        if not check_majorize(va, ua, MajorizationMode.WEAK_SUB, tol):
-            raise OrderError("weak_completion(WEAK_SUB) requires v <=_w u")
-        order = np.argsort(ua, kind="stable")
-        us = ua[order]
-        vs = np.sort(va)
-        c_s = us.copy()
-        excess = float(np.sum(ua) - np.sum(va))
-        for i in range(len(us)):  # lower the smallest coordinates first
-            if excess <= 0:
-                break
-            d = min(excess, max(0.0, c_s[i] - vs[i]))
-            c_s[i] -= d
-            excess -= d
-        if not _dominance_family(c_s, va, tol):
-            # fallback: undo reductions from the largest coordinate down
-            for i in range(len(us) - 1, -1, -1):
-                c_s[i] = us[i]
-                if _dominance_family(c_s, va, tol):
-                    break
-        c = np.empty_like(ua)
-        c[order] = c_s
-        if not (np.all(c <= ua + _slack(tol, *c, *ua)) and _dominance_family(c, va, tol)):
-            raise InternalError("weak_completion postcondition failed (WEAK_SUB)")
-        return WeightVector(tuple(c))
-
-    raise ParameterError("weak_completion mode must be WEAK_SUB or WEAK_SUP")
 
 
 def brute_force_majorize(

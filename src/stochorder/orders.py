@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .distributions import DensitySpec, Dist
+from .distributions import Dist
 from .majorization import VectorLike, as_weight_vector
 
 DEFAULT_EXACT_TOL = 1e-6
@@ -405,23 +405,18 @@ def convolve_weighted(
     to the level's m + n points. A component's table is carried from one
     level to the next (see ``_edge_cdf_tables``). The result keeps its
     knots as a ``Lattice``: knot j is ``(j + n/2) * h``. Every component
-    needs a callable ``cdf`` and ``ppf``; a density-only component (a
-    ``DensitySpec`` without them) is rejected.
+    is a ``GeneralizedGamma`` or a ``GammaPower``, which live on (0, inf);
+    any other is rejected.
     """
     w = as_weight_vector(weights).as_array()
     if len(w) != len(dists):
         raise ParameterError("weights and dists lengths differ")
     for d in dists:
-        if not (callable(getattr(d, "cdf", None)) and callable(getattr(d, "ppf", None))):
-            label = getattr(d, "label", d)
-            raise ParameterError(f"convolution oracle needs a cdf and a ppf: {label}")
+        if not isinstance(d, Dist):
+            raise ParameterError(f"convolution oracle takes gamma-family components, not {d!r}")
     if np.any(w < 0) or not np.any(w > 0):
         raise ParameterError("weights must be nonnegative with at least one positive")
     active = [(d, float(wi)) for d, wi in zip(dists, w) if wi > 0]
-    for d, _ in active:
-        lo = d.support[0] if isinstance(d, DensitySpec) else 0.0
-        if lo < -1e-12:
-            raise ParameterError("convolution oracle assumes nonnegative support")
 
     stops = [wi * float(d.ppf(1.0 - tail_tol)) for d, wi in active]
     top = sum(stops)
@@ -711,10 +706,9 @@ def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:
     pts = np.sort(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ParameterError("quadrature_cdf points must be finite")
-    lo = d.support[0] if isinstance(d, DensitySpec) else 0.0
     vals = np.empty_like(pts)
     acc = 0.0
-    prev = lo
+    prev = 0.0
     for i, t in enumerate(pts):
         if t > prev:
             seg, _ = integrate.quad(lambda x: float(d.pdf(x)), prev, t, limit=200)

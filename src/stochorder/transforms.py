@@ -2,19 +2,21 @@
 convexity conditions coupling a transform pair, and the (p, q) region
 classifier for the power family.
 
+A ``Transform`` is its kind: ``("exp",)``, ``("power", r)`` or
+``("logshift",)``. The map, its two derivatives, its inverse, its direction
+and its label follow from the kind and are bound once at construction.
+
 The two scalar conditions are
 
     (a)  sign condition on phi''            (>= 0 convex case, <= 0 concave)
     (b)  phi''(u) psi''(v) phi(u) psi(v) >= [phi'(u) psi'(v)]^2
 
-For the built-in kinds (power, exp, logshift) ``closed_form_conditions``
-decides both over all of (0, inf)^2. With r_f = f f'' / f'^2, condition (b)
-reads r_phi(u) r_psi(v) >= 1, and r_f is the constant (a - 1)/a for x^a, 1
-for exp and -log(u + e) for logshift, so (b) holds iff the infimum of the
-product is at least 1. ``check_convexity_conditions`` scans a grid instead,
-for hand-built (custom) transforms: a true/true grid report certifies the
-conditions on the grid only, since a grid check can falsify but never prove
-them.
+``closed_form_conditions`` decides both over all of (0, inf)^2. With
+r_f = f f'' / f'^2, condition (b) reads r_phi(u) r_psi(v) >= 1, and r_f is
+the constant (a - 1)/a for x^a, 1 for exp and -log(u + e) for logshift, so
+(b) holds iff the infimum of the product is at least 1.
+``check_convexity_conditions`` scans a grid instead: it can falsify the
+conditions on the grid, never prove them.
 """
 
 from __future__ import annotations
@@ -23,23 +25,20 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
 
-_VALIDATION_GRID = np.geomspace(0.5, 2.0, 9)
-_INVERSE_RTOL = 1e-9
-# loose enough that central-difference truncation error on steep powers
-# (exponents up to ~1000) stays below it, while formula mistakes of
-# relative size O(1) are still caught
-_DERIV_TOL = 1e-2
 # grace margins for the grid conditions: conjugate power pairs sit exactly on
 # the equality boundary of the product condition, where roundoff produces
 # margins of either sign around 1e-14
 _COND_A_RTOL = 1e-12
 _COND_B_LOG_TOL = 1e-9
+# the power exponents a Transform takes: x**r is finite on [0.5, 2] for
+# |r| < 1024, and y**(1/r) returns x to within 1e-9 (1 + x) for |r| >= 1e-7
+_POWER_RANGE = (1e-7, 1024.0)
 
 
 class Direction(Enum):
@@ -60,108 +59,89 @@ class PQRegion(Enum):
     NONE = "NONE"
 
 
-def _fd1(f: Callable[[float], float], x: float) -> float:
-    h = 1e-6 * (1.0 + abs(x))
-    return (f(x + h) - f(x - h)) / (2 * h)
+def _exp_maps() -> tuple:
+    return math.exp, math.exp, math.exp, math.log, Direction.INCREASING, "exp"
 
 
-def _fd2(f: Callable[[float], float], x: float) -> float:
-    """Second central difference at steps h and h/2, Richardson-extrapolated
-    so that the h^2 error term cancels: for a steep map such as x**-990 that
-    term alone is 1% of f''."""
-    h = 1.2e-4 * (1.0 + abs(x))
-    fx = f(x)
+def _power_maps(r: float) -> tuple:
+    if not math.isfinite(r):
+        raise ParameterError(f"power exponent must be finite, got {r}")
+    if r == 0.0:
+        raise ParameterError("power exponent must be nonzero")
+    lo, hi = _POWER_RANGE
+    if not lo <= abs(r) < hi:
+        raise NumericError(f"power({r:g}): exponent must satisfy {lo:g} <= |r| < {hi:g}")
+    return (
+        lambda x: x**r,
+        lambda x: r * x ** (r - 1.0),
+        lambda x: r * (r - 1.0) * x ** (r - 2.0),
+        lambda y: y ** (1.0 / r),
+        Direction.INCREASING if r > 0 else Direction.DECREASING,
+        f"power({r:g})",
+    )
 
-    def central(step: float) -> float:
-        return (f(x + step) - 2 * fx + f(x - step)) / (step * step)
 
-    return (4 * central(h / 2) - central(h)) / 3
+def _logshift_maps() -> tuple:
+    return (
+        lambda x: math.log(x + math.e),
+        lambda x: 1.0 / (x + math.e),
+        lambda x: -1.0 / (x + math.e) ** 2,
+        lambda y: math.exp(y) - math.e,
+        Direction.INCREASING,
+        "logshift",
+    )
+
+
+_KINDS = {"exp": _exp_maps, "power": _power_maps, "logshift": _logshift_maps}
 
 
 @dataclass(frozen=True)
 class Transform:
-    """Twice-differentiable strictly monotone map with evaluable inverse.
+    """A strictly monotone, twice-differentiable map of (0, inf) with an
+    inverse, given by its kind: ``("exp",)``, ``("power", r)`` or
+    ``("logshift",)``. Two transforms are equal iff their kinds are."""
 
-    Consistency (monotonicity, inverse round-trip, derivative agreement
-    with central differences) is spot-checked on a grid at construction.
-    """
-
-    eval: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
-    inverse: Callable[[float], float]
-    direction: Direction
-    label: str
-    kind: tuple = field(default=("custom",))
+    kind: tuple
+    eval: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    d1: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    d2: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    inverse: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    direction: Direction = field(init=False, compare=False)
+    label: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):  # overflow is reported just below
-            vals = np.array([self.eval(x) for x in _VALIDATION_GRID])
-        if not np.all(np.isfinite(vals)):
-            raise NumericError(f"{self.label}: non-finite values on validation grid")
-        diffs = np.diff(vals)
-        if self.direction is Direction.INCREASING:
-            if not np.all(diffs > 0):
-                raise NumericError(f"{self.label}: not strictly increasing")
-        else:
-            if not np.all(diffs < 0):
-                raise NumericError(f"{self.label}: not strictly decreasing")
-        for x, y in zip(_VALIDATION_GRID, vals):
-            back = self.inverse(y)
-            if abs(back - x) > _INVERSE_RTOL * (1.0 + abs(x)):
-                raise NumericError(f"{self.label}: inverse inconsistent at x={x}")
-            for got, ref in ((self.d1(x), _fd1(self.eval, x)),
-                             (self.d2(x), _fd2(self.eval, x))):
-                if abs(got - ref) > _DERIV_TOL * (1.0 + abs(ref)):
-                    raise NumericError(
-                        f"{self.label}: derivative mismatch at x={x}: {got} vs {ref}"
-                    )
+        kind = self.kind
+        name = kind[0] if isinstance(kind, tuple) and kind else None
+        if not isinstance(name, str) or name not in _KINDS \
+                or len(kind) != (2 if name == "power" else 1):
+            raise ParameterError(
+                f"unknown transform kind {self.kind!r}; choose from "
+                "('exp',), ('power', r) or ('logshift',)"
+            )
+        if name == "power":
+            kind = (name, float(kind[1]))
+        maps = _KINDS[name](*kind[1:])
+        for attr, value in zip(("kind", "eval", "d1", "d2", "inverse", "direction", "label"),
+                               (kind, *maps)):
+            object.__setattr__(self, attr, value)
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
 
 
 def make_exp() -> Transform:
-    return Transform(
-        eval=math.exp,
-        d1=math.exp,
-        d2=math.exp,
-        inverse=math.log,
-        direction=Direction.INCREASING,
-        label="exp",
-        kind=("exp",),
-    )
+    return Transform(("exp",))
 
 
 def make_power(r: float) -> Transform:
-    """x -> x^r on (0, inf); increasing iff r > 0."""
-    r = float(r)
-    if not math.isfinite(r):
-        raise ParameterError(f"power exponent must be finite, got {r}")
-    if r == 0.0:
-        raise ParameterError("power exponent must be nonzero")
-    return Transform(
-        eval=lambda x: x**r,
-        d1=lambda x: r * x ** (r - 1.0),
-        d2=lambda x: r * (r - 1.0) * x ** (r - 2.0),
-        inverse=lambda y: y ** (1.0 / r),
-        direction=Direction.INCREASING if r > 0 else Direction.DECREASING,
-        label=f"power({r:g})",
-        kind=("power", r),
-    )
+    """x -> x^r on (0, inf), for a finite r with 1e-7 <= |r| < 1024 (outside
+    that range a ``NumericError``); increasing iff r > 0."""
+    return Transform(("power", r))
 
 
 def make_log_shift() -> Transform:
     """x -> log(x + e); maps [0, inf) into [1, inf)."""
-    return Transform(
-        eval=lambda x: math.log(x + math.e),
-        d1=lambda x: 1.0 / (x + math.e),
-        d2=lambda x: -1.0 / (x + math.e) ** 2,
-        inverse=lambda y: math.exp(y) - math.e,
-        direction=Direction.INCREASING,
-        label="logshift",
-        kind=("logshift",),
-    )
+    return Transform(("logshift",))
 
 
 @dataclass(frozen=True)
@@ -289,21 +269,18 @@ def check_convexity_conditions(
     )
 
 
-def _curvature_ratio(t: Transform) -> Optional[tuple[int, float, float]]:
+def _curvature_ratio(t: Transform) -> tuple[int, float, float]:
     """The sign of t'' on (0, inf), and the infimum and supremum there of
-    r_t = t t'' / t'^2, for a built-in kind; None for a custom transform.
-    The kind is trusted, not checked against the functions."""
+    r_t = t t'' / t'^2."""
     kind = t.kind[0]
     if kind == "power":
-        a = float(t.kind[1])
+        a = t.kind[1]
         r = (a - 1.0) / a
         return int(a > 1 or a < 0) - int(0 < a < 1), r, r
     if kind == "exp":
         return 1, 1.0, 1.0
-    if kind == "logshift":
-        # -log(u + e) runs over (-inf, -1) as u runs over (0, inf)
-        return -1, -math.inf, -1.0
-    return None
+    # logshift: -log(u + e) runs over (-inf, -1) as u runs over (0, inf)
+    return -1, -math.inf, -1.0
 
 
 @dataclass(frozen=True)
@@ -320,14 +297,11 @@ class ClosedFormConditions:
 
 def closed_form_conditions(
     phi: Transform, psi: Transform, variant: ConditionVariant
-) -> Optional[ClosedFormConditions]:
-    """Conditions (a) and (b) for two transforms of built-in kind, decided in
-    closed form; None where either is custom. Condition (b) takes the grid's
-    grace margin on the log scale: conjugate pairs on 1/p + 1/q = 1 have a
-    product of 1 up to rounding."""
+) -> ClosedFormConditions:
+    """Conditions (a) and (b) for two transforms, decided in closed form.
+    Condition (b) takes the grid's grace margin on the log scale: conjugate
+    pairs on 1/p + 1/q = 1 have a product of 1 up to rounding."""
     ratio_phi, ratio_psi = _curvature_ratio(phi), _curvature_ratio(psi)
-    if ratio_phi is None or ratio_psi is None:
-        return None
     sign = ratio_phi[0]
     # a product over a box is least at a corner; a zero end makes a zero
     # product, also against an infinite one

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stochorder import harness
+from stochorder import cli, harness
 from stochorder.cli import run
 
 
@@ -404,3 +404,56 @@ class TestMalformedInput:
             harness, "run_scenario", lambda *a: pytest.fail("a scenario started")
         )
         self.assert_one_line_error(run(["suite", "--n", "2", flag, value]), capsys)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_strict(path):
+    """The JSON document at ``path``; NaN, Infinity and -Infinity raise."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
+class TestStrictJSON:
+    def test_every_command_writes_standard_json(self, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(
+            {**TestVerify().scenario_dict([4.0, 1.0], [2.0, 2.0]), "n_samples": 2000}
+        ))
+        commands = {
+            "major": ["major", "--x", "2,2", "--y", "3,1"],
+            "chain": ["chain", "--x", "2,2,2", "--y", "3,2,1"],
+            "conditions": ["conditions", "--phi", "exp", "--psi", "power:2"],
+            # the infimum of r_phi r_psi is -inf for both logshift pairs
+            "logshift_exp": ["conditions", "--phi", "logshift", "--psi", "exp",
+                             "--variant", "concave"],
+            "logshift_power": ["conditions", "--phi", "logshift", "--psi", "power:2",
+                               "--variant", "concave"],
+            "classify": ["classify", "--p", "2", "--q", "2"],
+            "logconcave": ["logconcave", "--dist", "gammapower:-3,0.9,50"],
+            "lr": ["lr", "--d1", "gengamma:1,1,100", "--d2", "gengamma:2,1,0.01"],
+            "convolve": ["convolve", "--dists", "gengamma:1,1,1", "--weights", "1"],
+            "compare": ["convolve", "--dists", "gengamma:1,1,1;gengamma:1,1,1",
+                        "--weights", "4,1", "--compare-weights", "2,2"],
+            "verify": ["verify", "--scenario", str(scenario)],
+            "counterexample": ["counterexample", "--alpha", "1", "--a", "2,1,1",
+                               "--b", "1.5,1.5,1"],
+            "suite": ["suite", "--n", "9", "--samples", "1000",
+                      "--profile", str(tmp_path / "profile.json")],
+        }
+        docs = {}
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert run(argv + ["--output", str(out)]) == 0, name
+            docs[name] = read_strict(out)
+        assert {c for c, *_ in commands.values()} == set(cli._COMMANDS)
+        assert docs["logshift_exp"]["result"]["ratio_inf"] is None
+        assert docs["logshift_power"]["result"]["ratio_inf"] is None
+        assert docs["conditions"]["result"]["ratio_inf"] == 0.5
+        assert docs["suite"]["result"]["summary"]["consistent"] == 9
+        assert len(read_strict(tmp_path / "profile.json")["scenarios"]) == 9
+
+    def test_a_non_finite_number_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._emit({"x": float("nan")}, {}, str(tmp_path / "nan.json"))

@@ -170,12 +170,6 @@ class TestDensitySpec:
         with pytest.raises(NumericError):
             DensitySpec(pdf=lambda x: 2 * math.exp(-x), support=(0.0, 40.0))
 
-    def test_from_dist_carries_analytics(self):
-        d = GeneralizedGamma(1, 2, 1)
-        spec = DensitySpec.from_dist(d)
-        assert spec.cdf is not None and spec.ppf is not None
-        assert spec.mean_value == pytest.approx(2.0)
-
 
 class TestLogConcavity:
     def test_power_p_with_large_shape(self):
@@ -331,7 +325,7 @@ class TestLRCompare:
         d2 = GeneralizedGamma(2.0, 1.0, 1.0)
         res = lr_compare(d1, d2)
         # exponential vs Rayleigh-type: the log ratio x - x^2 rises then falls
-        assert res.verdict in (LRVerdict.NOT_ORDERED, LRVerdict.UNKNOWN)
+        assert res.verdict is LRVerdict.NOT_ORDERED
 
     def test_cross_power_pairs_are_decided(self):
         # x (log f1/f2)' = 1 - x + 2 x**2 has its minimum 7/8 at x = 1/4
@@ -474,7 +468,6 @@ class TestLRCrossPower:
                     assert slope < err, (d1, d2)
                 else:
                     assert slope > -err, (d1, d2)
-        assert counts[LRVerdict.UNKNOWN] == 0
         assert min(counts[v] for v in (LRVerdict.D1_LR_GREATER, LRVerdict.D2_LR_GREATER)) > 100
         assert counts["scan sees both"] > 0.9 * counts[LRVerdict.NOT_ORDERED]
         assert counts["x* outside floats"] < 0.05 * len(self.PANEL)

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from stochorder import (
     CheckStatus,
     ConditionVariant,
-    DensitySpec,
-    Direction,
     DomainError,
     GammaPower,
     GeneralizedGamma,
@@ -36,19 +34,17 @@ from stochorder import (
     make_exp,
     make_log_shift,
     make_power,
-    pairwise_exchange_check,
     run_counterexample,
     run_suite,
     st_compare_empirical,
     st_compare_exact,
-    Transform,
+    transformed_density,
     verify_iid_theorem,
     verify_noniid_theorem,
 )
-from stochorder import harness
+from stochorder import harness, transforms
 from stochorder.cli import run as cli_run
 from stochorder.harness import (
-    HARNESS_CONDITION_GRID,
     _check_log_concavity,
     _dist_to_spec,
     dist_from_spec,
@@ -130,6 +126,14 @@ class TestScenario:
         )
         assert not s.is_iid
 
+    def test_component_outside_the_gamma_families_rejected(self):
+        with pytest.raises(ParameterError, match="gengamma or gammapower"):
+            Scenario(
+                dists=(EXP1, transformed_density(EXP1, make_exp())),
+                phi=make_exp(), psi=make_exp(), variant=CONVEX,
+                a=(1, 2), b=(1.5, 1.5),
+            )
+
 
 class TestCheckHypotheses:
     def test_all_pass_on_conjugate_power_pair(self):
@@ -202,21 +206,8 @@ class TestCheckHypotheses:
         assert hyp.lr_chain_ok.basis == "analytic"
 
 
-def _custom_sqrt():
-    """x^(1/2), hand-built, so that no closed form applies to it."""
-    return Transform(
-        eval=math.sqrt,
-        d1=lambda x: 0.5 / math.sqrt(x),
-        d2=lambda x: -0.25 * x**-1.5,
-        inverse=lambda y: y * y,
-        direction=Direction.INCREASING,
-        label="custom-sqrt",
-    )
-
-
 class TestHypothesisBasis:
-    """Every hypothesis records what decided it: "analytic", "grid", or None
-    for an UNKNOWN."""
+    """Every hypothesis records what decided it: "analytic" throughout."""
 
     def _conjugate(self, phi, variant=CONCAVE, dists=(GeneralizedGamma(2, 1, 1),) * 2):
         # transformed coordinates (16, 1) majorize (9, 8) under x^(1/2)
@@ -235,28 +226,14 @@ class TestHypothesisBasis:
             assert entry["basis"] == "analytic"
 
     def test_builtin_kinds_never_reach_the_grid(self, monkeypatch):
+        assert not hasattr(harness, "check_convexity_conditions")
         monkeypatch.setattr(
-            harness, "check_convexity_conditions",
+            transforms, "check_convexity_conditions",
             lambda *a, **k: pytest.fail("the condition grid was scanned"),
         )
         for i, preset in enumerate(SuiteConfig().presets):
             s = generate_scenario(preset, np.random.SeedSequence(i))
             assert check_hypotheses(s).conditions_ok.basis == "analytic"
-
-    def test_custom_transform_goes_to_the_grid(self):
-        hyp = check_hypotheses(self._conjugate(_custom_sqrt()))
-        assert hyp.all_pass
-        assert hyp.conditions_ok.basis == "grid"
-        assert hyp.conditions_ok.detail == "grid: log-spaced 24 points on [0.01, 100]"
-        assert hyp.to_dict()["conditions_ok"]["basis"] == "grid"
-        # the other three do not depend on phi's kind
-        assert [c.basis for _, c in hyp.items()] == ["analytic", "grid", "analytic", "analytic"]
-
-    def test_custom_failure_on_the_grid_has_a_witness(self):
-        # phi'' < 0 fails the convex case
-        check = check_hypotheses(self._conjugate(_custom_sqrt(), CONVEX)).conditions_ok
-        assert (check.status, check.basis) == (CheckStatus.FAIL, "grid")
-        assert check.witness is not None
 
     def test_closed_form_failure_of_condition_b(self):
         # exp against x^(1/2): r = 1 times r = -1
@@ -267,33 +244,13 @@ class TestHypothesisBasis:
         )
         assert check_hypotheses(s).conditions_ok.detail == "closed form: inf r_phi r_psi = -1 < 1"
 
-    def test_grid_that_cannot_be_evaluated_is_unknown(self, monkeypatch):
-        custom_exp = Transform(
-            eval=math.exp, d1=math.exp, d2=math.exp, inverse=math.log,
-            direction=Direction.INCREASING, label="custom-exp",
-        )
-        s = exp_scenario([4.0, 1.0], [2.0, 2.0])
-        s = Scenario(dists=s.dists, phi=custom_exp, psi=make_exp(), variant=CONVEX,
-                     a=s.a, b=s.b)
-        assert check_hypotheses(s).conditions_ok.basis == "grid"
-        # exp(1000) overflows
-        monkeypatch.setattr(harness, "HARNESS_CONDITION_GRID", GridSpec(1e-3, 1e3, 8))
-        check = check_hypotheses(s).conditions_ok
-        assert (check.status, check.basis) == (CheckStatus.UNKNOWN, None)
-
     def test_lr_chain_basis(self):
-        # pairs of different powers are decided in closed form too; only a
-        # DensitySpec component has no rule
+        # pairs of different powers are decided in closed form too
         refuted = (GeneralizedGamma(1, 2, 1), GeneralizedGamma(2, 1, 1))
         certified = (GeneralizedGamma(1, 3, 1), GeneralizedGamma(2, 1, 1))
         for dists, status in ((refuted, CheckStatus.FAIL), (certified, CheckStatus.PASS)):
             check = check_hypotheses(self._conjugate(make_power(0.5), dists=dists)).lr_chain_ok
             assert (check.status, check.basis) == (status, "analytic")
-        spec = DensitySpec.from_dist(GeneralizedGamma(2, 2, 1))
-        dists = (spec, GeneralizedGamma(2, 1, 1))
-        check = check_hypotheses(self._conjugate(make_power(0.5), dists=dists)).lr_chain_ok
-        assert (check.status, check.basis) == (CheckStatus.UNKNOWN, None)
-        assert check.detail == "pair (0, 1): unknown (no closed-form rule)"
 
     def test_counterexample_preconditions_are_analytic(self):
         rep = run_counterexample(1.0, (2.0, 1.0, 1.0), (1.5, 1.5, 1.0))
@@ -301,9 +258,11 @@ class TestHypothesisBasis:
 
 
 class TestConditionsOnPresets:
-    """The closed form agrees with the suite's condition grid on generated
-    scenarios: every preset sits on the boundary 1/p + 1/q = 1, or (logshift)
-    inside the region."""
+    """The closed form agrees with a 24-point condition grid on [0.01, 100]
+    on generated scenarios: every preset sits on the boundary
+    1/p + 1/q = 1, or (logshift) inside the region."""
+
+    GRID = GridSpec(1e-2, 1e2, 24)
 
     @pytest.mark.parametrize("master_seed", [0, 5, 13, 42])
     def test_closed_form_equals_grid(self, master_seed):
@@ -312,7 +271,7 @@ class TestConditionsOnPresets:
             preset = presets[i % len(presets)]
             s = generate_scenario(preset, np.random.SeedSequence(master_seed, spawn_key=(i,)))
             closed = closed_form_conditions(s.phi, s.psi, s.variant)
-            grid = check_convexity_conditions(s.phi, s.psi, s.variant, HARNESS_CONDITION_GRID)
+            grid = check_convexity_conditions(s.phi, s.psi, s.variant, self.GRID)
             assert closed.condition_a_holds and closed.condition_b_holds, (preset, i)
             assert grid.both_hold, (preset, i)
             # conjugate pairs sit within rounding of the product 1
@@ -542,30 +501,6 @@ class TestOracleThread:
             rep = verify_iid_theorem(s)
             assert (rep.oracle_verdict is None) == (n > harness.ORACLE_MAX_N)
             assert verify_noniid_theorem(s).to_dict() == rep.to_dict()
-
-
-class TestPairwiseExchange:
-    def test_equal_distributions(self):
-        assert pairwise_exchange_check(EXP1, EXP1, (1.0, 3.0), make_exp())
-
-    def test_equal_coefficients(self):
-        d2 = GeneralizedGamma(1, 1, 2)
-        assert pairwise_exchange_check(EXP1, d2, (2.0, 2.0), make_exp())
-
-    def test_decreasing_transform(self):
-        d1 = GeneralizedGamma(1, 2, 1)
-        d2 = GeneralizedGamma(1, 1, 1)
-        assert pairwise_exchange_check(d1, d2, (1.0, 4.0), make_power(-0.5))
-
-    def test_lr_premise_required(self):
-        d1 = GeneralizedGamma(1, 1, 2)  # smaller in lr order
-        d2 = GeneralizedGamma(1, 1, 1)
-        with pytest.raises(OrderError):
-            pairwise_exchange_check(d1, d2, (1.0, 2.0), make_exp())
-
-    def test_two_coefficients_required(self):
-        with pytest.raises(ParameterError):
-            pairwise_exchange_check(EXP1, EXP1, (1.0, 2.0, 3.0), make_exp())
 
 
 class TestCounterexample:
@@ -899,8 +834,7 @@ def _logshift_curvature(x_dist, y: float) -> float:
 
 class TestLogConcavityFallback:
     """Components and psi at the edge of the closed form: it decides every
-    gamma-family component under the three built-in psi, and anything else
-    is UNKNOWN."""
+    gamma-family component under the three built-in psi."""
 
     def test_small_shape_refuted_in_closed_form(self):
         # G**2 with shape 0.5: a = -3/4 < 0 and c = -1/4 <= 0, so u = 1
@@ -911,25 +845,6 @@ class TestLogConcavityFallback:
             "gengamma(p=0.5, alpha=0.5, lam=1): gamma power t=2: "
             "positive log-density curvature"
         )
-
-    def test_fallback_cannot_certify(self):
-        # a density-only component or a hand-built psi has no closed-form rule
-        spec = DensitySpec.from_dist(GeneralizedGamma(1, 2, 1))
-        check = _check_log_concavity([spec], make_power(1.0))
-        assert check.status is CheckStatus.UNKNOWN
-        assert check.basis is None
-        assert check.detail.endswith("no closed-form rule")
-        custom = Transform(
-            eval=math.sqrt,
-            d1=lambda x: 0.5 / math.sqrt(x),
-            d2=lambda x: -0.25 * x**-1.5,
-            inverse=lambda y: y * y,
-            direction=Direction.INCREASING,
-            label="custom",
-        )
-        check = _check_log_concavity([GeneralizedGamma(1, 2, 1)], custom)
-        assert check.status is CheckStatus.UNKNOWN
-        assert check.detail == "custom^-1(gengamma(p=1, alpha=2, lam=1)): no closed-form rule"
 
     def test_logshift_refuted_in_closed_form(self):
         # exp(X) - e has almost no mass inside X's quantile support, which

@@ -17,7 +17,6 @@ from stochorder import (
     check_majorize,
     sort_increasing,
     t_transform_chain,
-    weak_completion,
 )
 
 FULL = MajorizationMode.FULL
@@ -354,58 +353,6 @@ class TestTTransformChain:
             assert sum(a != b for a, b in zip(lo, hi)) <= 2
             assert brute_force_majorize(lo, hi, FULL)
             assert check_majorize(lo, hi, FULL)
-
-
-class TestWeakCompletion:
-    def test_weak_sup_bump(self):
-        c = np.array(list(weak_completion([2, 2], [1, 3], SUP)))
-        assert np.all(c >= np.array([2, 2]) - 1e-12)
-        # top partial sums of c dominate those of v
-        assert np.all(np.cumsum(np.sort(c)[::-1]) >= np.cumsum([3, 1]) - 1e-9)
-
-    def test_weak_sup_no_bump_needed(self):
-        c = list(weak_completion([2, 3], [1, 3], SUP))
-        assert c == [2.0, 3.0]
-
-    def test_weak_sub_reduction(self):
-        u, v = [4, 2], [2, 2]
-        c = np.array(list(weak_completion(u, v, SUB)))
-        assert np.all(c <= np.array(u) + 1e-12)
-        assert np.all(np.cumsum(np.sort(c)[::-1]) >= np.cumsum(np.sort(v)[::-1]) - 1e-9)
-
-    def test_precondition_errors(self):
-        with pytest.raises(OrderError):
-            weak_completion([1, 1], [3, 3], SUP)
-        with pytest.raises(OrderError):
-            weak_completion([1, 1], [3, 3], SUB)
-        with pytest.raises(ParameterError):
-            weak_completion([1, 1], [1, 1], FULL)
-
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda n: st.tuples(
-                st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n),
-                st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n),
-            )
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_postconditions_hold_whenever_defined(self, pair):
-        u, v = pair
-        ua = np.array(u)
-        slack = 1e-9 * (1.0 + np.abs(ua))
-        for mode in (SUP, SUB):
-            try:
-                c = np.array(list(weak_completion(u, v, mode)))
-            except OrderError:
-                continue
-            if mode is SUP:
-                assert np.all(c >= ua - slack)
-            else:
-                assert np.all(c <= ua + slack)
-            tc = np.cumsum(np.sort(c)[::-1])
-            tv = np.cumsum(np.sort(v)[::-1])
-            assert np.all(tc >= tv - 1e-9 * (1 + np.abs(tv)))
 
 
 positive_pairs = st.integers(2, 5).flatmap(
