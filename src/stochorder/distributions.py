@@ -331,13 +331,9 @@ class LRVerdict(Enum):
 
 @dataclass(frozen=True)
 class LRResult:
-    """``basis`` is always "analytic": the closed-form rule decides every
-    pair of gamma-family components."""
-
     verdict: LRVerdict
     witness: Optional[tuple[float, float]] = None
     detail: str = ""
-    basis: str = "analytic"
 
 
 def _lr_cross_power(g1: GammaPower, g2: GammaPower) -> LRResult:
@@ -395,11 +391,13 @@ def lr_compare(d1: Dist, d2: Dist) -> LRResult:
         v = LRVerdict.D1_LR_GREATER if ratio_increasing else LRVerdict.D2_LR_GREATER
         return LRResult(v, detail="analytic gamma-power rule")
     # one parameter pushes each way: unimodal ratio, no ordering;
-    # the turning point of the ratio sits at g* = (a1-a2)/(l1-l2)
-    xstar = float((da / dl) ** g1.r)
+    # the turning point of the ratio sits at g* = (a1-a2)/(l1-l2), and its
+    # x* = g*^r may lie outside the floats
+    with np.errstate(over="ignore"):
+        xstar = float(np.float64(da / dl) ** g1.r)
     return LRResult(
         LRVerdict.NOT_ORDERED,
-        witness=(xstar, xstar),
+        witness=(xstar, xstar) if 0 < xstar < math.inf else None,
         detail="density ratio rises and falls",
     )
 

@@ -161,18 +161,17 @@ def check_majorize(
     return True
 
 
-def t_transform_chain(
-    x: VectorLike, y: VectorLike, tol: float = DEFAULT_TOL
-) -> TChain:
+def t_transform_chain(x: VectorLike, y: VectorLike) -> TChain:
     """Constructive chain of T-transforms linking ``sort(x)`` to ``sort(y)``.
 
-    Requires ``x <=_m y``. Classical reduction: repeatedly transfer mass
+    Requires ``x <=_m y`` at ``DEFAULT_TOL``, which also sets the slack of
+    the reduction. Classical reduction: repeatedly transfer mass
     between the extreme pair of differing coordinates; at most ``n - 1``
     transforms.
     """
     xv = as_weight_vector(x)
     yv = as_weight_vector(y)
-    if not check_majorize(xv, yv, MajorizationMode.FULL, tol):
+    if not check_majorize(xv, yv, MajorizationMode.FULL):
         raise OrderError("t_transform_chain requires x <=_m y")
     # internal work in decreasing arrangement; sortedness is preserved by
     # the extreme-pair transfer rule
@@ -180,7 +179,7 @@ def t_transform_chain(
     cur = np.sort(yv.as_array())[::-1].copy()
     n = len(cur)
     scale = 1.0 + float(np.max(np.abs(np.concatenate([target, cur]))))
-    eps = tol * scale
+    eps = DEFAULT_TOL * scale
 
     def to_step(desc: np.ndarray) -> WeightVector:
         return WeightVector(tuple(desc[::-1]))

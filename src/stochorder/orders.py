@@ -43,16 +43,6 @@ class OrderVerdict:
     crossing_count: Optional[int] = None
     meta: dict = field(default_factory=dict)
 
-    def swapped(self) -> "OrderVerdict":
-        rel = {
-            Relation.A_DOMINATES: Relation.B_DOMINATES,
-            Relation.B_DOMINATES: Relation.A_DOMINATES,
-        }.get(self.relation, self.relation)
-        return OrderVerdict(
-            rel, self.max_neg_dev, self.max_pos_dev, self.band,
-            self.crossing_count, dict(self.meta),
-        )
-
 
 class Lattice(NamedTuple):
     """The knots ``(j + offset) * step``, j = 0, 1, ...: the grid of an
@@ -379,28 +369,22 @@ def _cell_masses(table: np.ndarray, cells: int) -> np.ndarray:
     return masses
 
 
-def convolve_weighted(
-    dists: Sequence[Dist],
-    weights: VectorLike,
-    initial_grid: int = INITIAL_GRID,
-    refine_tol: float = REFINE_TOL,
-    max_levels: int = MAX_LEVELS,
-    tail_tol: float = TAIL_TOL,
-) -> NumericCDF:
+def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     """CDF of ``sum_i w_i X_i`` by iterated grid convolution.
 
     Each component's cell masses are placed at cell midpoints; placing half
     of each atom's mass at its own abscissa makes the tabulated CDF a
     second-order approximation, and the grid step is halved until two
-    successive levels agree to ``refine_tol`` in sup norm. The result's
-    ``meta`` holds the number of ``levels``, the final cell count ``m`` and
-    width ``h``, the last level-to-level ``gap``, the truncation point
-    ``top`` and the ``mean`` of the tabulated sum.
+    successive levels agree to ``REFINE_TOL`` in sup norm, starting from
+    ``INITIAL_GRID`` cells and halving at most ``MAX_LEVELS`` times. The
+    result's ``meta`` holds the number of ``levels``, the final cell count
+    ``m`` and width ``h``, the last level-to-level ``gap``, the truncation
+    point ``top`` and the ``mean`` of the tabulated sum.
 
     Component i is tabulated at the cell edges up to its own stop
-    ``s_i = w_i * ppf_i(1 - tail_tol)``, rounded up to a whole cell, and so
-    leaves out at most ``tail_tol`` of its mass; the result's ``tail_tol``
-    is ``n * tail_tol``. The stops sum to ``top``, so the linear
+    ``s_i = w_i * ppf_i(1 - TAIL_TOL)``, rounded up to a whole cell, and so
+    leaves out at most ``TAIL_TOL`` of its mass; the result's ``tail_tol``
+    is ``n * TAIL_TOL``. The stops sum to ``top``, so the linear
     convolution is at most m + 1 long and is kept whole, padded with zeros
     to the level's m + n points. A component's table is carried from one
     level to the next (see ``_edge_cdf_tables``). The result keeps its
@@ -418,32 +402,32 @@ def convolve_weighted(
         raise ParameterError("weights must be nonnegative with at least one positive")
     active = [(d, float(wi)) for d, wi in zip(dists, w) if wi > 0]
 
-    stops = [wi * float(d.ppf(1.0 - tail_tol)) for d, wi in active]
+    stops = [wi * float(d.ppf(1.0 - TAIL_TOL)) for d, wi in active]
     top = sum(stops)
     if not np.isfinite(top) or top <= 0:
         raise NumericError(f"cannot truncate support (T={top})")
 
     components = [
-        _edge_cdf_tables(d.cdf, wi, si, top, initial_grid) for (d, wi), si in zip(active, stops)
+        _edge_cdf_tables(d.cdf, wi, si, top, INITIAL_GRID) for (d, wi), si in zip(active, stops)
     ]
     prev: NumericCDF | None = None
-    m = initial_grid
+    m = INITIAL_GRID
     gap = math.inf
-    for levels in range(1, max_levels + 2):
+    for levels in range(1, MAX_LEVELS + 2):
         tables = [next(c) for c in components]
         cells = [_kept_cells(t) for t in tables]
         # the masses are made one component at a time, as the product
         # takes them
-        cur = _convolve_level(cells, map(_cell_masses, tables, cells), top, m, tail_tol, levels)
+        cur = _convolve_level(cells, map(_cell_masses, tables, cells), top, m, levels)
         if prev is not None:
             gap = _level_gap(prev, cur, len(components))
-            if gap < refine_tol:
+            if gap < REFINE_TOL:
                 cur.meta["gap"] = gap
                 return cur
         prev = cur
         m *= 2
     raise NumericError(
-        f"convolution did not converge below {refine_tol} in {max_levels} "
+        f"convolution did not converge below {REFINE_TOL} in {MAX_LEVELS} "
         f"refinements (last gap {gap:.3g})"
     )
 
@@ -554,8 +538,7 @@ def _product_pmf(
 
 
 def _convolve_level(
-    lengths: Sequence[int], masses: Iterable[np.ndarray], top: float, m: int,
-    tail_tol: float, levels: int,
+    lengths: Sequence[int], masses: Iterable[np.ndarray], top: float, m: int, levels: int
 ) -> NumericCDF:
     """The level's table on the lattice ``(j + n/2) * h``, from the n
     components' masses (see ``_product_pmf``)."""
@@ -599,7 +582,7 @@ def _convolve_level(
         lattice,
         values,
         kind="linear",
-        tail_tol=n * tail_tol,
+        tail_tol=n * TAIL_TOL,
         meta={
             "levels": levels, "m": m, "h": h, "gap": math.inf, "top": top, "mean": mean,
         },
@@ -630,16 +613,15 @@ def _chunk_slices(fa: NumericCDF, fb: NumericCDF):
         ia, ib = ja, jb
 
 
-def st_compare_exact(
-    cdf_a: NumericCDF, cdf_b: NumericCDF, tol: float = DEFAULT_EXACT_TOL
-) -> OrderVerdict:
+def st_compare_exact(cdf_a: NumericCDF, cdf_b: NumericCDF) -> OrderVerdict:
     """Verdict from the sign pattern of F_A - F_B on the union of the two
     grids: its maxima, the sign changes that are left after dropping the
-    knots where |F_A - F_B| <= tol (the verdict's ``crossing_count``), and
-    the number of distinct knots (``meta["grid_points"]``). The union is
-    taken one chunk of ``_chunk_slices`` at a time, so that on two 1M-knot
-    oracle tables it holds about 3 MB beside them; the knots of a lattice
-    table are built a chunk at a time too.
+    knots where |F_A - F_B| <= ``DEFAULT_EXACT_TOL`` (the verdict's
+    ``crossing_count``), and the number of distinct knots
+    (``meta["grid_points"]``). The union is taken one chunk of
+    ``_chunk_slices`` at a time, so that on two 1M-knot oracle tables it
+    holds about 3 MB beside them; the knots of a lattice table are built a
+    chunk at a time too.
 
     In each chunk, d = F_A - F_B is taken at each grid's own knots (a table
     evaluated at its own knots returns its own values, and each table is
@@ -653,8 +635,6 @@ def st_compare_exact(
     before it, so the result is that of the whole difference at once. (A
     zero maximum could differ in its sign only if d held both signs of
     zero, which needs a table that holds -0.0.)"""
-    if not tol >= 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
     highs, lows = [], []
     crossings = points = 0
     last = 0.0
@@ -681,7 +661,7 @@ def st_compare_exact(
         merged = grid[order]
         points += len(order) - int(np.count_nonzero(merged[1:] == merged[:-1]))
         d = np.concatenate([da, db])[order]
-        signs = np.sign(d[np.abs(d) > tol])
+        signs = np.sign(d[np.abs(d) > DEFAULT_EXACT_TOL])
         if signs.size:
             crossings += int(np.count_nonzero(signs[1:] != signs[:-1]))
             if last and signs[0] != last:
@@ -690,10 +670,10 @@ def st_compare_exact(
     # max of -d is -(min of d) exactly; np.max and np.min keep a NaN
     max_pos, max_neg = float(np.max(highs)), -float(np.min(lows))
     return OrderVerdict(
-        _relation_from_devs(max_pos, max_neg, tol),
+        _relation_from_devs(max_pos, max_neg, DEFAULT_EXACT_TOL),
         max_pos,
         max_neg,
-        band=tol,
+        band=DEFAULT_EXACT_TOL,
         crossing_count=crossings,
         meta={"exact": True, "grid_points": points},
     )

@@ -131,6 +131,14 @@ class TestLogconcaveAndLR:
         assert run(["lr", "--d1", d1, "--d2", d2]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["verdict"] == verdict
 
+    def test_lr_witness_outside_the_floats(self, tmp_path):
+        # the same-power turning point is 1e600: no witness, not a traceback
+        out = tmp_path / "lr.json"
+        assert run(["lr", "--d1", "gammapower:200,1000,1", "--d2", "gammapower:200,1,0.001",
+                    "--output", str(out)]) == 0
+        res = read_strict(out)["result"]
+        assert (res["verdict"], res["witness"]) == ("not_ordered", None)
+
     def test_bad_dist_spec(self):
         with pytest.raises(SystemExit) as e:
             run(["lr", "--d1", "cauchy:0,1", "--d2", "gengamma:1,1,1"])

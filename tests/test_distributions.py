@@ -314,6 +314,15 @@ class TestLRCompare:
         assert res.verdict is LRVerdict.NOT_ORDERED
         assert res.witness is not None
 
+    @pytest.mark.parametrize("r", [200.0, -200.0])
+    def test_same_power_witness_outside_the_floats_is_none(self, r):
+        # the turning point (999 / 0.999)**r is 1e600 or 1e-600, which used
+        # to raise OverflowError for r = 200
+        res = lr_compare(GammaPower(r, 1000, 1), GammaPower(r, 1, 0.001))
+        assert res == LRResult(
+            LRVerdict.NOT_ORDERED, witness=None, detail="density ratio rises and falls"
+        )
+
     def test_negative_power_flips_direction(self):
         d1 = GammaPower(-0.5, 2.0, 1.0)
         d2 = GammaPower(-0.5, 3.0, 1.0)
@@ -331,7 +340,7 @@ class TestLRCompare:
         # x (log f1/f2)' = 1 - x + 2 x**2 has its minimum 7/8 at x = 1/4
         d1, d2 = GeneralizedGamma(1, 3, 1), GeneralizedGamma(2, 1, 1)
         assert lr_compare(d1, d2) == LRResult(
-            LRVerdict.D1_LR_GREATER, detail="analytic gamma-power rule", basis="analytic"
+            LRVerdict.D1_LR_GREATER, detail="analytic gamma-power rule"
         )
         assert lr_compare(d2, d1).verdict is LRVerdict.D2_LR_GREATER
         # -1 - 100 x + 0.02 x**2 is least at x = 2500; the central masses
@@ -440,7 +449,6 @@ class TestLRCrossPower:
         counts = Counter()
         for d1, d2 in self.PANEL:
             res = lr_compare(d1, d2)
-            assert res.basis == "analytic"
             log_xstar = _log_xstar(d1, d2)
             counts[res.verdict] += 1
             if not -700.0 < log_xstar < 700.0:
