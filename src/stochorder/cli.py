@@ -210,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
 
     p = sub.add_parser("suite", help="randomized theorem verification suite")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--delta", type=float, default=0.01)
+    p.add_argument("--n", type=int, default=SuiteConfig.n_scenarios)
+    p.add_argument("--seed", type=int, default=SuiteConfig.master_seed)
+    p.add_argument("--samples", type=int, default=SuiteConfig.n_samples)
+    p.add_argument("--delta", type=float, default=SuiteConfig.delta)
     p.add_argument("--presets", default=None,
                    help="comma-separated preset names (default: all)")
     p.add_argument("--output")
@@ -367,15 +367,10 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    kwargs = dict(
-        n_scenarios=args.n,
-        master_seed=args.seed,
-        n_samples=args.samples,
-        delta=args.delta,
+    config = SuiteConfig(
+        n_scenarios=args.n, master_seed=args.seed, n_samples=args.samples, delta=args.delta,
+        presets=tuple(args.presets.split(",")) if args.presets else SuiteConfig.presets,
     )
-    if args.presets:
-        kwargs["presets"] = tuple(args.presets.split(","))
-    config = SuiteConfig(**kwargs)
     report = run_suite(config, profile=args.profile is not None)
     _emit(report.to_dict(), config.to_dict(), args.output)
     if args.profile is not None:

@@ -54,6 +54,7 @@ from .distributions import (
     lr_compare,
 )
 from .orders import (
+    DEFAULT_DELTA,
     NumericCDF,
     OrderVerdict,
     Relation,
@@ -63,6 +64,8 @@ from .orders import (
 )
 
 ORACLE_MAX_N = 4
+# draws of each sum in a scenario's DKW test, unless the scenario says otherwise
+DEFAULT_N_SAMPLES = 100_000
 
 
 # the stages of a scenario that a StageClock times, in order
@@ -97,19 +100,16 @@ def timed(clock: Optional[StageClock], name: str):
 class CheckStatus(Enum):
     PASS = "pass"
     FAIL = "fail"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class HypothesisCheck:
-    """One hypothesis's status. ``basis`` says what decided it: "analytic",
-    a closed form or a finite exact check, for every hypothesis that
-    ``check_hypotheses`` reports."""
+    """One hypothesis's status, which a closed form or a finite exact check
+    decided."""
 
     status: CheckStatus
     detail: str = ""
     witness: Optional[tuple] = None
-    basis: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,9 @@ class HypothesisReport:
         return None
 
     def to_dict(self) -> dict:
+        # every hypothesis is decided analytically, which "basis" records
         return {
-            name: {"status": c.status.value, "basis": c.basis, "detail": c.detail,
+            name: {"status": c.status.value, "basis": "analytic", "detail": c.detail,
                    "witness": list(c.witness) if c.witness is not None else None}
             for name, c in self.items()
         }
@@ -157,9 +158,9 @@ class Scenario:
     a: WeightVector
     b: WeightVector
     premise_mode: MajorizationMode = MajorizationMode.FULL
-    n_samples: int = 100_000
+    n_samples: int = DEFAULT_N_SAMPLES
     seed: int = 42
-    delta: float = 0.01
+    delta: float = DEFAULT_DELTA
     label: str = ""
 
     def __post_init__(self):
@@ -167,8 +168,11 @@ class Scenario:
         for d in self.dists:
             if not isinstance(d, Dist):
                 raise ParameterError(f"components are gengamma or gammapower, not {d!r}")
-        object.__setattr__(self, "a", as_weight_vector(self.a))
-        object.__setattr__(self, "b", as_weight_vector(self.b))
+        for name in ("a", "b"):
+            w = as_weight_vector(getattr(self, name))
+            if any(t < 0 for t in w):
+                raise ParameterError(f"weights must be nonnegative, got {name} = {list(w)}")
+            object.__setattr__(self, name, w)
         n = len(self.dists)
         if not (n == len(self.a) == len(self.b)):
             raise ParameterError(
@@ -201,19 +205,17 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario of a ``to_dict`` dict; a missing optional field takes
+        its default."""
         try:
             return cls(
                 dists=tuple(dist_from_spec(s) for s in data["dists"]),
                 phi=transform_from_spec(data["phi"]),
                 psi=transform_from_spec(data["psi"]),
                 variant=ConditionVariant(data["variant"]),
-                a=tuple(data["a"]),
-                b=tuple(data["b"]),
-                premise_mode=MajorizationMode(data.get("premise_mode", "full")),
-                n_samples=data.get("n_samples", 100_000),
-                seed=data.get("seed", 42),
-                delta=float(data.get("delta", 0.01)),
-                label=str(data.get("label", "")),
+                a=_weights_field(data["a"], "a"),
+                b=_weights_field(data["b"], "b"),
+                **{k: coerce(data[k]) for k, coerce in _OPTIONAL_FIELDS.items() if k in data},
             )
         except KeyError as exc:
             raise ParameterError(f"scenario is missing field {exc}") from exc
@@ -221,6 +223,19 @@ class Scenario:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed scenario: {exc}") from exc
+
+
+# the optional fields of a scenario dict and their coercions (Scenario
+# checks the integer fields itself)
+_OPTIONAL_FIELDS = {"premise_mode": MajorizationMode, "n_samples": lambda v: v,
+                    "seed": lambda v: v, "delta": float, "label": str}
+
+
+def _weights_field(value, name: str) -> tuple:
+    """A weight vector of a scenario dict: an array of numbers or their text."""
+    if not isinstance(value, (list, tuple)) or any(isinstance(t, (bool, np.bool_)) for t in value):
+        raise ParameterError(f"{name} must be an array of numbers, not {value!r}")
+    return tuple(value)
 
 
 def _check_sampling(n_samples: int, delta: float) -> None:
@@ -378,14 +393,13 @@ def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisChe
                 CheckStatus.FAIL,
                 f"{d.label}: {res.detail}",
                 witness=(res.witness,) if res.witness is not None else None,
-                basis="analytic",
             )
-    return HypothesisCheck(CheckStatus.PASS, "log-concave for every component", basis="analytic")
+    return HypothesisCheck(CheckStatus.PASS, "log-concave for every component")
 
 
 def _check_lr_chain(dists: Sequence[Dist]) -> HypothesisCheck:
     if all(d == dists[0] for d in dists[1:]):
-        return HypothesisCheck(CheckStatus.PASS, "identical distributions", basis="analytic")
+        return HypothesisCheck(CheckStatus.PASS, "identical distributions")
     for i in range(len(dists) - 1):
         res = lr_compare(dists[i], dists[i + 1])
         if res.verdict is not LRVerdict.D1_LR_GREATER:
@@ -393,9 +407,8 @@ def _check_lr_chain(dists: Sequence[Dist]) -> HypothesisCheck:
                 CheckStatus.FAIL,
                 f"pair ({i}, {i + 1}): {res.verdict.value} ({res.detail})",
                 witness=res.witness,
-                basis="analytic",
             )
-    return HypothesisCheck(CheckStatus.PASS, "lr-decreasing chain verified", basis="analytic")
+    return HypothesisCheck(CheckStatus.PASS, "lr-decreasing chain verified")
 
 
 def _check_conditions(
@@ -409,14 +422,11 @@ def _check_conditions(
     if not closed.condition_b_holds:
         failed.append(f"inf r_phi r_psi = {closed.ratio_inf:.6g} < 1")
     if failed:
-        return HypothesisCheck(
-            CheckStatus.FAIL, "closed form: " + "; ".join(failed), basis="analytic"
-        )
+        return HypothesisCheck(CheckStatus.FAIL, "closed form: " + "; ".join(failed))
     return HypothesisCheck(
         CheckStatus.PASS,
         f"closed form: phi'' sign {closed.phi2_sign:+d}, "
         f"inf r_phi r_psi = {closed.ratio_inf:.6g}",
-        basis="analytic",
     )
 
 
@@ -437,16 +447,14 @@ def check_hypotheses(s: Scenario) -> HypothesisReport:
         maj = HypothesisCheck(
             CheckStatus.FAIL,
             f"mode {mode.value} not licensed here (expected {licensed.value})",
-            basis="analytic",
         )
     elif check_majorize(inv_b, inv_a, mode):
         maj = HypothesisCheck(
             CheckStatus.PASS,
             "full majorization premise" if full else f"weak premise ({mode.value})",
-            basis="analytic",
         )
     else:
-        maj = HypothesisCheck(CheckStatus.FAIL, "premise order fails", basis="analytic")
+        maj = HypothesisCheck(CheckStatus.FAIL, "premise order fails")
 
     cond = _check_conditions(s.phi, s.psi, s.variant)
     logcc = _check_log_concavity(s.dists, s.psi)
@@ -614,9 +622,7 @@ def run_counterexample(
         verdict.relation is Relation.CROSSING and verdict.crossing_count == 1
     )
     consistent = crossing_as_predicted and abs(mean_a - mean_b) < 1e-8
-    trivially = HypothesisCheck(
-        CheckStatus.PASS, "counterexample preconditions hold", basis="analytic"
-    )
+    trivially = HypothesisCheck(CheckStatus.PASS, "counterexample preconditions hold")
     hyp = HypothesisReport(trivially, trivially, trivially, trivially)
     return TheoremReport(
         hypothesis=hyp,
@@ -728,8 +734,8 @@ _PRESETS = {
 class SuiteConfig:
     n_scenarios: int = 200
     master_seed: int = 42
-    n_samples: int = 100_000
-    delta: float = 0.01
+    n_samples: int = DEFAULT_N_SAMPLES
+    delta: float = DEFAULT_DELTA
     presets: tuple[str, ...] = tuple(_PRESETS)
 
     def __post_init__(self):
@@ -783,8 +789,8 @@ def _components(
 def generate_scenario(
     preset: str,
     seed_seq: np.random.SeedSequence,
-    n_samples: int = 100_000,
-    delta: float = 0.01,
+    n_samples: int = DEFAULT_N_SAMPLES,
+    delta: float = DEFAULT_DELTA,
     label: str = "",
 ) -> Scenario:
     """Randomized scenario for a named preset; deterministic per seed.
@@ -830,7 +836,6 @@ class SuiteReport:
     records: list = field(default_factory=list)
     n_consistent: int = 0
     n_inconsistent: int = 0
-    n_skipped_unknown: int = 0
     n_failed_hypotheses: int = 0
     # one StageClock per scenario when run_suite was asked to profile;
     # never part of to_dict
@@ -847,7 +852,9 @@ class SuiteReport:
                 "run": self.n_run,
                 "consistent": self.n_consistent,
                 "inconsistent": self.n_inconsistent,
-                "skipped_unknown": self.n_skipped_unknown,
+                # every hypothesis is decided, so no scenario is ever skipped;
+                # the key stays for the readers of the summary
+                "skipped_unknown": 0,
                 "failed_hypotheses": self.n_failed_hypotheses,
             },
             "records": self.records,
@@ -858,10 +865,10 @@ def run_scenario(config: SuiteConfig, i: int, clock: Optional[StageClock] = None
     """Record of scenario ``i`` of the suite; a pure function of the config
     and the index.
 
-    Scenarios whose hypotheses come back UNKNOWN are marked skipped; FAIL
-    hypotheses (which the generators should never produce) are marked
-    separately; every other scenario gets a consistency verdict. ``clock``,
-    if given, times the whole scenario ("scenario") and each of its stages.
+    A scenario with a failing hypothesis (which the generators should never
+    produce) is marked failed_hypotheses; every other scenario gets a
+    consistency verdict. ``clock``, if given, times the whole scenario
+    ("scenario") and each of its stages.
     """
     with timed(clock, "scenario"):
         preset = config.presets[i % len(config.presets)]
@@ -877,12 +884,7 @@ def run_scenario(config: SuiteConfig, i: int, clock: Optional[StageClock] = None
         with timed(clock, "hypotheses"):
             hyp = check_hypotheses(s)
         if not hyp.all_pass:
-            _, check = hyp.first_not_passing()
-            record["status"] = (
-                "skipped_unknown"
-                if check.status is CheckStatus.UNKNOWN
-                else "failed_hypotheses"
-            )
+            record["status"] = "failed_hypotheses"
             record["hypothesis"] = hyp.to_dict()
             return record
         tr = (
@@ -926,7 +928,6 @@ def run_suite(config: SuiteConfig = SuiteConfig(), profile: bool = False) -> Sui
         records=records,
         n_consistent=status["consistent"],
         n_inconsistent=status["inconsistent"],
-        n_skipped_unknown=status["skipped_unknown"],
         n_failed_hypotheses=status["failed_hypotheses"],
         clocks=clocks,
     )

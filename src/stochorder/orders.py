@@ -194,6 +194,11 @@ def _every_step(read, size: int, ok) -> bool:
     return True
 
 
+# the default delta of the DKW test: each sample's band fails with
+# probability at most delta
+DEFAULT_DELTA = 0.01
+
+
 def dkw_epsilon(n: int, delta: float) -> float:
     """Half-width of the distribution-free confidence band for n >= 1
     samples."""
@@ -230,7 +235,7 @@ def ecdf(samples: Sequence[float]) -> NumericCDF:
 
 
 def st_compare_empirical(
-    samples_a: Sequence[float], samples_b: Sequence[float], delta: float = 0.01
+    samples_a: Sequence[float], samples_b: Sequence[float], delta: float = DEFAULT_DELTA
 ) -> OrderVerdict:
     """Compare two samples in the usual stochastic order with a DKW band.
 

@@ -125,9 +125,6 @@ class Transform:
                                (kind, *maps)):
             object.__setattr__(self, attr, value)
 
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
-
 
 def make_exp() -> Transform:
     return Transform(("exp",))

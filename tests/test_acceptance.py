@@ -142,22 +142,23 @@ def test_05_randomized_theorem_suite_is_consistent():
     report_obj = run_suite(SuiteConfig(n_scenarios=200, master_seed=42,
                                        n_samples=100_000, delta=0.01))
     elapsed = time.monotonic() - start
+    skipped = report_obj.to_dict()["summary"]["skipped_unknown"]
     ok = (
         report_obj.n_inconsistent == 0
         and report_obj.n_failed_hypotheses == 0
-        and report_obj.n_run >= 200 - report_obj.n_skipped_unknown
-        and report_obj.n_run > 0
+        and skipped == 0
+        and report_obj.n_run == 200
         and elapsed < 900.0
     )
     report(
         5, ok,
         f"{report_obj.n_run} run, {report_obj.n_inconsistent} inconsistent, "
-        f"{report_obj.n_skipped_unknown} skipped, "
+        f"{skipped} skipped, "
         f"{report_obj.n_failed_hypotheses} failed hypotheses, {elapsed:.0f}s",
     )
     assert report_obj.n_inconsistent == 0
     assert report_obj.n_failed_hypotheses == 0
-    assert report_obj.n_skipped_unknown == 0
+    assert skipped == 0
     assert report_obj.n_run == 200
     assert elapsed < 900.0
 

@@ -340,6 +340,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("stochorder: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_power_transform_without_exponent(self):
         with pytest.raises(SystemExit) as e:
@@ -380,6 +381,18 @@ class TestMalformedInput:
 
     def test_suite_negative_seed(self, capsys):
         self.assert_one_line_error(run(["suite", "--n", "1", "--seed", "-1"]), capsys)
+
+    def test_verify_negative_weight_under_a_power_phi(self, tmp_path, capsys):
+        # the square root of -1 used to reach float() as a complex number
+        # and end the command with a TypeError traceback
+        self.verify_with(
+            tmp_path, capsys, dists=[["gengamma", 1, 2, 1]] * 2, phi=["power", 2.0],
+            psi=["power", 2.0], a=[-1.0, 3.0], b=[1.0, 1.0],
+        )
+
+    @pytest.mark.parametrize("a", ["41", [True, 1.0]])
+    def test_verify_weights_not_an_array_of_numbers(self, a, tmp_path, capsys):
+        self.verify_with(tmp_path, capsys, a=a)
 
     def test_verify_negative_seed(self, tmp_path, capsys):
         self.verify_with(tmp_path, capsys, seed=-3)

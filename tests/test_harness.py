@@ -1,9 +1,12 @@
+import ast
+import inspect
 import json
 import math
 import runpy
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,7 @@ from stochorder import (
     verify_iid_theorem,
     verify_noniid_theorem,
 )
-from stochorder import harness, transforms
+from stochorder import cli, harness, orders, transforms
 from stochorder.cli import run as cli_run
 from stochorder.harness import (
     _check_log_concavity,
@@ -126,6 +129,43 @@ class TestScenario:
         )
         assert not s.is_iid
 
+    @pytest.mark.parametrize("a", [(-1.0, 3.0), (3.0, -0.5)])
+    def test_negative_weight_rejected(self, a):
+        # x^(1/2) of a negative weight is complex, which check_hypotheses
+        # cannot order
+        with pytest.raises(ParameterError, match="weights must be nonnegative"):
+            Scenario(
+                dists=(GeneralizedGamma(1, 2, 1),) * 2,
+                phi=make_power(2.0), psi=make_power(2.0), variant=CONVEX,
+                a=a, b=(1.0, 1.0),
+            )
+        with pytest.raises(ParameterError, match="weights must be nonnegative"):
+            exp_scenario((1.0, 1.0), a)
+
+    def test_defaults_are_written_once(self):
+        """Every default sample count and delta is the one module constant,
+        and neither value is written anywhere else in the package."""
+        n, delta = harness.DEFAULT_N_SAMPLES, orders.DEFAULT_DELTA
+        assert (n, delta) == (100_000, 0.01)
+        s = exp_scenario([4.0, 1.0], [2.0, 2.0])
+        data = s.to_dict()
+        del data["n_samples"], data["delta"]
+        read = Scenario.from_dict(data)
+        generated = generate_scenario("exp_exp", np.random.SeedSequence(1))
+        suite_args = cli.build_parser().parse_args(["suite"])
+        assert [(s.n_samples, s.delta), (SuiteConfig().n_samples, SuiteConfig().delta),
+                (generated.n_samples, generated.delta), (read.n_samples, read.delta),
+                (suite_args.samples, suite_args.delta)] == [(n, delta)] * 5
+        assert inspect.signature(st_compare_empirical).parameters["delta"].default == delta
+        literals = Counter(
+            node.value
+            for path in Path(harness.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value in (n, delta)
+        )
+        assert literals == {n: 1, delta: 1}
+
     def test_component_outside_the_gamma_families_rejected(self):
         with pytest.raises(ParameterError, match="gengamma or gammapower"):
             Scenario(
@@ -182,7 +222,7 @@ class TestCheckHypotheses:
         )
         check = check_hypotheses(s).conditions_ok
         # x^(1/3) pair: r = -2 for each, so (b) holds and only (a) fails
-        assert (check.status, check.basis, check.witness) == (CheckStatus.FAIL, "analytic", None)
+        assert (check.status, check.witness) == (CheckStatus.FAIL, None)
         assert check.detail == "closed form: phi'' has sign -1 in the convex case"
 
     def test_logconcavity_failure_reported(self):
@@ -203,11 +243,12 @@ class TestCheckHypotheses:
         )
         hyp = check_hypotheses(s)
         assert hyp.lr_chain_ok.status is CheckStatus.FAIL
-        assert hyp.lr_chain_ok.basis == "analytic"
+        assert hyp.to_dict()["lr_chain_ok"]["basis"] == "analytic"
 
 
 class TestHypothesisBasis:
-    """Every hypothesis records what decided it: "analytic" throughout."""
+    """Every hypothesis passes or fails, and its report entry records what
+    decided it: "analytic" throughout."""
 
     def _conjugate(self, phi, variant=CONCAVE, dists=(GeneralizedGamma(2, 1, 1),) * 2):
         # transformed coordinates (16, 1) majorize (9, 8) under x^(1/2)
@@ -219,7 +260,7 @@ class TestHypothesisBasis:
     def test_builtin_scenario_is_analytic_throughout(self):
         hyp = check_hypotheses(self._conjugate(make_power(0.5)))
         assert hyp.all_pass
-        assert [c.basis for _, c in hyp.items()] == ["analytic"] * 4
+        assert set(CheckStatus) == {CheckStatus.PASS, CheckStatus.FAIL}
         assert hyp.conditions_ok.detail == "closed form: phi'' sign -1, inf r_phi r_psi = 1"
         for entry in hyp.to_dict().values():
             assert list(entry) == ["status", "basis", "detail", "witness"]
@@ -233,7 +274,7 @@ class TestHypothesisBasis:
         )
         for i, preset in enumerate(SuiteConfig().presets):
             s = generate_scenario(preset, np.random.SeedSequence(i))
-            assert check_hypotheses(s).conditions_ok.basis == "analytic"
+            assert check_hypotheses(s).conditions_ok.status is CheckStatus.PASS
 
     def test_closed_form_failure_of_condition_b(self):
         # exp against x^(1/2): r = 1 times r = -1
@@ -249,8 +290,10 @@ class TestHypothesisBasis:
         refuted = (GeneralizedGamma(1, 2, 1), GeneralizedGamma(2, 1, 1))
         certified = (GeneralizedGamma(1, 3, 1), GeneralizedGamma(2, 1, 1))
         for dists, status in ((refuted, CheckStatus.FAIL), (certified, CheckStatus.PASS)):
-            check = check_hypotheses(self._conjugate(make_power(0.5), dists=dists)).lr_chain_ok
-            assert (check.status, check.basis) == (status, "analytic")
+            entry = check_hypotheses(self._conjugate(make_power(0.5), dists=dists)).to_dict()
+            assert list(entry["lr_chain_ok"]) == ["status", "basis", "detail", "witness"]
+            assert (entry["lr_chain_ok"]["status"], entry["lr_chain_ok"]["basis"]) \
+                == (status.value, "analytic")
 
     def test_counterexample_preconditions_are_analytic(self):
         rep = run_counterexample(1.0, (2.0, 1.0, 1.0), (1.5, 1.5, 1.0))
@@ -685,11 +728,13 @@ class TestSuite:
         report = run_suite(cfg)
         assert report.n_inconsistent == 0
         assert report.n_failed_hypotheses == 0
-        assert report.n_run + report.n_skipped_unknown == 9
+        assert report.n_run == 9
 
     def test_suite_deterministic(self):
         cfg = SuiteConfig(n_scenarios=4, master_seed=5, n_samples=5_000)
-        assert run_suite(cfg).to_dict() == run_suite(cfg).to_dict()
+        first = run_suite(cfg).to_dict()
+        assert first == run_suite(cfg).to_dict()
+        assert first["summary"]["skipped_unknown"] == 0
 
     def test_direction_coherence(self):
         """Oracle verdicts never point against the predicted side."""
@@ -985,6 +1030,12 @@ class TestSpecParsers:
         ("seed", 2.7),
         ("seed", True),
         ("a", 3),
+        # text is not an array: "31" used to give the weights (3, 1)
+        ("a", "31"),
+        ("b", "22"),
+        # a bool is not a weight: true used to read as 1.0
+        ("a", [True, 1.0]),
+        ("b", [2.0, np.True_]),
     ])
     def test_bad_scenario_field(self, field, value):
         data = exp_scenario([4.0, 1.0], [2.0, 2.0]).to_dict()

@@ -118,9 +118,6 @@ class TestTransformConstruction:
         assert t.inverse(1.0) == pytest.approx(0.0, abs=1e-12)
         assert t.d2(1.0) < 0
 
-    def test_callable_protocol(self):
-        assert make_power(2.0)(3.0) == pytest.approx(9.0)
-
     @given(st.floats(-3.0, 3.0).filter(lambda r: abs(r) > 0.05))
     @settings(max_examples=50, deadline=None)
     def test_power_inverse_roundtrip(self, r):
