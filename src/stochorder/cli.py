@@ -369,7 +369,7 @@ def _cmd_counterexample(args) -> int:
 def _cmd_suite(args) -> int:
     config = SuiteConfig(
         n_scenarios=args.n, master_seed=args.seed, n_samples=args.samples, delta=args.delta,
-        presets=tuple(args.presets.split(",")) if args.presets else SuiteConfig.presets,
+        presets=SuiteConfig.presets if args.presets is None else tuple(args.presets.split(",")),
     )
     report = run_suite(config, profile=args.profile is not None)
     _emit(report.to_dict(), config.to_dict(), args.output)

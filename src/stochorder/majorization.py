@@ -126,8 +126,8 @@ def check_majorize(
     ``tol * (1 + max(|a|, |b|))``. Equal inputs (up to order) are always
     majorized, also where their sums overflow to inf.
     """
-    if not tol >= 0:
-        raise ParameterError("tol must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
     if mode is not _FULL and mode is not _WEAK_SUB and mode is not _WEAK_SUP:
         raise ParameterError(f"mode must be a MajorizationMode, got {mode!r}")
     xs = _sorted_values(x)

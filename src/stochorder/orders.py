@@ -22,8 +22,9 @@ REFINE_TOL = 1e-7
 MAX_LEVELS = 8
 INITIAL_GRID = 4096
 TAIL_TOL = 1e-9
-# knots of either table per chunk when two tables are compared, and the
-# chunk length of the other passes that run a chunk at a time
+# knots of either table per chunk when two tables are compared: only the
+# exact comparison works in chunks, as merging two 1M-knot tables at once
+# would take many table-lengths of temporaries
 _CHUNK_KNOTS = 1 << 15
 
 
@@ -65,7 +66,7 @@ class NumericCDF:
 
     ``grid`` is an array of knots, or a ``Lattice``: the oracle's tables
     keep only the lattice's offset and step beside their values, and build
-    the knots they read a chunk at a time (``knots``). Reading ``grid``
+    the knots they read on demand (``knots``). Reading ``grid``
     builds the whole array, for a lattice table on every read. ``kind`` is
     "step" (right-continuous, e.g. an ECDF) or "linear" (continuous
     distribution tabulated pointwise). ``tail_tol`` records how much
@@ -87,13 +88,11 @@ class NumericCDF:
             raise ParameterError("grid and values must be equal-length 1-D arrays")
         self.values = v
         # each check holds only where every comparison is true, so NaN fails it
-        if not _every_step(self.knots, len(v), lambda lo, hi: hi > lo):
+        g = self.knots()
+        if not np.all(g[1:] > g[:-1]):
             raise ParameterError("grid must be strictly increasing, without NaN")
-        if not (
-            v[0] >= -1e-12
-            and v[-1] <= 1 + 1e-12
-            and _every_step(v.__getitem__, len(v), lambda lo, hi: hi - lo >= -1e-12)
-        ):
+        del g
+        if not (v[0] >= -1e-12 and v[-1] <= 1 + 1e-12 and np.all(np.diff(v) >= -1e-12)):
             raise ParameterError("values must be a nondecreasing CDF table, without NaN")
         # a new array, so that no later write to the caller's changes the table
         self.values = np.clip(v, 0.0, 1.0)
@@ -181,17 +180,6 @@ class NumericCDF:
         finally:
             if own:
                 f.close()
-
-
-def _every_step(read, size: int, ok) -> bool:
-    """Whether ``ok(x[i], x[i + 1])`` holds for every i of an x of the given
-    size, which ``read(s)`` gives slices ``x[s]`` of; taken ``_CHUNK_KNOTS``
-    pairs at a time, so that no temporary is as long as x."""
-    for i in range(0, size - 1, _CHUNK_KNOTS):
-        x = read(slice(i, min(i + _CHUNK_KNOTS, size - 1) + 1))
-        if not np.all(ok(x[:-1], x[1:])):
-            return False
-    return True
 
 
 # the default delta of the DKW test: each sample's band fails with
@@ -350,26 +338,10 @@ def _cells(x: float, m: int) -> int:
     return min(max(math.ceil(x), 1), m)
 
 
-def _kept_cells(table: np.ndarray) -> int:
-    """The number of cells of an edge table up to its last increment that
-    is not <= 0 (a NaN one counts), and at least one: the length of the
-    table's masses (``_cell_masses``) cut after the last nonzero cell. The
-    increments are taken a chunk at a time from the end."""
-    k = len(table) - 1
-    if table[k] - table[k - 1] > 0:  # the common case, without a scan
-        return k
-    for i in range(k, 0, -_CHUNK_KNOTS):
-        j = max(i - _CHUNK_KNOTS, 0)
-        kept = np.flatnonzero(~(table[j + 1 : i + 1] - table[j:i] <= 0))
-        if kept.size:
-            return j + int(kept[-1]) + 1
-    return 1
-
-
-def _cell_masses(table: np.ndarray, cells: int) -> np.ndarray:
-    """The probabilities of the first ``cells`` cells of an edge table,
-    negative rounding clipped to 0."""
-    masses = np.subtract(table[1 : cells + 1], table[:cells])
+def _cell_masses(table: np.ndarray) -> np.ndarray:
+    """The probabilities of the cells of an edge table, negative rounding
+    clipped to 0."""
+    masses = np.subtract(table[1:], table[:-1])
     np.maximum(masses, 0.0, out=masses)  # np.clip(masses, 0, None), without its wrapper
     return masses
 
@@ -392,10 +364,12 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     is ``n * TAIL_TOL``. The stops sum to ``top``, so the linear
     convolution is at most m + 1 long and is kept whole, padded with zeros
     to the level's m + n points. A component's table is carried from one
-    level to the next (see ``_edge_cdf_tables``). The result keeps its
-    knots as a ``Lattice``: knot j is ``(j + n/2) * h``. Every component
-    is a ``GeneralizedGamma`` or a ``GammaPower``, which live on (0, inf);
-    any other is rejected.
+    level to the next (see ``_edge_cdf_tables``), and its k cells are its
+    k masses. Each step of a level is one whole-array pass, and none holds
+    much more than the level's spectral product (``_product_pmf``). The
+    result keeps its knots as a ``Lattice``: knot j is ``(j + n/2) * h``.
+    Every component is a ``GeneralizedGamma`` or a ``GammaPower``, which
+    live on (0, inf); any other is rejected.
     """
     w = as_weight_vector(weights).as_array()
     if len(w) != len(dists):
@@ -420,10 +394,10 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     gap = math.inf
     for levels in range(1, MAX_LEVELS + 2):
         tables = [next(c) for c in components]
-        cells = [_kept_cells(t) for t in tables]
-        # the masses are made one component at a time, as the product
-        # takes them
-        cur = _convolve_level(cells, map(_cell_masses, tables, cells), top, m, levels)
+        # a table of k cells gives k masses, made one component at a time,
+        # as the product takes them
+        lengths = [len(t) - 1 for t in tables]
+        cur = _convolve_level(lengths, map(_cell_masses, tables), top, m, levels)
         if prev is not None:
             gap = _level_gap(prev, cur, len(components))
             if gap < REFINE_TOL:
@@ -448,32 +422,34 @@ def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
     lies strictly inside ``cur``'s cell ``k = 2j + (n-1)/2``, where
     ``np.interp`` gives ``slope * (x - xp[k]) + fp[k]`` with the slope of
     that cell. Knots past ``cur``'s last take its last value, as
-    ``evaluate`` does. The work runs in chunks of ``_CHUNK_KNOTS`` knots,
-    and builds only the knots of each chunk, so no temporary is as long as
-    a table."""
+    ``evaluate`` does. It is one whole-array pass, which holds at most
+    three arrays as long as ``prev`` beside the tables: about what the
+    level's spectral product held."""
     pv, cv = prev.values, cur.values
     off, odd = n // 2, n % 2
     # the prev knots whose cur cell (or knot) ends at or before cur's last knot
     inner = min(len(pv), max(0, (len(cv) - 1 - odd - off) // 2 + 1))
-    gaps = [0.0]
-    for i in range(0, inner, _CHUNK_KNOTS):
-        j = min(i + _CHUNK_KNOTS, inner)
-        lo = slice(off + 2 * i, off + 2 * j, 2)
-        if odd:
-            hi = slice(off + 2 * i + 1, off + 2 * j + 1, 2)
-            at = cur.knots(lo)
-            dev = cv[hi] - cv[lo]
-            dev /= cur.knots(hi) - at
-            dev *= prev.knots(slice(i, j)) - at
-            dev += cv[lo]
-            dev -= pv[i:j]
-        else:
-            dev = cv[lo] - pv[i:j]
-        gaps.append(np.max(np.abs(dev, out=dev)))
-    if inner < len(pv):
-        gaps.append(np.max(np.abs(cv[-1] - pv[inner:])))
-    # np.max, not max: a NaN gap must stay NaN, so that it never converges
-    return float(np.max(gaps))
+    lo = slice(off, off + 2 * inner, 2)
+    if odd:
+        hi = slice(off + 1, off + 2 * inner + 1, 2)
+        at = cur.knots(lo)
+        dev = cv[hi] - cv[lo]
+        width = cur.knots(hi)
+        width -= at
+        dev /= width
+        del width
+        x = prev.knots(slice(0, inner))
+        x -= at
+        dev *= x
+        dev += cv[lo]
+        dev -= pv[:inner]
+    else:
+        dev = cv[lo] - pv[:inner]
+    np.abs(dev, out=dev)
+    tail = np.abs(cv[-1] - pv[inner:])
+    # np.max and np.maximum, not max: a NaN gap must stay NaN, so that it
+    # never converges
+    return float(np.maximum(np.max(dev, initial=0.0), np.max(tail, initial=0.0)))
 
 
 def _next_fast_len(n: int) -> int:
@@ -546,7 +522,9 @@ def _convolve_level(
     lengths: Sequence[int], masses: Iterable[np.ndarray], top: float, m: int, levels: int
 ) -> NumericCDF:
     """The level's table on the lattice ``(j + n/2) * h``, from the n
-    components' masses (see ``_product_pmf``)."""
+    components' masses (see ``_product_pmf``). The running sum is numpy's
+    sequential cumsum, taken with the half-cell correction and the
+    monotonicity test over the whole padded pmf."""
     n = len(lengths)
     size = m + n if n > 1 else m
     h = top / m
@@ -558,26 +536,15 @@ def _convolve_level(
     moments *= pmf
     mean = float(np.sum(moments))
     del moments
-    # values = cumsum(pmf) - pmf / 2 in pmf's own buffer, one cache-sized
-    # chunk at a time: each chunk's first entry takes the running sum, so
-    # the sums are the sequential cumsum's bit for bit
-    values = pmf
-    rising = True
-    total = last = 0.0
-    for i in range(0, size, _CHUNK_KNOTS):
-        chunk = values[i : i + _CHUNK_KNOTS]
-        half = chunk * 0.5
-        if i:
-            chunk[0] += total
-        np.cumsum(chunk, out=chunk)
-        total = chunk[-1]
-        chunk -= half
-        rising = rising and (not i or chunk[0] >= last) and bool(np.all(chunk[1:] >= chunk[:-1]))
-        last = chunk[-1]
+    # values = cumsum(pmf) - pmf / 2 in pmf's own buffer
+    half = pmf * 0.5
+    values = np.cumsum(pmf, out=pmf)
+    values -= half
+    del half
     # a nondecreasing table from 0 (pmf >= 0) to at most 1 is its own clip,
     # which NumericCDF takes; the fix-ups leave any other nondecreasing
     # table as its clip
-    if not (rising and values[-1] <= 1.0):
+    if not (values[-1] <= 1.0 and np.all(values[1:] >= values[:-1])):
         reverse = values[::-1]
         np.minimum(reverse, 1.0, out=reverse)
         np.minimum.accumulate(reverse, out=reverse)

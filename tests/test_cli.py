@@ -382,6 +382,17 @@ class TestMalformedInput:
     def test_suite_negative_seed(self, capsys):
         self.assert_one_line_error(run(["suite", "--n", "1", "--seed", "-1"]), capsys)
 
+    def test_suite_empty_presets(self, capsys, monkeypatch):
+        # an empty list names the preset "", never all nine
+        monkeypatch.setattr(
+            harness, "run_scenario", lambda *a: pytest.fail("a scenario started")
+        )
+        self.assert_one_line_error(run(["suite", "--n", "2", "--presets", ""]), capsys)
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_major_infinite_tol(self, tol, capsys):
+        self.assert_one_line_error(run(["major", "--x", "1,2", "--y", "1,2", "--tol", tol]), capsys)
+
     def test_verify_negative_weight_under_a_power_phi(self, tmp_path, capsys):
         # the square root of -1 used to reach float() as a complex number
         # and end the command with a TypeError traceback

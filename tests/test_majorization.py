@@ -82,6 +82,11 @@ class TestCheckMajorize:
         with pytest.raises(ParameterError):
             check_majorize([1], [1], tol=math.nan)
 
+    def test_infinite_tol_rejected(self):
+        # an infinite slack would hold for any pair, and no JSON can record it
+        with pytest.raises(ParameterError, match="finite"):
+            check_majorize([1, 2], [1, 2], tol=math.inf)
+
     @pytest.mark.parametrize("mode", ["weak_sub", "full", None])
     def test_mode_not_a_member_rejected(self, mode):
         # a value the enum would take is still not a member: no silent FULL
@@ -246,7 +251,9 @@ _EDGE_ENTRIES = st.one_of(
     st.integers(-9, 9).map(float),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-_TOLS = (0.0, 1e-12, 1e-6, math.inf)
+# 1e300 stands in for an infinite tol, which is rejected: its slack
+# overflows to inf at entries past about 1.8e8
+_TOLS = (0.0, 1e-12, 1e-6, 1e300)
 _FORMS = (tuple, list, np.array, lambda v: WeightVector(tuple(v)))
 
 
@@ -261,7 +268,7 @@ def edge_float_pairs(draw):
 class TestFastPathEquivalence:
     """The in-order fast path of ``check_majorize`` answers as the slack
     test alone does, where sums overflow, with ``tol = 0`` (slack 0 * inf is
-    NaN) and with ``tol = inf``."""
+    NaN) and with a slack that overflows to inf."""
 
     @given(edge_float_pairs())
     @settings(max_examples=300, deadline=None)

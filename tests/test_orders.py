@@ -385,9 +385,9 @@ def _oracle_top(d, weights):
 
 def _level_masses(d, w, stop, top, m):
     """Yield a component's cell masses level by level, as the oracle makes
-    them: its edge table's cells up to the last nonzero one."""
+    them: one for each of its edge table's k cells."""
     for table in _edge_cdf_tables(d.cdf, w, stop, top, m):
-        yield orders._cell_masses(table, orders._kept_cells(table))
+        yield orders._cell_masses(table)
 
 
 def _product(masses, size=0):
@@ -459,11 +459,14 @@ class TestOracleLevels:
         m = INITIAL_GRID
         masses = [next(_level_masses(d, w, w * q, top, m)) for w in weights]
         for w, c in zip(weights, masses):
-            fresh = np.diff(_fresh_table(d, w, top, m, len(c)))
+            k = min(math.ceil(w * q / (top / m)), m)
+            assert len(c) == k
+            fresh = np.diff(_fresh_table(d, w, top, m, k))
             assert np.array_equal(c, np.clip(fresh, 0.0, None))
         if n > 1:
             assert all(len(c) < m for c in masses)
-        # the kept cells fit the level: the convolution is at most m + 1 long
+        # the k cells of each table fit the level: the convolution is at
+        # most m + 1 long
         assert sum(len(c) - 1 for c in masses) + 1 <= m + 1
         size = m + n if n > 1 else m
         full = [np.concatenate([c, np.zeros(m - len(c))]) for c in masses]
@@ -540,45 +543,13 @@ class TestClosedFormGammaSums:
         assert np.max(np.abs(f.values - exact)) < 5e-8
 
 
-def _old_nonzero_prefix(masses):
-    """The cut of a component's masses before the lengths came first: after
-    the last nonzero cell, and at least one cell."""
-    masses = np.maximum(masses, 0.0)
-    nz = np.flatnonzero(masses)
-    return masses[: nz[-1] + 1] if nz.size else masses[:1]
-
-
-class TestKeptCells:
-    """The length of a component's masses, read off its edge table, against
-    the cut of the whole difference array."""
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 15])
-    @pytest.mark.parametrize("seed", range(12))
-    def test_equals_cut_of_differences(self, seed, chunk):
-        rng = np.random.default_rng(seed)
-        table = np.cumsum(rng.random(rng.integers(2, 40)))
-        table /= table[-1]
-        flat = rng.integers(0, len(table))
-        table[len(table) - flat :] = table[len(table) - flat - 1]  # saturated tail
-        if seed % 3 == 0:
-            table[rng.integers(0, len(table))] = math.nan
-        if seed % 4 == 1:
-            table[:] = 1.0  # no positive increment at all
-        want = _old_nonzero_prefix(np.diff(table))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orders, "_CHUNK_KNOTS", chunk)
-            cells = orders._kept_cells(table)
-        got = orders._cell_masses(table, cells)
-        assert got.tobytes() == want.tobytes()
-
-
 def _random_masses(lengths, seed):
     rng = np.random.default_rng(seed)
     masses = []
     for n in lengths:
         c = rng.random(n) / n
         c[rng.random(n) < 0.2] = 0.0
-        c[-1] = 1.0 / n  # cut after the last nonzero cell, as the oracle does
+        c[-1] = 1.0 / n  # a nonzero last cell, as the cell of an oracle table's stop
         masses.append(c)
     return masses
 
@@ -754,10 +725,10 @@ class TestLevelGap:
         dev = cur.evaluate(prev.grid) - prev.values
         return float(np.max(np.abs(dev)))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_oracle_levels(self, n):
         d = GeneralizedGamma(0.8, 1.1, 1)
-        weights = [100.0, 1.0, 7.0, 2.5][:n]
+        weights = [100.0, 1.0, 7.0, 2.5, 30.0, 0.5, 12.0, 3.3][:n]
         q = d.ppf(1.0 - TAIL_TOL)
         top = _oracle_top(d, weights)
         tables = [_level_masses(d, w, w * q, top, INITIAL_GRID) for w in weights]
@@ -772,10 +743,9 @@ class TestLevelGap:
             prev = cur
             m *= 2
 
-    @given(st.integers(1, 4), st.integers(1, 70), st.floats(1e-3, 1e4), st.integers(0, 2**31 - 1),
-           st.sampled_from([1, 2, 3]))
+    @given(st.integers(1, 8), st.integers(1, 70), st.floats(1e-3, 1e4), st.integers(0, 2**31 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_random_tables(self, n, m, top, seed, chunk):
+    def test_random_tables(self, n, m, top, seed):
         rng = np.random.default_rng(seed)
 
         def values(size):
@@ -789,10 +759,6 @@ class TestLevelGap:
         assert on_lattice[1].grid.tobytes() == cur.grid.tobytes()
         assert repr(orders._level_gap(prev, cur, n)) == repr(want)
         assert repr(orders._level_gap(*on_lattice, n)) == repr(want)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orders, "_CHUNK_KNOTS", chunk)
-            assert repr(orders._level_gap(prev, cur, n)) == repr(want)
-            assert repr(orders._level_gap(*on_lattice, n)) == repr(want)
 
 
 def _golden_oracle_cases():
