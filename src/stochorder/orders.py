@@ -1,12 +1,14 @@
 """Decision procedures for the usual stochastic order: DKW-banded empirical
-comparison, a grid-convolution oracle for weighted sums of
-independent nonnegative variables, and the exact comparison of two CDF
-tables with the crossing count of their difference.
+comparison, a grid-convolution oracle for weighted sums of independent
+nonnegative variables, whose CDF tables are linear on a lattice, and the
+exact comparison of two such tables with the crossing count of their
+difference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -62,31 +64,21 @@ class Lattice(NamedTuple):
 
 
 class NumericCDF:
-    """CDF tabulated on an increasing grid.
+    """CDF tabulated on a ``Lattice``, linear between knots: every oracle
+    table. It keeps the lattice, not its knots, and builds those it reads
+    (``knots``; ``grid`` builds all). ``tail_tol`` records how much upper-tail
+    mass the construction may have truncated, and ``meta`` how it was built."""
 
-    ``grid`` is an array of knots, or a ``Lattice``: the oracle's tables
-    keep only the lattice's offset and step beside their values, and build
-    the knots they read on demand (``knots``). Reading ``grid``
-    builds the whole array, for a lattice table on every read. ``kind`` is
-    "step" (right-continuous, e.g. an ECDF) or "linear" (continuous
-    distribution tabulated pointwise). ``tail_tol`` records how much
-    upper-tail mass the construction may have truncated, and ``meta`` how
-    the table was built.
-    """
+    __slots__ = ("lattice", "values", "tail_tol", "meta")
 
-    __slots__ = ("lattice", "_grid", "values", "kind", "tail_tol", "meta")
-
-    def __init__(self, grid, values, kind: str = "linear", tail_tol: float = 0.0,
+    def __init__(self, lattice: Lattice, values, tail_tol: float = 0.0,
                  meta: Optional[dict] = None):
+        if not (isinstance(lattice, Lattice) and np.all(np.isfinite(lattice)) and lattice.step > 0):
+            raise ParameterError(f"grid must be a finite Lattice with step > 0, not {lattice!r}")
         v = np.asarray(values, dtype=float)
-        if isinstance(grid, Lattice):
-            self.lattice, self._grid = grid, None
-        else:
-            # a new array, so that no later write to the caller's changes the grid
-            self.lattice, self._grid = None, np.array(grid, dtype=float)
-        if v.ndim != 1 or len(v) < 1 or (self._grid is not None and self._grid.shape != v.shape):
-            raise ParameterError("grid and values must be equal-length 1-D arrays")
-        self.values = v
+        if v.ndim != 1 or len(v) < 1:
+            raise ParameterError("values must be a nonempty 1-D array")
+        self.lattice, self.values = lattice, v
         # each check holds only where every comparison is true, so NaN fails it
         g = self.knots()
         if not np.all(g[1:] > g[:-1]):
@@ -96,7 +88,6 @@ class NumericCDF:
             raise ParameterError("values must be a nondecreasing CDF table, without NaN")
         # a new array, so that no later write to the caller's changes the table
         self.values = np.clip(v, 0.0, 1.0)
-        self.kind = kind
         self.tail_tol = tail_tol
         self.meta = {} if meta is None else meta
 
@@ -105,24 +96,17 @@ class NumericCDF:
         return self.knots()
 
     def knots(self, s: slice = slice(None)) -> np.ndarray:
-        """``grid[s]``: a view of an explicit grid, which callers must not
-        write to; a lattice table builds just those knots."""
-        if self.lattice is None:
-            return self._grid[s]
+        """``grid[s]``, built knot by knot from the lattice."""
         return self.lattice.knots(range(len(self.values))[s])
 
     def _knot(self, k: int) -> float:
         """Knot k >= 0, the bits of ``grid[k]``."""
-        if self.lattice is None:
-            return self._grid[k]
         return (k + self.lattice.offset) * self.lattice.step
 
     def _count_below(self, x: float) -> int:
-        """The number of knots below x, ``grid.searchsorted(x)``. On a
-        lattice, x / step - offset is within a knot of the count, and the
-        knots around it are compared with x."""
-        if self.lattice is None:
-            return int(self._grid.searchsorted(x))
+        """The number of knots below x, ``grid.searchsorted(x)``:
+        x / step - offset is within a knot of the count, and the knots
+        around it are compared with x."""
         size = len(self.values)
         # Python floats, whose division gives inf without a warning
         k = int(min(max(float(x) / self.lattice.step - self.lattice.offset, 0.0), size))
@@ -134,26 +118,22 @@ class NumericCDF:
 
     def _window(self, x: np.ndarray) -> slice:
         """The knots ``evaluate`` reads for x, which must be free of NaN:
-        all of an explicit grid; of a lattice, from the last knot below
-        min(x) to the first at or above max(x). Every x then lies in the
-        same cell of the window as of the whole grid, or beyond the end it
-        shares with it."""
-        size = len(self.values)
+        from the last knot below min(x) to the first at or above max(x).
+        Every x then lies in the same cell of the window as of the whole
+        grid, or beyond the end it shares with it."""
         if x.size == 0:
             return slice(0, 1)
         lo = np.min(x)
         if np.isnan(lo):  # np.min keeps a NaN
             raise ParameterError("a CDF cannot be evaluated at NaN")
-        if self.lattice is None:
-            return slice(0, size)
         below = self._count_below
-        return slice(max(below(lo) - 1, 0), min(below(np.max(x)) + 1, size))
+        return slice(max(below(lo) - 1, 0), min(below(np.max(x)) + 1, len(self.values)))
 
     def evaluate(self, x) -> np.ndarray:
-        """F at x: ``np.interp`` of a linear table, or the value of the last
-        knot at or below x of a step table; 0 below the grid. A lattice
-        table builds only the knots around x (see ``_window``), and gives
-        the bits it would give on its whole grid. NaN is rejected."""
+        """F at x, ``np.interp`` of the table; 0 below the grid and the last
+        value above it. Only the knots around x are built (see
+        ``_window``), and the bits are those of the whole grid. NaN is
+        rejected."""
         x = np.asarray(x, dtype=float)
         window = self._window(x)
         return self._read(x, window, self.knots(window))
@@ -161,25 +141,14 @@ class NumericCDF:
     def _read(self, x: np.ndarray, window: slice, knots: np.ndarray) -> np.ndarray:
         """F at x from ``knots``, the knots of ``window``, which holds the
         cell of every x, or the end of the grid that x lies beyond."""
-        values = self.values[window]
-        if self.kind == "step":
-            idx = np.searchsorted(knots, x, side="right")
-            # [()] gives a scalar for a scalar x, as np.interp does
-            return np.where(idx > 0, values[idx - 1], 0.0)[()]
-        return np.interp(x, knots, values, left=0.0, right=float(self.values[-1]))
+        return np.interp(x, knots, self.values[window], left=0.0, right=float(self.values[-1]))
 
-    def to_csv(self, fp) -> None:
+    def to_csv(self, path: str) -> None:
         """Two-column CSV (abscissa, value) for plotting; each number is the
         ``repr`` of a Python float, which reads back bit for bit."""
-        own = isinstance(fp, str)
-        f = open(fp, "w") if own else fp
-        try:
+        with open(path, "w") as f:
             f.write("x,F\n")
-            for x, v in zip(self.grid, self.values):
-                f.write(f"{float(x)!r},{float(v)!r}\n")
-        finally:
-            if own:
-                f.close()
+            f.writelines(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(self.grid, self.values))
 
 
 # the default delta of the DKW test: each sample's band fails with
@@ -209,17 +178,6 @@ def _sorted_sample(samples: Sequence[float]) -> np.ndarray:
     if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
         raise ParameterError("samples must be finite")
     return arr
-
-
-def ecdf(samples: Sequence[float]) -> NumericCDF:
-    """Right-continuous empirical CDF on the sorted sample grid."""
-    arr = _sorted_sample(samples)
-    # distinct values from the sorted array: each run's first entry is the
-    # grid point, and the count up to its last entry is the CDF value
-    new = arr[1:] != arr[:-1]
-    grid = arr[np.concatenate(([True], new))]
-    values = (np.flatnonzero(np.concatenate((new, [True]))) + 1) / arr.size
-    return NumericCDF(grid, values, kind="step", meta={"n": int(arr.size)})
 
 
 def st_compare_empirical(
@@ -385,6 +343,11 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     top = sum(stops)
     if not np.isfinite(top) or top <= 0:
         raise NumericError(f"cannot truncate support (T={top})")
+    # np.interp and the level gap divide a cell's rise by its width h: where
+    # h < 1 / DBL_MAX that overflows on a steep enough table, always on one
+    # that rises by about 1 within 1 / DBL_MAX (whose knots may also collide)
+    if top * sys.float_info.max < 1.0:
+        raise _narrow_cells(top / INITIAL_GRID)
 
     components = [
         _edge_cdf_tables(d.cdf, wi, si, top, INITIAL_GRID) for (d, wi), si in zip(active, stops)
@@ -398,6 +361,10 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
         # as the product takes them
         lengths = [len(t) - 1 for t in tables]
         cur = _convolve_level(lengths, map(_cell_masses, tables), top, m, levels)
+        if cur.meta["h"] * sys.float_info.max < 1.0:
+            with np.errstate(over="ignore"):
+                if np.max(np.diff(cur.values) / np.diff(cur.grid)) == math.inf:
+                    raise _narrow_cells(cur.meta["h"])
         if prev is not None:
             gap = _level_gap(prev, cur, len(components))
             if gap < REFINE_TOL:
@@ -409,6 +376,10 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
         f"convolution did not converge below {REFINE_TOL} in {MAX_LEVELS} "
         f"refinements (last gap {gap:.3g})"
     )
+
+
+def _narrow_cells(h: float) -> NumericError:
+    return NumericError(f"cell width {h:.3g} is too small: the CDF's slope overflows")
 
 
 def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
@@ -553,7 +524,6 @@ def _convolve_level(
     return NumericCDF(
         lattice,
         values,
-        kind="linear",
         tail_tol=n * TAIL_TOL,
         meta={
             "levels": levels, "m": m, "h": h, "gap": math.inf, "top": top, "mean": mean,
@@ -592,8 +562,8 @@ def st_compare_exact(cdf_a: NumericCDF, cdf_b: NumericCDF) -> OrderVerdict:
     ``crossing_count``), and the number of distinct knots
     (``meta["grid_points"]``). The union is taken one chunk of
     ``_chunk_slices`` at a time, so that on two 1M-knot oracle tables it
-    holds about 3 MB beside them; the knots of a lattice table are built a
-    chunk at a time too.
+    holds about 3 MB beside them; each table's knots are built a chunk at a
+    time too.
 
     In each chunk, d = F_A - F_B is taken at each grid's own knots (a table
     evaluated at its own knots returns its own values, and each table is
@@ -651,8 +621,9 @@ def st_compare_exact(cdf_a: NumericCDF, cdf_b: NumericCDF) -> OrderVerdict:
     )
 
 
-def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:
-    """Independent CDF oracle by piecewise adaptive quadrature of the pdf."""
+def quadrature_cdf(d: Dist, points: np.ndarray) -> np.ndarray:
+    """F of d at the sorted points, by piecewise adaptive quadrature of the
+    pdf: a reference independent of the gamma-family CDFs."""
     from scipy import integrate  # kept off the import path, as in DensitySpec
 
     pts = np.sort(np.asarray(points, dtype=float))
@@ -667,5 +638,4 @@ def quadrature_cdf(d: Dist, points: np.ndarray) -> NumericCDF:
             acc += seg
             prev = t
         vals[i] = min(acc, 1.0)
-    vals = np.maximum.accumulate(vals)
-    return NumericCDF(pts, vals, kind="linear", meta={"points": int(pts.size)})
+    return np.maximum.accumulate(vals)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -368,6 +369,16 @@ class TestMalformedInput:
     def test_convolve_short_dist_spec(self, capsys):
         assert run(["convolve", "--dists", "gengamma:1,1", "--weights", "1"]) == 1
         assert capsys.readouterr().err.startswith("stochorder: error:")
+
+    def test_convolve_tiny_weight(self, capsys):
+        # warnings from the level gap, then a ParameterError on the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["convolve", "--dists", "gengamma:1,1,1", "--weights", "1e-320"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("stochorder: error: cell width") and err.count("\n") == 1
+        assert "too small" in err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_suite_without_scenarios(self, n, capsys):

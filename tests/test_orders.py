@@ -1,8 +1,8 @@
 import csv
-import io
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -23,7 +23,6 @@ from stochorder import (
     Relation,
     convolve_weighted,
     dkw_epsilon,
-    ecdf,
     lr_compare,
     quadrature_cdf,
     st_compare_empirical,
@@ -48,124 +47,78 @@ EXP1 = GeneralizedGamma(1, 1, 1)
 
 class TestNumericCDF:
     def test_validation(self):
+        # knots (j + 1/2) * h with h one subnormal ulp round together
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            NumericCDF(Lattice(0.5, 5e-324), np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ParameterError):
-            NumericCDF(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
-        with pytest.raises(ParameterError):
-            NumericCDF(np.array([1.0, 2.0]), np.array([0.5, 0.1]))
+            NumericCDF(Lattice(1.0, 1.0), np.array([0.5, 0.1]))
 
-    @pytest.mark.parametrize("at", [0, 1, 2])
-    def test_nan_grid_rejected(self, at):
-        grid = [0.0, 1.0, 2.0]
-        grid[at] = math.nan
-        with pytest.raises(ParameterError, match="grid"):
-            NumericCDF(grid, [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("grid", [
+        Lattice(0.5, math.nan), Lattice(0.5, math.inf), Lattice(0.5, -math.inf),
+        Lattice(0.5, 0.0), Lattice(0.5, -1.0), Lattice(math.nan, 1.0),
+        [0.0, 1.0, 2.0], np.array([0.0, 1.0, 2.0]),
+    ], ids=["nan-step", "inf-step", "-inf-step", "zero-step", "negative-step",
+            "nan-offset", "list", "array"])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_bad_lattice_rejected(self, grid, size):
+        with pytest.raises(ParameterError, match="[Ll]attice"):
+            NumericCDF(grid, [0.1, 0.5, 1.0][:size])
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_nan_value_rejected(self, at):
         values = [0.1, 0.5, 1.0]
         values[at] = math.nan
         with pytest.raises(ParameterError, match="values"):
-            NumericCDF([0.0, 1.0, 2.0], values)
+            NumericCDF(Lattice(0.0, 1.0), values)
 
     def test_nan_table_never_reaches_comparison(self):
-        good = NumericCDF([0.0, 1.0, 2.0], [0.1, 0.5, 1.0])
+        good = NumericCDF(Lattice(0.0, 1.0), [0.1, 0.5, 1.0])
         with pytest.raises(ParameterError):
-            st_compare_exact(NumericCDF([0.0, math.nan, 2.0], [0.1, 0.5, 1.0]), good)
+            st_compare_exact(NumericCDF(Lattice(math.nan, 1.0), [0.1, 0.5, 1.0]), good)
 
     def test_values_clipped_without_touching_the_input(self):
         values = np.array([-1e-13, 0.5, 1.0 + 1e-13])
-        f = NumericCDF(np.array([0.0, 1.0, 2.0]), values)
+        f = NumericCDF(Lattice(0.0, 1.0), values)
         assert f.values.tolist() == [0.0, 0.5, 1.0]
         assert values.tolist() == [-1e-13, 0.5, 1.0 + 1e-13]
 
     def test_values_not_shared_with_the_input(self):
         values = np.array([0.1, 0.5, 1.0])
-        f = NumericCDF(np.array([0.0, 1.0, 2.0]), values)
+        f = NumericCDF(Lattice(0.0, 1.0), values)
         values[:] = 0.0
         assert f.values.tolist() == [0.1, 0.5, 1.0]
 
-    def test_grid_not_shared_with_the_input(self):
-        grid = np.array([0.0, 1.0, 2.0])
-        f = NumericCDF(grid, np.array([0.1, 0.5, 1.0]))
-        grid[1] = 5.0
-        assert f.grid.tolist() == [0.0, 1.0, 2.0]
-
-    def test_step_evaluation(self):
-        f = ecdf([1.0, 2.0, 3.0])
-        assert f.evaluate(2.0) == pytest.approx(2 / 3)
-        assert f.evaluate(0.5) == 0.0
-        assert f.evaluate(10.0) == 1.0
-
     def test_linear_evaluation(self):
-        f = NumericCDF(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        f = NumericCDF(Lattice(0.0, 1.0), np.array([0.0, 1.0]))
         assert f.evaluate(0.25) == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("table", ["linear", "step", "lattice"])
     @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan, 1.5], [[math.nan]]])
-    def test_nan_evaluation_rejected(self, table, x):
-        # a step table used to give 1.0 at NaN, and a linear one NaN
-        if table == "lattice":
-            f = NumericCDF(Lattice(1.0, 0.5), [0.1, 0.5, 1.0])
-        else:
-            f = NumericCDF([0.0, 1.0, 2.0], [0.1, 0.5, 1.0], kind=table)
+    def test_nan_evaluation_rejected(self, x):
+        f = NumericCDF(Lattice(1.0, 0.5), [0.1, 0.5, 1.0])
         with pytest.raises(ParameterError, match="NaN"):
             f.evaluate(x)
         assert f.evaluate([]).shape == (0,)
 
-    def test_csv_export(self):
-        f = NumericCDF(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        buf = io.StringIO()
-        f.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_csv_export(self, tmp_path):
+        f = NumericCDF(Lattice(0.0, 1.0), np.array([0.0, 1.0]))
+        path = tmp_path / "cdf.csv"
+        f.to_csv(str(path))
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,F"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("lattice", [False, True])
-    def test_csv_rows_read_back_bit_for_bit(self, lattice):
+    def test_csv_rows_read_back_bit_for_bit(self, tmp_path):
         # numpy 2 scalars used to be written as "np.float64(...)"
         table = convolve_weighted([GeneralizedGamma(1, 1, 1)], [1.0])
-        if not lattice:
-            table = NumericCDF(table.grid, table.values)
-        buf = io.StringIO()
-        table.to_csv(buf)
-        buf.seek(0)
-        rows = list(csv.reader(buf))
+        path = tmp_path / "cdf.csv"
+        table.to_csv(str(path))
+        with open(path) as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["x", "F"]
         xs = np.array([float(x) for x, _ in rows[1:]])
         fs = np.array([float(v) for _, v in rows[1:]])
         assert xs.tobytes() == table.grid.tobytes()
         assert fs.tobytes() == table.values.tobytes()
-
-
-class TestEcdf:
-    def test_single_sample(self):
-        f = ecdf([5.0])
-        assert f.evaluate(4.999) == 0.0
-        assert f.evaluate(5.0) == 1.0
-
-    def test_ties_collapse_to_one_step(self):
-        f = ecdf([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])
-        assert f.grid.tolist() == [1.0, 2.0, 3.0]
-        assert f.values.tolist() == [2 / 6, 3 / 6, 6 / 6]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            ecdf([])
-
-    def test_infinite_samples_rejected(self):
-        with pytest.raises(ParameterError):
-            ecdf([1.0, math.inf, -math.inf])
-
-    @pytest.mark.parametrize("bad", [np.arange(12.0).reshape(3, 4), 5.0])
-    def test_sample_not_1d_rejected(self, bad):
-        with pytest.raises(ParameterError, match="1-D"):
-            ecdf(bad)
-
-    def test_exponential_cdf_value(self):
-        n = 100_000
-        f = ecdf(EXP1.sample(n, seed=2))
-        band = dkw_epsilon(n, 0.001)
-        assert abs(f.evaluate(1.0) - (1 - math.exp(-1))) <= band
 
 
 class TestCompareEmpirical:
@@ -190,8 +143,22 @@ class TestCompareEmpirical:
     @pytest.mark.parametrize("which", ["a", "b"])
     def test_sample_not_1d_rejected(self, which):
         x = EXP1.sample(12, seed=1)
-        samples = {"a": x, "b": x, which: np.arange(12.0).reshape(3, 4)}
-        with pytest.raises(ParameterError, match="1-D"):
+        for bad in (np.arange(12.0).reshape(3, 4), 5.0):
+            samples = {"a": x, "b": x, which: bad}
+            with pytest.raises(ParameterError, match="1-D"):
+                st_compare_empirical(samples["a"], samples["b"])
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_empty_sample_rejected(self, which):
+        samples = {"a": [1.0, 2.0], "b": [1.5], which: []}
+        with pytest.raises(ParameterError, match="at least one value"):
+            st_compare_empirical(samples["a"], samples["b"])
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_samples_rejected(self, which, bad):
+        samples = {"a": [1.0, 2.0], "b": [1.5], which: [1.0, bad, 3.0]}
+        with pytest.raises(ParameterError, match="finite"):
             st_compare_empirical(samples["a"], samples["b"])
 
     def test_band_formula(self):
@@ -231,22 +198,25 @@ class TestCompareEmpirical:
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 12, size=n_a) * 0.25
         y = rng.integers(0, 12, size=n_b) * 0.25 + rng.integers(0, 2) * 0.5
-        fa, fb = ecdf(x), ecdf(y)
-        grid = np.union1d(fa.grid, fb.grid)
-        d = fa.evaluate(grid) - fb.evaluate(grid)
+        grid = np.union1d(x, y)
+        d = _ecdf(x, grid) - _ecdf(y, grid)
         v = st_compare_empirical(x, y)
         # repr tells the signs of zero apart
         assert repr(v.max_pos_dev) == repr(float(np.max(d)))
         assert repr(v.max_neg_dev) == repr(float(np.max(-d)))
 
 
+def _ecdf(sample, xs):
+    """The right-continuous ECDF of ``sample`` at xs, counted by a search
+    over the sorted sample."""
+    return np.searchsorted(np.sort(sample), xs, side="right") / len(sample)
+
+
 def _plain_ecdf_extremes(x, y):
     """max of F_A - F_B and of F_B - F_A on the sorted union of the two
-    samples, each ECDF counted by a search over its own sorted sample."""
+    samples."""
     grid = np.union1d(x, y)
-    fa = np.searchsorted(np.sort(x), grid, side="right") / len(x)
-    fb = np.searchsorted(np.sort(y), grid, side="right") / len(y)
-    d = fa - fb
+    d = _ecdf(x, grid) - _ecdf(y, grid)
     return float(np.max(d)), float(np.max(-d))
 
 
@@ -337,6 +307,25 @@ class TestConvolveWeighted:
         # level, so the level gap stays near 0.19
         with pytest.raises(NumericError, match=r"in 8 refinements \(last gap 0.185\)"):
             convolve_weighted([GeneralizedGamma(1, 0.05, 1)] * 2, [1.0, 1.0])
+
+    @pytest.mark.parametrize("w", [1e-309, 1e-320, 5e-324])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_weights_end_in_one_clean_error(self, n, w):
+        # a cell's slope, its rise over its width, overflows; at 1e-309 the
+        # level gap's division used to warn (n = 1) or the table to read inf
+        # (n = 2), at 1e-320 the knots collided and at 5e-324 h was 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"cell width .* is too small"):
+                convolve_weighted([EXP1] * n, [w] * n)
+
+    @pytest.mark.parametrize("w", [1e-300, 1e-304, 1e-308])
+    def test_tiny_weights_that_fit_still_converge(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = convolve_weighted([EXP1], [w])
+        assert f.meta["levels"] == 4
+        assert np.max(np.abs(f.values - (1 - np.exp(-f.grid / w)))) < 1e-7
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_nan_cdf_rejected(self, n):
@@ -709,21 +698,16 @@ class TestNextFastLen:
 
 def _lattice_level(n, m, top, values):
     """A level table on the oracle's lattice: knot j is (j + n/2) * (top/m)."""
-    size = m + n if n > 1 else m
-    grid = np.arange(size, dtype=float)
-    grid += 0.5 * n
-    grid *= top / m
-    return NumericCDF(grid, values(size))
+    return NumericCDF(Lattice(0.5 * n, top / m), values(m + n if n > 1 else m))
 
 
 class TestLevelGap:
-    """The lattice read of the level gap against ``np.interp``, bit for bit,
-    on explicit grids and on lattice tables."""
+    """The lattice read of the level gap against ``np.interp`` on the two
+    grids, bit for bit."""
 
     @staticmethod
     def _interp_gap(prev, cur):
-        dev = cur.evaluate(prev.grid) - prev.values
-        return float(np.max(np.abs(dev)))
+        return float(np.max(np.abs(_interp(cur, prev.grid) - prev.values)))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_oracle_levels(self, n):
@@ -753,12 +737,7 @@ class TestLevelGap:
 
         prev = _lattice_level(n, m, top, values)
         cur = _lattice_level(n, 2 * m, top, values)
-        want = self._interp_gap(prev, cur)
-        on_lattice = [NumericCDF(Lattice(0.5 * n, top / k), f.values) for f, k in ((prev, m), (cur, 2 * m))]
-        assert on_lattice[0].grid.tobytes() == prev.grid.tobytes()
-        assert on_lattice[1].grid.tobytes() == cur.grid.tobytes()
-        assert repr(orders._level_gap(prev, cur, n)) == repr(want)
-        assert repr(orders._level_gap(*on_lattice, n)) == repr(want)
+        assert repr(orders._level_gap(prev, cur, n)) == repr(self._interp_gap(prev, cur))
 
 
 def _golden_oracle_cases():
@@ -832,8 +811,8 @@ class TestCompareExact:
         assert v.crossing_count == 1
 
     def test_shifted_pair_has_no_crossing(self):
-        f = NumericCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
-        g = NumericCDF(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.5, 1.0]))
+        f = NumericCDF(Lattice(0.0, 1.0), np.array([0.0, 0.5, 1.0]))
+        g = NumericCDF(Lattice(1.0, 1.0), np.array([0.0, 0.5, 1.0]))
         assert st_compare_exact(g, f).crossing_count == 0
 
     def test_oracle_vs_empirical_margin(self):
@@ -850,39 +829,50 @@ class TestCompareExact:
         assert emp.relation in (Relation.A_DOMINATES, Relation.INCONCLUSIVE)
 
 
+def _interp(f, x):
+    """F at x by ``np.interp`` on the whole ``grid`` array: the reference
+    for every read of a table."""
+    return np.interp(x, f.grid, f.values, left=0.0, right=float(f.values[-1]))
+
+
 def _union_grid_comparison(fa, fb):
     """The comparison on the sorted union of the two grids: the reference
     for ``st_compare_exact``."""
     grid = np.union1d(fa.grid, fb.grid)
-    d = fa.evaluate(grid) - fb.evaluate(grid)
+    d = _interp(fa, grid) - _interp(fb, grid)
     signs = np.sign(d[np.abs(d) > DEFAULT_EXACT_TOL])
     crossings = int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
     return float(np.max(d)), float(np.max(-d)), crossings, len(grid)
 
 
+def _near(fa, lattice, size, rng, scales):
+    """A table on ``lattice`` whose values are A's at its knots plus noise
+    of one of ``scales``, so that many differences sit close to the
+    tolerance."""
+    grid = lattice.knots(range(size))
+    noise = rng.choice(scales) * rng.standard_normal(size)
+    return NumericCDF(lattice, np.maximum.accumulate(np.clip(fa.evaluate(grid) + noise, 0.0, 1.0)))
+
+
 def _random_pair(seed):
-    """Two CDF tables on oracle-like grids (k + n/2) * h: linear or step,
-    equal or unequal spacings, even or odd n, often with shared knots, and
-    B near A so that many differences sit close to the tolerance."""
+    """Two CDF tables on lattices (j + offset) * h with offset a whole or
+    half number, as the oracle's n/2: equal or unequal steps, often with
+    shared knots, and B near A."""
     rng = np.random.default_rng(seed)
     h_a = rng.uniform(0.05, 2.0)
     h_b = h_a * rng.choice([1.0, 2.0, 0.5, 1.5, rng.uniform(0.3, 3.0)])
-    n_a, n_b = rng.integers(1, 5, size=2)
-    grid_a = (np.arange(rng.integers(1, 80)) + 0.5 * n_a) * h_a
+    off_a, off_b = rng.integers(0, 9, size=2) / 2
+    size_a = int(rng.integers(1, 80))
+    values_a = np.sort(rng.random(size_a))
+    values_a[rng.random(size_a) < 0.2] = 1.0
+    fa = NumericCDF(Lattice(off_a, h_a), np.maximum.accumulate(values_a))
     if rng.random() < 0.2:
         # a run of A's own knots, so that every knot of B is shared
-        start = rng.integers(0, len(grid_a))
-        grid_b = grid_a[start : start + rng.integers(1, 80)].copy()
+        start = int(rng.integers(0, size_a))
+        lattice_b, size_b = Lattice(off_a + start, h_a), min(int(rng.integers(1, 80)), size_a - start)
     else:
-        grid_b = (np.arange(rng.integers(1, 80)) + 0.5 * n_b) * h_b
-    kind_a, kind_b = rng.choice(["linear", "step"], size=2)
-    values_a = np.sort(rng.random(len(grid_a)))
-    values_a[rng.random(len(grid_a)) < 0.2] = 1.0
-    values_a = np.maximum.accumulate(values_a)
-    fa = NumericCDF(grid_a, values_a, kind=kind_a)
-    noise = rng.choice([0.0, 1e-7, 1e-5, 0.1]) * rng.standard_normal(len(grid_b))
-    values_b = np.maximum.accumulate(np.clip(fa.evaluate(grid_b) + noise, 0.0, 1.0))
-    return fa, NumericCDF(grid_b, values_b, kind=kind_b)
+        lattice_b, size_b = Lattice(off_b, h_b), int(rng.integers(1, 80))
+    return fa, _near(fa, lattice_b, size_b, rng, [0.0, 1e-7, 1e-5, 0.1])
 
 
 class TestCompareExactWithoutUnionGrid:
@@ -899,9 +889,8 @@ class TestCompareExactWithoutUnionGrid:
         assert v.meta["grid_points"] == points
 
     def test_shared_knots_counted_once(self):
-        grid = np.arange(1.0, 9.0)
-        fa = NumericCDF(grid, grid / 8)
-        fb = NumericCDF(grid[2:6], np.array([0.1, 0.9, 0.95, 1.0]))
+        fa = NumericCDF(Lattice(1.0, 1.0), np.arange(1.0, 9.0) / 8)
+        fb = NumericCDF(Lattice(3.0, 1.0), np.array([0.1, 0.9, 0.95, 1.0]))
         assert st_compare_exact(fa, fb).meta["grid_points"] == 8
         assert st_compare_exact(fb, fa).meta["grid_points"] == 8
 
@@ -932,7 +921,7 @@ class TestCompareExactWithoutUnionGrid:
     @settings(max_examples=100, deadline=None)
     def test_self_comparison_never_strict(self, seed):
         fa, _ = _random_pair(seed)
-        copy = NumericCDF(fa.grid.copy(), fa.values.copy(), kind=fa.kind)
+        copy = NumericCDF(fa.lattice, fa.values.copy())
         for other in (fa, copy):
             v = st_compare_exact(fa, other)
             assert v.relation not in (Relation.A_DOMINATES, Relation.B_DOMINATES)
@@ -973,29 +962,30 @@ def _assert_chunks_agree(fa, fb, k):
 
 
 def _chunk_case(seed):
-    """Two tables for the chunked comparison: one grid 1-16 times as dense
-    as the other on a shared lattice (every knot of the sparser one is also
-    a knot of the denser one), partly shared, or on disjoint supports; with
-    values of B near A's, so that F_A - F_B changes sign often."""
+    """Two tables for the chunked comparison: one lattice 1-16 times as
+    dense as the other (every knot of the sparser one is also a knot of the
+    denser one: a power-of-two ratio keeps the knots' bits), partly shared,
+    or on disjoint supports; with values of B near A's, so that F_A - F_B
+    changes sign often."""
     rng = np.random.default_rng(seed)
     ratio = int(rng.choice([1, 2, 4, 8, 16]))
-    fine = (np.arange(rng.integers(1, 200)) + rng.choice([0.0, 0.5, 1.5])) * rng.uniform(0.05, 2.0)
+    h, offset = rng.uniform(0.05, 2.0), float(rng.choice([0.0, 0.5, 1.5]))
+    size = int(rng.integers(1, 200))
+    lattice_a, size_a = Lattice(offset / ratio, h * ratio), -(-size // ratio)
     layout = rng.choice(["nested", "offset", "disjoint"])
-    grid_a = fine[::ratio]
     if layout == "nested":
-        grid_b = fine
+        lattice_b, size_b = Lattice(offset, h), size
     elif layout == "offset":
-        grid_b = fine[rng.integers(0, len(fine)) :: int(rng.choice([1, 3]))]
+        start, every = int(rng.integers(0, size)), int(rng.choice([1, 2]))
+        lattice_b, size_b = Lattice((offset + start) / every, h * every), -(-(size - start) // every)
     else:
-        grid_b = fine[-1] + rng.uniform(0.0, 3.0) + (np.arange(rng.integers(1, 200)) + 1) * rng.uniform(0.05, 2.0)
-    if len(grid_b) == 0:
-        grid_b = fine[-1:]
+        h_b = rng.uniform(0.05, 2.0)
+        past = (size - 1 + offset) * h + rng.uniform(0.0, 3.0)
+        lattice_b, size_b = Lattice(math.floor(past / h_b) + 1.0, h_b), int(rng.integers(1, 200))
     if rng.random() < 0.5:
-        grid_a, grid_b = grid_b, grid_a
-    fa = NumericCDF(grid_a, np.maximum.accumulate(rng.random(len(grid_a))), kind=rng.choice(["linear", "step"]))
-    noise = rng.choice([0.0, 1e-7, 1e-3, 0.1]) * rng.standard_normal(len(grid_b))
-    values_b = np.maximum.accumulate(np.clip(fa.evaluate(grid_b) + noise, 0.0, 1.0))
-    return fa, NumericCDF(grid_b, values_b, kind=rng.choice(["linear", "step"]))
+        (lattice_a, size_a), (lattice_b, size_b) = (lattice_b, size_b), (lattice_a, size_a)
+    fa = NumericCDF(lattice_a, np.maximum.accumulate(rng.random(size_a)))
+    return fa, _near(fa, lattice_b, size_b, rng, [0.0, 1e-7, 1e-3, 0.1])
 
 
 class TestChunkedComparison:
@@ -1008,25 +998,23 @@ class TestChunkedComparison:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_shared_knots_on_cuts(self, k):
         # every cut is a knot of A, and every other knot of A is one of B
-        grid = np.arange(12.0)
-        fa = NumericCDF(grid, grid / 12)
-        fb = NumericCDF(grid[::2], np.linspace(0.05, 0.95, 6))
+        fa = NumericCDF(Lattice(0.0, 1.0), np.arange(12.0) / 12)
+        fb = NumericCDF(Lattice(0.0, 2.0), np.linspace(0.05, 0.95, 6))
         chunks = _assert_chunks_agree(fa, fb, k)
         assert sum(map(len, chunks)) == 12
         assert len(chunks) == -(-12 // k)
 
     @pytest.mark.parametrize("ratio", [4, 8, 16])
     def test_one_grid_denser(self, ratio):
-        fine = np.arange(40 * ratio) / ratio
-        fa = NumericCDF(fine[::ratio], np.linspace(0.0, 1.0, 40))
-        fb = NumericCDF(fine, np.linspace(0.0, 1.0, len(fine)) ** 1.5, kind="step")
+        fa = NumericCDF(Lattice(0.0, 1.0), np.linspace(0.0, 1.0, 40))
+        fb = NumericCDF(Lattice(0.0, 1.0 / ratio), np.linspace(0.0, 1.0, 40 * ratio) ** 1.5)
         for k in (1, 3, 5):
             _assert_chunks_agree(fa, fb, k)
             _assert_chunks_agree(fb, fa, k)
 
     def test_disjoint_supports(self):
-        fa = NumericCDF(np.arange(10.0), np.linspace(0.1, 1.0, 10))
-        fb = NumericCDF(np.arange(20.0, 27.0), np.linspace(0.1, 1.0, 7))
+        fa = NumericCDF(Lattice(0.0, 1.0), np.linspace(0.1, 1.0, 10))
+        fb = NumericCDF(Lattice(20.0, 1.0), np.linspace(0.1, 1.0, 7))
         for k in (1, 2, 4):
             _assert_chunks_agree(fa, fb, k)
             _assert_chunks_agree(fb, fa, k)
@@ -1037,20 +1025,17 @@ class TestChunkedComparison:
         # signs + - + + - with sub-tol runs between them: three crossings,
         # whichever chunks the significant knots and the runs fall in
         pattern = np.array([1, 0, 0, 0, -1, 0, 0, 0, 1, 1, 0, -1]) * 0.01
-        grid = np.arange(12.0)
         base = np.linspace(0.1, 0.9, 12)
-        fa = NumericCDF(grid, base + pattern / 2)
-        fb = NumericCDF(grid, base - pattern / 2)
+        fa = NumericCDF(Lattice(0.0, 1.0), base + pattern / 2)
+        fb = NumericCDF(Lattice(0.0, 1.0), base - pattern / 2)
         _assert_chunks_agree(fa, fb, k)
         assert st_compare_exact(fa, fb).crossing_count == 3
 
-    @pytest.mark.parametrize("kind", ["linear", "step"])
-    def test_oracle_sized_tables_stay_small(self, kind):
+    def test_oracle_sized_tables_stay_small(self):
         # two 2**20-knot tables: the one-shot union took 64 MB beside them
         n = 1 << 20
-        grid = (np.arange(n) + 1.0) * 1e-3
-        fa = NumericCDF(grid, np.linspace(0.0, 1.0, n), kind=kind)
-        fb = NumericCDF(grid + 5e-4, np.linspace(0.0, 1.0, n) ** 1.01, kind=kind)
+        fa = NumericCDF(Lattice(1.0, 1e-3), np.linspace(0.0, 1.0, n))
+        fb = NumericCDF(Lattice(1.5, 1e-3), np.linspace(0.0, 1.0, n) ** 1.01)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1062,17 +1047,13 @@ class TestChunkedComparison:
         assert extra < 6 * 2**20
 
 
-def _lattice_table(n, size, h, seed, kind="linear"):
+def _lattice_table(n, size, h, seed):
     """A table on the oracle's lattice, knot j at (j + n/2) * h, with
     random nondecreasing values, some of them in flat runs."""
     rng = np.random.default_rng(seed)
     values = np.sort(rng.random(size))
     values[rng.random(size) < 0.2] = 0.0
-    return NumericCDF(Lattice(0.5 * n, h), np.maximum.accumulate(values), kind=kind)
-
-
-def _explicit_copy(f):
-    return NumericCDF(f.grid.copy(), f.values.copy(), kind=f.kind)
+    return NumericCDF(Lattice(0.5 * n, h), np.maximum.accumulate(values))
 
 
 def _probe_points(f, rng):
@@ -1088,8 +1069,8 @@ def _probe_points(f, rng):
 
 class TestLatticeTables:
     """The oracle's tables keep their knots as a ``Lattice`` and build them
-    where they are read; every read equals the explicit grid's, bit for
-    bit."""
+    where they are read; every read equals numpy's on the whole ``grid``
+    array, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_grid_equals_formula(self, n):
@@ -1106,17 +1087,12 @@ class TestLatticeTables:
 
     @pytest.mark.parametrize("h", [0.37, 1e-3, 2e-310, 1e305])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("kind", ["linear", "step"])
-    def test_evaluate_equals_interp_on_grid(self, n, h, kind):
+    def test_evaluate_equals_interp_on_grid(self, n, h):
         rng = np.random.default_rng(n)
-        f = _lattice_table(n, 60, h, seed=n, kind=kind)
-        g, v = f.grid, f.values
+        f = _lattice_table(n, 60, h, seed=n)
         x = _probe_points(f, rng)
         rng.shuffle(x)
-        if kind == "linear":
-            want = np.interp(x, g, v, left=0.0, right=float(v[-1]))
-        else:
-            want = _explicit_copy(f).evaluate(x)
+        want = _interp(f, x)
         assert f.evaluate(x).tobytes() == want.tobytes()
         # a window as narrow as one point, and runs of neighbouring points
         for i, xi in enumerate(x):
@@ -1137,21 +1113,18 @@ class TestLatticeTables:
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 9))
     @settings(max_examples=150, deadline=None)
-    def test_compare_exact_equals_explicit_copies(self, seed, k):
+    def test_compare_exact_equals_union_grid(self, seed, k):
+        # independent random values, unlike _random_pair's B near A
         rng = np.random.default_rng(seed)
         h_a = rng.uniform(0.05, 2.0)
         h_b = h_a * rng.choice([1.0, 2.0, 0.5, 1.5, rng.uniform(0.3, 3.0)])
         n_a, n_b = (int(i) for i in rng.integers(1, 5, size=2))
-        fa = _lattice_table(n_a, int(rng.integers(1, 80)), h_a, seed, rng.choice(["linear", "step"]))
-        fb = _lattice_table(n_b, int(rng.integers(1, 80)), h_b, seed + 1, rng.choice(["linear", "step"]))
-        want = _exact_fields(_explicit_copy(fa), _explicit_copy(fb))
-        assert _exact_fields(fa, fb) == want
-        assert _exact_fields(fa, _explicit_copy(fb)) == want
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orders, "_CHUNK_KNOTS", k)
-            assert _exact_fields(fa, fb) == want
-        v, w = st_compare_exact(fa, fb), st_compare_exact(_explicit_copy(fa), _explicit_copy(fb))
-        assert v.relation is w.relation
+        fa = _lattice_table(n_a, int(rng.integers(1, 80)), h_a, seed)
+        fb = _lattice_table(n_b, int(rng.integers(1, 80)), h_b, seed + 1)
+        _assert_chunks_agree(fa, fb, k)
+        max_pos, max_neg, _, _ = _union_grid_comparison(fa, fb)
+        relation = orders._relation_from_devs(max_pos, max_neg, DEFAULT_EXACT_TOL)
+        assert st_compare_exact(fa, fb).relation is relation
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_level_holds_one_array(self, n):
@@ -1169,15 +1142,14 @@ class TestLatticeTables:
             tracemalloc.stop()
         size = len(f.values)
         assert size == m + (n if n > 1 else 0)
-        assert f.lattice is not None and f._grid is None
+        assert f.lattice == Lattice(0.5 * n, 20.0 / m)
         assert 8 * size <= held < 8 * size + 64 * 1024
 
 
 class TestQuadratureCDF:
     def test_matches_closed_form(self):
         pts = np.linspace(0.1, 6.0, 30)
-        f = quadrature_cdf(EXP1, pts)
-        np.testing.assert_allclose(f.values, 1 - np.exp(-pts), atol=1e-8)
+        np.testing.assert_allclose(quadrature_cdf(EXP1, pts), 1 - np.exp(-pts), atol=1e-8)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):
