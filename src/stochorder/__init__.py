@@ -61,7 +61,6 @@ from .orders import (
     Relation,
     convolve_weighted,
     dkw_epsilon,
-    quadrature_cdf,
     st_compare_empirical,
     st_compare_exact,
 )

@@ -1,15 +1,16 @@
 """Generalized gamma machinery: densities, exact sampling via gamma draws,
 closed-form log-concavity classification of power, log and shifted-exp
 transforms of the variable, and closed-form likelihood-ratio-order
-comparison. ``Dist`` is one of the two families below; every layer above
-takes only these.
+comparison. ``Dist`` is ``GammaPower``; every layer above takes only it
+and its subclass ``GeneralizedGamma``.
 
-``GeneralizedGamma(p, alpha, lam)`` has density proportional to
-``x**(alpha*p - 1) * exp(-lam * x**p)`` on (0, inf); equivalently
-``X**p ~ Gamma(alpha, rate=lam)``. ``GammaPower(r, alpha, lam)`` is the
-signed-power extension ``X = G**r`` (``r = 1/p`` recovers the family, and
-``r < 0`` gives the inverse branch needed when a decreasing power transform
-must map the variable back to a gamma).
+``GammaPower(r, alpha, lam)`` is ``X = G**r`` with ``G ~ Gamma(alpha,
+rate=lam)``; ``r < 0`` gives the inverse branch needed when a decreasing
+power transform must map the variable back to a gamma.
+``GeneralizedGamma(p, alpha, lam)``, with density proportional to
+``x**(alpha*p - 1) * exp(-lam * x**p)`` on (0, inf) (``X**p ~ Gamma(alpha,
+rate=lam)``), is the ``GammaPower`` with ``r = 1/p``: it keeps ``p``, its
+label and its spec, and inherits every method.
 """
 
 from __future__ import annotations
@@ -133,51 +134,25 @@ class GammaPower:
         return draws
 
 
-@dataclass(frozen=True)
-class GeneralizedGamma:
-    """Three-parameter family F_{p, alpha, lam}; Weibull at alpha=1, gamma
-    at p=1, generalized Rayleigh at p=2."""
+@dataclass(frozen=True, init=False)
+class GeneralizedGamma(GammaPower):
+    """Three-parameter family F_{p, alpha, lam}, the gamma power with
+    r = 1/p; Weibull at alpha=1, gamma at p=1, generalized Rayleigh at p=2."""
 
     p: float
-    alpha: float
-    lam: float
 
-    def __post_init__(self):
-        _check_finite(self, ("p", "alpha", "lam"))
-        if self.p <= 0 or self.alpha <= 0 or self.lam <= 0:
-            raise ParameterError("p, alpha and lam must be positive")
+    def __init__(self, p: float, alpha: float, lam: float):
+        if not (0 < p < math.inf and 1.0 / p < math.inf):
+            raise ParameterError(f"p must be positive and finite with a finite 1/p, got {p}")
+        object.__setattr__(self, "p", p)
+        super().__init__(1.0 / p, alpha, lam)
 
     @property
     def label(self) -> str:
         return f"gengamma(p={self.p:g}, alpha={self.alpha:g}, lam={self.lam:g})"
 
-    def as_gamma_power(self) -> GammaPower:
-        return GammaPower(1.0 / self.p, self.alpha, self.lam)
 
-    def logpdf(self, x):
-        return self.as_gamma_power().logpdf(x)
-
-    def pdf(self, x):
-        return self.as_gamma_power().pdf(x)
-
-    def cdf(self, x):
-        return self.as_gamma_power().cdf(x)
-
-    def ppf(self, u):
-        return self.as_gamma_power().ppf(u)
-
-    def mean(self) -> float:
-        return self.as_gamma_power().mean()
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return self.as_gamma_power().sample(n, seed)
-
-
-Dist = Union[GeneralizedGamma, GammaPower]
-
-
-def _as_gamma_power(d: Dist) -> GammaPower:
-    return d.as_gamma_power() if isinstance(d, GeneralizedGamma) else d
+Dist = GammaPower
 
 
 @dataclass(frozen=True)
@@ -301,24 +276,23 @@ def log_concavity_classify(
     the witness is a point of positive log-density curvature. ``log`` of the
     variable is always log-concave, and ``logshift``, exp(X) - e, never is.
     """
-    base = _as_gamma_power(d)
     if variant == "logshift":
         return LogConcavityResult(
             LogConcavity.NOT_LOG_CONCAVE,
-            witness=_logshift_witness(base),
+            witness=_logshift_witness(d),
             detail="exp(X) - e: positive log-density curvature",
         )
     rv = _variant_power(variant)
     if rv is None:  # log X = r * log G, and log G is log-concave
         return LogConcavityResult(LogConcavity.LOG_CONCAVE, detail="log transform")
-    t = base.r * rv  # X**rv = G**(r*rv); |t| past the float range is > 1
-    if math.isfinite(t) and gamma_power_logconcave(t, base.alpha):
+    t = d.r * rv  # X**rv = G**(r*rv); |t| past the float range is > 1
+    if math.isfinite(t) and gamma_power_logconcave(t, d.alpha):
         return LogConcavityResult(
             LogConcavity.LOG_CONCAVE, detail=f"gamma power t={t:g}"
         )
     return LogConcavityResult(
         LogConcavity.NOT_LOG_CONCAVE,
-        witness=_power_witness(t, base.alpha, base.lam),
+        witness=_power_witness(t, d.alpha, d.lam),
         detail=f"gamma power t={t:g}: positive log-density curvature",
     )
 
@@ -378,23 +352,22 @@ def lr_compare(d1: Dist, d2: Dist) -> LRResult:
     ``g**(a1-a2) * exp(-(l1-l2) g)``; ties report D1_LR_GREATER. Pairs of
     different powers go to ``_lr_cross_power``.
     """
-    g1, g2 = _as_gamma_power(d1), _as_gamma_power(d2)
-    if g1.r != g2.r:
-        return _lr_cross_power(g1, g2)
-    da, dl = g1.alpha - g2.alpha, g1.lam - g2.lam
+    if d1.r != d2.r:
+        return _lr_cross_power(d1, d2)
+    da, dl = d1.alpha - d2.alpha, d1.lam - d2.lam
     inc_in_g = da >= 0 and dl <= 0
     dec_in_g = da <= 0 and dl >= 0
     if inc_in_g and dec_in_g:  # identical
         return LRResult(LRVerdict.D1_LR_GREATER, detail="equal distributions")
     if inc_in_g or dec_in_g:
-        ratio_increasing = inc_in_g if g1.r > 0 else dec_in_g
+        ratio_increasing = inc_in_g if d1.r > 0 else dec_in_g
         v = LRVerdict.D1_LR_GREATER if ratio_increasing else LRVerdict.D2_LR_GREATER
         return LRResult(v, detail="analytic gamma-power rule")
     # one parameter pushes each way: unimodal ratio, no ordering;
     # the turning point of the ratio sits at g* = (a1-a2)/(l1-l2), and its
     # x* = g*^r may lie outside the floats
     with np.errstate(over="ignore"):
-        xstar = float(np.float64(da / dl) ** g1.r)
+        xstar = float(np.float64(da / dl) ** d1.r)
     return LRResult(
         LRVerdict.NOT_ORDERED,
         witness=(xstar, xstar) if 0 < xstar < math.inf else None,

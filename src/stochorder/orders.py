@@ -21,7 +21,7 @@ from .majorization import VectorLike, as_weight_vector
 
 DEFAULT_EXACT_TOL = 1e-6
 REFINE_TOL = 1e-7
-MAX_LEVELS = 8
+MAX_LEVELS = 10
 INITIAL_GRID = 4096
 TAIL_TOL = 1e-9
 # knots of either table per chunk when two tables are compared: only the
@@ -65,9 +65,10 @@ class Lattice(NamedTuple):
 
 class NumericCDF:
     """CDF tabulated on a ``Lattice``, linear between knots: every oracle
-    table. It keeps the lattice, not its knots, and builds those it reads
-    (``knots``; ``grid`` builds all). ``tail_tol`` records how much upper-tail
-    mass the construction may have truncated, and ``meta`` how it was built."""
+    table. It keeps the lattice, not its knots: ``grid`` builds them all, as
+    ``evaluate`` does, and ``knots`` a slice of them. ``tail_tol`` records how
+    much upper-tail mass the construction may have truncated, and ``meta``
+    how it was built."""
 
     __slots__ = ("lattice", "values", "tail_tol", "meta")
 
@@ -116,32 +117,13 @@ class NumericCDF:
             k += 1
         return k
 
-    def _window(self, x: np.ndarray) -> slice:
-        """The knots ``evaluate`` reads for x, which must be free of NaN:
-        from the last knot below min(x) to the first at or above max(x).
-        Every x then lies in the same cell of the window as of the whole
-        grid, or beyond the end it shares with it."""
-        if x.size == 0:
-            return slice(0, 1)
-        lo = np.min(x)
-        if np.isnan(lo):  # np.min keeps a NaN
-            raise ParameterError("a CDF cannot be evaluated at NaN")
-        below = self._count_below
-        return slice(max(below(lo) - 1, 0), min(below(np.max(x)) + 1, len(self.values)))
-
     def evaluate(self, x) -> np.ndarray:
-        """F at x, ``np.interp`` of the table; 0 below the grid and the last
-        value above it. Only the knots around x are built (see
-        ``_window``), and the bits are those of the whole grid. NaN is
-        rejected."""
+        """F at x, ``np.interp`` of the table: 0 below the grid and the last
+        value above it. NaN is rejected."""
         x = np.asarray(x, dtype=float)
-        window = self._window(x)
-        return self._read(x, window, self.knots(window))
-
-    def _read(self, x: np.ndarray, window: slice, knots: np.ndarray) -> np.ndarray:
-        """F at x from ``knots``, the knots of ``window``, which holds the
-        cell of every x, or the end of the grid that x lies beyond."""
-        return np.interp(x, knots, self.values[window], left=0.0, right=float(self.values[-1]))
+        if np.isnan(x).any():
+            raise ParameterError("a CDF cannot be evaluated at NaN")
+        return np.interp(x, self.grid, self.values, left=0.0, right=float(self.values[-1]))
 
     def to_csv(self, path: str) -> None:
         """Two-column CSV (abscissa, value) for plotting; each number is the
@@ -326,8 +308,8 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     k masses. Each step of a level is one whole-array pass, and none holds
     much more than the level's spectral product (``_product_pmf``). The
     result keeps its knots as a ``Lattice``: knot j is ``(j + n/2) * h``.
-    Every component is a ``GeneralizedGamma`` or a ``GammaPower``, which
-    live on (0, inf); any other is rejected.
+    Every component is a ``GammaPower`` (a ``GeneralizedGamma`` is one),
+    which lives on (0, inf); any other is rejected.
     """
     w = as_weight_vector(weights).as_array()
     if len(w) != len(dists):
@@ -387,15 +369,18 @@ def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
     levels of an n-component oracle, read off the lattice in place of a
     search.
 
-    Knot j of a level is ``(j + n/2) * h``, and ``prev``'s h is ``cur``'s
-    times 2 exactly, so ``prev`` knot j is ``(2j + n) * h`` of ``cur``: for
-    even n that is ``cur`` knot ``2j + n/2`` bit for bit, and for odd n it
-    lies strictly inside ``cur``'s cell ``k = 2j + (n-1)/2``, where
-    ``np.interp`` gives ``slope * (x - xp[k]) + fp[k]`` with the slope of
-    that cell. Knots past ``cur``'s last take its last value, as
-    ``evaluate`` does. It is one whole-array pass, which holds at most
-    three arrays as long as ``prev`` beside the tables: about what the
-    level's spectral product held."""
+    Knot j of a level is ``(j + n/2) * h``. Where h is a normal float,
+    ``prev``'s h is ``cur``'s times 2 exactly, so ``prev`` knot j is
+    ``(2j + n) * h`` of ``cur``: for even n that is ``cur`` knot ``2j + n/2``
+    bit for bit, and for odd n it lies strictly inside ``cur``'s cell
+    ``k = 2j + (n-1)/2``, where ``np.interp`` gives ``slope * (x - xp[k]) +
+    fp[k]`` with the slope of that cell; the gap is then ``evaluate``'s bit
+    for bit. A subnormal h (weights of about 1e-306 and below) loses bits
+    when halved, and the gap may differ from ``evaluate``'s in its last
+    digits. Knots past ``cur``'s last take its last value, as ``evaluate``
+    does. It is one whole-array pass, which holds at most three arrays as
+    long as ``prev`` beside the tables: about what the level's spectral
+    product held."""
     pv, cv = prev.values, cur.values
     off, odd = n // 2, n % 2
     # the prev knots whose cur cell (or knot) ends at or before cur's last knot
@@ -590,9 +575,9 @@ def st_compare_exact(cdf_a: NumericCDF, cdf_b: NumericCDF) -> OrderVerdict:
         ka, kb = cdf_a.knots(wa), cdf_b.knots(wb)
         ga = ka[sa.start - wa.start : sa.stop - wa.start]
         gb = kb[sb.start - wb.start : sb.stop - wb.start]
-        da = cdf_b._read(ga, wb, kb)
+        da = np.interp(ga, kb, cdf_b.values[wb], left=0.0, right=float(cdf_b.values[-1]))
         np.subtract(cdf_a.values[sa], da, out=da)
-        db = cdf_a._read(gb, wa, ka)
+        db = np.interp(gb, ka, cdf_a.values[wa], left=0.0, right=float(cdf_a.values[-1]))
         db -= cdf_b.values[sb]
         for d in (da, db):
             if d.size:
@@ -619,23 +604,3 @@ def st_compare_exact(cdf_a: NumericCDF, cdf_b: NumericCDF) -> OrderVerdict:
         crossing_count=crossings,
         meta={"exact": True, "grid_points": points},
     )
-
-
-def quadrature_cdf(d: Dist, points: np.ndarray) -> np.ndarray:
-    """F of d at the sorted points, by piecewise adaptive quadrature of the
-    pdf: a reference independent of the gamma-family CDFs."""
-    from scipy import integrate  # kept off the import path, as in DensitySpec
-
-    pts = np.sort(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(pts)):
-        raise ParameterError("quadrature_cdf points must be finite")
-    vals = np.empty_like(pts)
-    acc = 0.0
-    prev = 0.0
-    for i, t in enumerate(pts):
-        if t > prev:
-            seg, _ = integrate.quad(lambda x: float(d.pdf(x)), prev, t, limit=200)
-            acc += seg
-            prev = t
-        vals[i] = min(acc, 1.0)
-    return np.maximum.accumulate(vals)

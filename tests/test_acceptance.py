@@ -25,13 +25,14 @@ from stochorder import (
     dkw_epsilon,
     lr_compare,
     make_power,
-    quadrature_cdf,
     run_counterexample,
     run_suite,
     st_compare_empirical,
 )
 from stochorder.cli import run as cli_run
 from stochorder.transforms import ConditionVariant, GridSpec
+
+from reference import quadrature_cdf
 
 MODES = (MajorizationMode.FULL, MajorizationMode.WEAK_SUB, MajorizationMode.WEAK_SUP)
 

@@ -123,7 +123,7 @@ class TestGammaPower:
         "d", [GammaPower(1.0, 1.0, 1.0), GammaPower(-0.5, 3.0, 1.2), GeneralizedGamma(2.0, 1.5, 0.7)]
     )
     def test_nan_rejected(self, d, method):
-        # no silent 0.0, -inf or NaN, as cdf; GeneralizedGamma delegates
+        # no silent 0.0, -inf or NaN, as cdf; GeneralizedGamma inherits them
         f = getattr(d, method)
         with pytest.raises(ParameterError, match="NaN"):
             f(math.nan)
@@ -133,10 +133,21 @@ class TestGammaPower:
 
     def test_gengamma_reduction(self):
         g = GeneralizedGamma(2.0, 1.5, 0.7)
-        gp = g.as_gamma_power()
-        assert gp.r == pytest.approx(0.5)
+        assert g.r == 0.5
         x = 1.3
-        assert g.pdf(x) == pytest.approx(gp.pdf(x))
+        assert g.pdf(x) == GammaPower(0.5, 1.5, 0.7).pdf(x)
+
+    def test_gengamma_is_the_gamma_power_with_r_one_over_p(self):
+        # p is positive and finite, but r = 1/p overflows
+        with pytest.raises(ParameterError, match="p must be"):
+            GeneralizedGamma(1e-320, 1, 1)
+        g = GeneralizedGamma(2, 1, 1)
+        assert isinstance(g, GammaPower)
+        assert (g.p, g.r, g.label) == (2, 0.5, "gengamma(p=2, alpha=1, lam=1)")
+        # the same law, but another spec: equality and hashing include p
+        assert g != GammaPower(0.5, 1, 1)
+        assert len({g, GammaPower(0.5, 1, 1), GeneralizedGamma(2.0, 1.0, 1.0)}) == 2
+        assert GeneralizedGamma(p=2, alpha=1, lam=1) == g
 
 
 class TestSampling:
@@ -229,7 +240,7 @@ class TestLogConcavity:
         if variant == "log":
             assert res.verdict is LogConcavity.LOG_CONCAVE
             return
-        t = d.as_gamma_power().r if gengamma else r
+        t = d.r
         if variant != "identity":
             t *= variant[1]
         if gamma_power_logconcave(t, alpha):

@@ -3,10 +3,9 @@
 ``import stochorder`` loads no scipy. ``scipy.special`` is imported by the
 gamma-family methods that use it, and ``scipy.integrate`` (with
 ``scipy.optimize`` and ``scipy.linalg`` behind it) only by the normalization
-check of a ``DensitySpec`` (which ``transformed_density`` returns) and by
-``quadrature_cdf``. These tests run in a subprocess
-because pytest has usually imported both already, through
-``tests/test_distributions.py``.
+check of a ``DensitySpec`` (which ``transformed_density`` returns). These
+tests run in a subprocess because pytest has usually imported both already,
+through ``tests/test_distributions.py``.
 """
 
 import json
@@ -22,18 +21,20 @@ from stochorder import (
     GeneralizedGamma,
     SuiteConfig,
     make_exp,
-    quadrature_cdf,
     transformed_density,
 )
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from reference import quadrature_cdf
+
+TESTS = Path(__file__).resolve().parent
+SRC = str(TESTS.parent / "src")
 POINTS = [0.05, 0.5, 1.0, 2.5, 7.0]
 
 
 def fresh_python(code: str) -> dict:
-    """Run ``code`` in a new interpreter with ``src`` on the path; it prints
-    one JSON object, which is returned."""
-    env = {**os.environ, "PYTHONPATH": SRC}
+    """Run ``code`` in a new interpreter with ``src`` and ``tests`` on the
+    path; it prints one JSON object, which is returned."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((SRC, str(TESTS)))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=300, check=True,
@@ -47,11 +48,13 @@ import json, sys
 import stochorder, stochorder.cli
 loaded = {{m: m in sys.modules for m in
           ("scipy", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft")}}
-from stochorder import GammaPower, GeneralizedGamma, make_exp, quadrature_cdf, transformed_density
+from stochorder import GammaPower, GeneralizedGamma, make_exp, transformed_density
 cdf = GeneralizedGamma(1, 1, 1).cdf(1.0)
 special_after_cdf = "scipy.special" in sys.modules
 integrate_after_cdf = "scipy.integrate" in sys.modules
 spec = transformed_density(GammaPower(1, 2, 1), make_exp())
+integrate_after = "scipy.integrate" in sys.modules
+from reference import quadrature_cdf
 f = quadrature_cdf(GeneralizedGamma(1, 1, 1), {POINTS!r})
 print(json.dumps({{
     "loaded": loaded,
@@ -60,7 +63,7 @@ print(json.dumps({{
     "exp_cdf": cdf,
     "special_after_cdf": special_after_cdf,
     "integrate_after_cdf": integrate_after_cdf,
-    "integrate_after": "scipy.integrate" in sys.modules,
+    "integrate_after": integrate_after,
 }}))
 """)
     assert got["loaded"] == {
