@@ -19,12 +19,10 @@ from .errors import (
 )
 from .majorization import (
     MajorizationMode,
-    TChain,
     WeightVector,
     as_weight_vector,
     brute_force_majorize,
     check_majorize,
-    sort_increasing,
     t_transform_chain,
 )
 from .transforms import (

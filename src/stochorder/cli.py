@@ -233,7 +233,7 @@ def _cmd_major(args) -> int:
 def _cmd_chain(args) -> int:
     chain = t_transform_chain(args.x, args.y)
     config = {"x": list(args.x), "y": list(args.y)}
-    _emit({"steps": [list(s) for s in chain.steps]}, config, args.output)
+    _emit({"steps": [list(s) for s in chain]}, config, args.output)
     return 0
 
 
@@ -371,7 +371,7 @@ def _cmd_suite(args) -> int:
         n_scenarios=args.n, master_seed=args.seed, n_samples=args.samples, delta=args.delta,
         presets=SuiteConfig.presets if args.presets is None else tuple(args.presets.split(",")),
     )
-    report = run_suite(config, profile=args.profile is not None)
+    report = run_suite(config)
     _emit(report.to_dict(), config.to_dict(), args.output)
     if args.profile is not None:
         entries = [

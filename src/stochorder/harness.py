@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -73,9 +72,9 @@ PROFILE_STAGES = ("hypotheses", "sampling", "dkw", "oracle_a", "oracle_b", "exac
 
 
 class StageClock:
-    """Thread CPU and wall seconds of the stages of one scenario, for the
-    command line's ``--profile``. Timings never enter a report, which stays
-    byte-reproducible."""
+    """Thread CPU and wall seconds of the stages of one scenario, which the
+    command line's ``--profile`` writes. Timings never enter a report, which
+    stays byte-reproducible."""
 
     def __init__(self):
         self.stages: dict[str, dict[str, float]] = {}
@@ -120,12 +119,7 @@ class HypothesisReport:
     lr_chain_ok: HypothesisCheck
 
     def items(self):
-        return (
-            ("majorization_ok", self.majorization_ok),
-            ("conditions_ok", self.conditions_ok),
-            ("logconcavity_ok", self.logconcavity_ok),
-            ("lr_chain_ok", self.lr_chain_ok),
-        )
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
     @property
     def all_pass(self) -> bool:
@@ -301,9 +295,7 @@ def dist_from_spec(spec: Sequence) -> Dist:
 def transform_from_spec(spec: Sequence) -> Transform:
     """Transform from ``["exp"]``, ``["power", r]`` or ``["logshift"]``."""
     name, values = _spec_fields(spec, {"exp": 0, "power": 1, "logshift": 0}, "transform")
-    if name == "power":
-        return make_power(values[0])
-    return make_exp() if name == "exp" else make_log_shift()
+    return Transform((name, *values))
 
 
 @dataclass(frozen=True)
@@ -560,8 +552,7 @@ def verify_iid_theorem(
     if given, times the comparison's stages."""
     if not s.is_iid:
         raise ParameterError("verify_iid_theorem requires identical dists")
-    hyp = _require_pass(s, hyp)
-    return _run_comparison(s, hyp, s.a.as_array(), s.b.as_array(), clock)
+    return _run_comparison(s, _require_pass(s, hyp), s.a.as_array(), s.b.as_array(), clock)
 
 
 def verify_noniid_theorem(
@@ -574,14 +565,9 @@ def verify_noniid_theorem(
     The convex case pairs the i-th largest coefficient with the i-th
     variable of the chain; the concave case pairs the i-th smallest.
     """
-    hyp = _require_pass(s, hyp)
-    if s.variant is ConditionVariant.CONVEX_CASE:
-        a_used = np.sort(s.a.as_array())[::-1]
-        b_used = np.sort(s.b.as_array())[::-1]
-    else:
-        a_used = np.sort(s.a.as_array())
-        b_used = np.sort(s.b.as_array())
-    return _run_comparison(s, hyp, a_used, b_used, clock)
+    step = -1 if s.variant is ConditionVariant.CONVEX_CASE else 1
+    a_used, b_used = (np.sort(w.as_array())[::step] for w in (s.a, s.b))
+    return _run_comparison(s, _require_pass(s, hyp), a_used, b_used, clock)
 
 
 def run_counterexample(
@@ -832,14 +818,25 @@ def generate_scenario(
 
 @dataclass
 class SuiteReport:
+    """A suite's config, its records and one ``StageClock`` per scenario,
+    both in index order; the clocks are never part of ``to_dict``. Each
+    count of the summary is read from the records' statuses."""
+
     config: SuiteConfig
     records: list = field(default_factory=list)
-    n_consistent: int = 0
-    n_inconsistent: int = 0
-    n_failed_hypotheses: int = 0
-    # one StageClock per scenario when run_suite was asked to profile;
-    # never part of to_dict
     clocks: list = field(default_factory=list)
+
+    @property
+    def n_consistent(self) -> int:
+        return sum(r["status"] == "consistent" for r in self.records)
+
+    @property
+    def n_inconsistent(self) -> int:
+        return sum(r["status"] == "inconsistent" for r in self.records)
+
+    @property
+    def n_failed_hypotheses(self) -> int:
+        return sum(r["status"] == "failed_hypotheses" for r in self.records)
 
     @property
     def n_run(self) -> int:
@@ -901,33 +898,23 @@ def run_scenario(config: SuiteConfig, i: int, clock: Optional[StageClock] = None
 SUITE_LANES = 2
 
 
-def run_suite(config: SuiteConfig = SuiteConfig(), profile: bool = False) -> SuiteReport:
-    """Run the randomized theorem suite; pure function of the config.
+def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
+    """Run the randomized theorem suite; its records are a pure function of
+    the config.
 
     Scenarios run on ``SUITE_LANES`` threads, which the sampling, the sorts,
     the CDF evaluations and the FFTs allow because they release the GIL.
     Records come in index order, and the error of the lowest failing index
     surfaces, as in a serial loop; the scenarios not yet started are
-    cancelled. With ``profile``, the report's ``clocks`` hold each
-    scenario's stage times, in index order.
+    cancelled. Each scenario is timed by its own ``StageClock``, and the
+    report's ``clocks`` hold them in index order.
     """
-    clocks = [StageClock() for _ in range(config.n_scenarios)] if profile else []
+    clocks = [StageClock() for _ in range(config.n_scenarios)]
     with ThreadPoolExecutor(max_workers=SUITE_LANES) as lanes:
-        jobs = [
-            lanes.submit(run_scenario, config, i, clocks[i] if profile else None)
-            for i in range(config.n_scenarios)
-        ]
+        jobs = [lanes.submit(run_scenario, config, i, clock) for i, clock in enumerate(clocks)]
         try:
             records = [job.result() for job in jobs]
         except BaseException:
             lanes.shutdown(cancel_futures=True)
             raise
-    status = Counter(r["status"] for r in records)
-    return SuiteReport(
-        config=config,
-        records=records,
-        n_consistent=status["consistent"],
-        n_inconsistent=status["inconsistent"],
-        n_failed_hypotheses=status["failed_hypotheses"],
-        clocks=clocks,
-    )
+    return SuiteReport(config, records, clocks)

@@ -10,7 +10,7 @@ keeps only the top-sum family with reversed inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from numbers import Real
@@ -64,26 +64,6 @@ def as_weight_vector(v: VectorLike) -> WeightVector:
     if isinstance(v, WeightVector):
         return v
     return WeightVector(tuple(float(t) for t in np.atleast_1d(np.asarray(v, dtype=float))))
-
-
-@dataclass(frozen=True)
-class TChain:
-    """Chain of vectors from the majorized endpoint up to the majorizing one.
-
-    Consecutive (sorted) steps differ in at most two coordinates and are
-    linked by a single T-transform.
-    """
-
-    steps: tuple[WeightVector, ...] = field()
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def sort_increasing(v: VectorLike) -> WeightVector:
-    """Stable nondecreasing rearrangement."""
-    arr = as_weight_vector(v).as_array()
-    return WeightVector(tuple(np.sort(arr, kind="stable")))
 
 
 # looked up once: check_majorize runs per vector pair in premise screening
@@ -161,13 +141,14 @@ def check_majorize(
     return True
 
 
-def t_transform_chain(x: VectorLike, y: VectorLike) -> TChain:
-    """Constructive chain of T-transforms linking ``sort(x)`` to ``sort(y)``.
+def t_transform_chain(x: VectorLike, y: VectorLike) -> tuple[WeightVector, ...]:
+    """Constructive chain of T-transforms linking ``sort(x)`` to ``sort(y)``:
+    the vectors from the majorized endpoint up to the majorizing one, each
+    sorted, consecutive ones differing in at most two coordinates.
 
     Requires ``x <=_m y`` at ``DEFAULT_TOL``, which also sets the slack of
-    the reduction. Classical reduction: repeatedly transfer mass
-    between the extreme pair of differing coordinates; at most ``n - 1``
-    transforms.
+    the reduction. Classical reduction: repeatedly transfer mass between the
+    extreme pair of differing coordinates; at most ``n - 1`` transforms.
     """
     xv = as_weight_vector(x)
     yv = as_weight_vector(y)
@@ -201,8 +182,8 @@ def t_transform_chain(x: VectorLike, y: VectorLike) -> TChain:
         steps_rev.append(to_step(cur))
     else:  # pragma: no cover
         raise InternalError("T-transform reduction did not terminate in n steps")
-    steps_rev[-1] = sort_increasing(xv)  # snap the endpoint exactly
-    return TChain(tuple(reversed(steps_rev)))
+    steps_rev[-1] = to_step(target)  # snap the endpoint exactly
+    return tuple(reversed(steps_rev))
 
 
 def brute_force_majorize(

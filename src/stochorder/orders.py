@@ -49,10 +49,11 @@ class OrderVerdict:
 
 class Lattice(NamedTuple):
     """The knots ``(j + offset) * step``, j = 0, 1, ...: the grid of an
-    oracle table, kept as two numbers. The knot numbers j + offset are whole
-    or half numbers far below 2**52, so a float ``arange`` of them is exact,
-    and each knot is one rounded product: the same bits however many of
-    them are built at once."""
+    oracle table, kept as two numbers. A ``NumericCDF`` takes only an offset
+    for which j + offset is exact up to its last knot (whole, half or other
+    dyadic numbers far below 2**52, as the oracle's n/2), so a float
+    ``arange`` of them is exact, and each knot is one rounded product: the
+    same bits however many of them are built at once."""
 
     offset: float
     step: float
@@ -79,6 +80,14 @@ class NumericCDF:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or len(v) < 1:
             raise ParameterError("values must be a nonempty 1-D array")
+        # j + offset exact at the last knot, so that a window's knots are the
+        # bits of the whole grid's
+        last = len(v) - 1
+        end = last + lattice.offset
+        if end - last != lattice.offset or end - lattice.offset != last:
+            raise ParameterError(
+                f"Lattice offset {lattice.offset!r}: j + offset is not exact up to j = {last}"
+            )
         self.lattice, self.values = lattice, v
         # each check holds only where every comparison is true, so NaN fails it
         g = self.knots()
@@ -408,29 +417,13 @@ def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
     return float(np.maximum(np.max(dev, initial=0.0), np.max(tail, initial=0.0)))
 
 
-def _next_fast_len(n: int) -> int:
-    """The smallest 5-smooth integer (2**i * 3**j * 5**k) at or above n >= 1,
-    the lengths that pocketfft's real transforms favour."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest power-of-two multiple of p35 at or above n
-            fit = p35 << (-(-n // p35) - 1).bit_length()
-            if fit < best:
-                best = fit
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _product_pmf(
     lengths: Sequence[int], masses: Iterable[np.ndarray], size: int = 0
 ) -> np.ndarray:
     """The linear convolution of ``masses``, arrays of the given
     ``lengths``, as one spectral product: one real FFT per component at a
-    common length no shorter than the convolution, one inverse FFT.
+    common length, the smallest 2**i * 3**j * 5**k at or above the
+    convolution's (``scipy.fft.next_fast_len``), and one inverse FFT.
     Length-1 masses are scale factors and take no transform. The result is
     padded with zeros to ``size`` where the convolution is shorter.
 
@@ -440,12 +433,15 @@ def _product_pmf(
     beside the two spectra (the B-sum oracle runs beside the A-sum's table,
     so every level's peak counts). Every transform after the first goes
     into one reused buffer, and the inverse transform goes straight into
-    the padded result, which is clipped in place. The transforms are
-    numpy's: ``scipy.fft`` keeps a plan for every length it has seen (about
-    8 bytes per point, up to 16 lengths), which would hold on to tens of MB
-    after the largest levels; numpy's keep none and give the same bits."""
+    the padded result, which is clipped in place. Only the length comes
+    from ``scipy.fft``; the transforms are numpy's: ``scipy.fft`` keeps a
+    plan for every length it has seen (about 8 bytes per point, up to 16
+    lengths), which would hold on to tens of MB after the largest levels;
+    numpy's keep none and give the same bits."""
+    from scipy.fft import next_fast_len
+
     full = sum(lengths) - len(lengths) + 1
-    nfft = _next_fast_len(full) if sum(k > 1 for k in lengths) > 1 else 0
+    nfft = next_fast_len(full, True) if sum(k > 1 for k in lengths) > 1 else 0
     scale = 1.0
     only = spectrum = term = None
     for c in masses:

@@ -28,6 +28,7 @@ from stochorder import (
     Relation,
     Scenario,
     SuiteConfig,
+    SuiteReport,
     check_convexity_conditions,
     check_hypotheses,
     check_majorize,
@@ -729,6 +730,24 @@ class TestSuite:
         assert report.n_inconsistent == 0
         assert report.n_failed_hypotheses == 0
         assert report.n_run == 9
+
+    def test_every_scenario_has_a_clock(self):
+        cfg = SuiteConfig(n_scenarios=2, master_seed=5, n_samples=5_000)
+        report = run_suite(cfg)
+        assert len(report.clocks) == 2
+        for clock in report.clocks:
+            # n <= 4 components, so every scenario runs the oracle's stages
+            assert set(clock.stages) == {"scenario", *harness.PROFILE_STAGES}
+
+    def test_summary_counts_the_records(self):
+        statuses = ["consistent", "inconsistent", "consistent", "failed_hypotheses", "consistent"]
+        report = SuiteReport(SuiteConfig(n_scenarios=5), [{"status": s} for s in statuses])
+        assert (report.n_run, report.n_consistent, report.n_inconsistent,
+                report.n_failed_hypotheses) == (4, 3, 1, 1)
+        assert list(report.to_dict()["summary"].items()) == [
+            ("run", 4), ("consistent", 3), ("inconsistent", 1), ("skipped_unknown", 0),
+            ("failed_hypotheses", 1),
+        ]
 
     def test_suite_deterministic(self):
         cfg = SuiteConfig(n_scenarios=4, master_seed=5, n_samples=5_000)

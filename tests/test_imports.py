@@ -1,9 +1,10 @@
 """Import footprint, checked in a fresh interpreter.
 
 ``import stochorder`` loads no scipy. ``scipy.special`` is imported by the
-gamma-family methods that use it, and ``scipy.integrate`` (with
-``scipy.optimize`` and ``scipy.linalg`` behind it) only by the normalization
-check of a ``DensitySpec`` (which ``transformed_density`` returns). These
+gamma-family methods that use it, ``scipy.fft`` by the convolution oracle
+for its transform length, and ``scipy.integrate`` (with ``scipy.optimize``
+and ``scipy.linalg`` behind it) only by the normalization check of a
+``DensitySpec`` (which ``transformed_density`` returns). These
 tests run in a subprocess because pytest has usually imported both already,
 through ``tests/test_distributions.py``.
 """
@@ -81,6 +82,24 @@ print(json.dumps({{
     assert got["cdf"] == quadrature_cdf(GeneralizedGamma(1, 1, 1), POINTS).tolist()
     assert np.allclose(got["cdf"], 1 - np.exp(-np.array(POINTS)), atol=1e-9)
     assert got["integrate_after"] is True
+
+
+def test_oracle_loads_scipy_fft_but_not_integrate():
+    got = fresh_python("""
+import json, sys
+import stochorder, stochorder.cli
+before = "scipy.fft" in sys.modules
+from stochorder import GeneralizedGamma, convolve_weighted
+f = convolve_weighted([GeneralizedGamma(1, 1, 1)] * 2, [1.0, 2.0])
+print(json.dumps({
+    "before": before,
+    "fft": "scipy.fft" in sys.modules,
+    "integrate": "scipy.integrate" in sys.modules,
+    "mean": f.meta["mean"],
+}))
+""")
+    assert (got["before"], got["fft"], got["integrate"]) == (False, True, False)
+    assert abs(got["mean"] - 3.0) < 1e-6
 
 
 def test_suite_path_never_loads_scipy_integrate():

@@ -65,6 +65,19 @@ class TestNumericCDF:
         with pytest.raises(ParameterError, match="[Ll]attice"):
             NumericCDF(grid, [0.1, 0.5, 1.0][:size])
 
+    @pytest.mark.parametrize("offset", [0.1, 1 / 3, 1e20])
+    def test_inexact_offset_rejected(self, offset):
+        # 2 + offset rounds, so knots built for a window would not be the
+        # grid's bits
+        with pytest.raises(ParameterError, match="offset"):
+            NumericCDF(Lattice(offset, 1.0), [0.1, 0.5, 1.0])
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0, 0.5, 1.5, 0.09375, 0.25])
+    def test_exact_offset_knots_match_the_grid(self, offset):
+        f = NumericCDF(Lattice(offset, 0.1), np.linspace(0.0, 1.0, 50))
+        for s in (slice(3, 9), slice(17, 50, 2), slice(-1, None)):
+            assert f.knots(s).tobytes() == f.grid[s].tobytes()
+
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_nan_value_rejected(self, at):
         values = [0.1, 0.5, 1.0]
@@ -680,21 +693,6 @@ class TestPaddedProduct:
             want = _old_product_pmf([c.copy() for c in masses], size)
             assert _product(masses, size).tobytes() == want.tobytes()
             m *= 2
-
-
-class TestNextFastLen:
-    def test_equals_scipy_up_to_2_16(self):
-        from scipy import fft
-
-        got = [orders._next_fast_len(n) for n in range(1, 2**16 + 1)]
-        assert got == [fft.next_fast_len(n, True) for n in range(1, 2**16 + 1)]
-
-    @pytest.mark.parametrize("k", range(10))
-    def test_equals_scipy_near_oracle_lengths(self, k):
-        from scipy import fft
-
-        for n in range(4096 * 2**k - 8, 4096 * 2**k + 9):
-            assert orders._next_fast_len(n) == fft.next_fast_len(n, True), n
 
 
 def _lattice_level(n, m, top, values):
