@@ -318,8 +318,11 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.scenario) as f:
-        data = json.load(f)
+    try:
+        with open(args.scenario, encoding="utf-8") as f:
+            data = json.load(f)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ParameterError(f"{args.scenario}: not a readable JSON file: {exc}") from None
     if not isinstance(data, dict):
         raise ParameterError(f"scenario file must hold a JSON object, not {type(data).__name__}")
     if args.seed is not None:

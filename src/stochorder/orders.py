@@ -52,8 +52,8 @@ class Lattice(NamedTuple):
     oracle table, kept as two numbers. A ``NumericCDF`` takes only an offset
     for which j + offset is exact up to its last knot (whole, half or other
     dyadic numbers far below 2**52, as the oracle's n/2), so a float
-    ``arange`` of them is exact, and each knot is one rounded product: the
-    same bits however many of them are built at once."""
+    ``arange`` of them is exact, and each knot is one rounded product: a
+    slice built alone holds the same bits as the whole grid."""
 
     offset: float
     step: float
@@ -67,7 +67,8 @@ class Lattice(NamedTuple):
 class NumericCDF:
     """CDF tabulated on a ``Lattice``, linear between knots: every oracle
     table. It keeps the lattice, not its knots: ``grid`` builds them all, as
-    ``evaluate`` does, and ``knots`` a slice of them. ``tail_tol`` records how
+    ``evaluate`` does, and ``knots`` a slice of them, which is all that the
+    exact comparison reads, one chunk at a time. ``tail_tol`` records how
     much upper-tail mass the construction may have truncated, and ``meta``
     how it was built."""
 
@@ -108,23 +109,6 @@ class NumericCDF:
     def knots(self, s: slice = slice(None)) -> np.ndarray:
         """``grid[s]``, built knot by knot from the lattice."""
         return self.lattice.knots(range(len(self.values))[s])
-
-    def _knot(self, k: int) -> float:
-        """Knot k >= 0, the bits of ``grid[k]``."""
-        return (k + self.lattice.offset) * self.lattice.step
-
-    def _count_below(self, x: float) -> int:
-        """The number of knots below x, ``grid.searchsorted(x)``:
-        x / step - offset is within a knot of the count, and the knots
-        around it are compared with x."""
-        size = len(self.values)
-        # Python floats, whose division gives inf without a warning
-        k = int(min(max(float(x) / self.lattice.step - self.lattice.offset, 0.0), size))
-        while k > 0 and self._knot(k - 1) >= x:
-            k -= 1
-        while k < size and self._knot(k) < x:
-            k += 1
-        return k
 
     def evaluate(self, x) -> np.ndarray:
         """F at x, ``np.interp`` of the table: 0 below the grid and the last
@@ -301,7 +285,8 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     Each component's cell masses are placed at cell midpoints; placing half
     of each atom's mass at its own abscissa makes the tabulated CDF a
     second-order approximation, and the grid step is halved until two
-    successive levels agree to ``REFINE_TOL`` in sup norm, starting from
+    successive levels agree to ``REFINE_TOL`` at the coarser one's knots,
+    ``max |cur.evaluate(prev.grid) - prev.values|``, starting from
     ``INITIAL_GRID`` cells and halving at most ``MAX_LEVELS`` times. The
     result's ``meta`` holds the number of ``levels``, the final cell count
     ``m`` and width ``h``, the last level-to-level ``gap``, the truncation
@@ -315,7 +300,8 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     to the level's m + n points. A component's table is carried from one
     level to the next (see ``_edge_cdf_tables``), and its k cells are its
     k masses. Each step of a level is one whole-array pass, and none holds
-    much more than the level's spectral product (``_product_pmf``). The
+    much more than the level's spectral product (``_product_pmf``); the
+    gap holds both levels' grids beside the deviation. The
     result keeps its knots as a ``Lattice``: knot j is ``(j + n/2) * h``.
     Every component is a ``GammaPower`` (a ``GeneralizedGamma`` is one),
     which lives on (0, inf); any other is rejected.
@@ -334,8 +320,8 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
     top = sum(stops)
     if not np.isfinite(top) or top <= 0:
         raise NumericError(f"cannot truncate support (T={top})")
-    # np.interp and the level gap divide a cell's rise by its width h: where
-    # h < 1 / DBL_MAX that overflows on a steep enough table, always on one
+    # np.interp, and so the level gap, divides a cell's rise by its width h:
+    # where h < 1 / DBL_MAX that overflows on a steep enough table, always on one
     # that rises by about 1 within 1 / DBL_MAX (whose knots may also collide)
     if top * sys.float_info.max < 1.0:
         raise _narrow_cells(top / INITIAL_GRID)
@@ -357,7 +343,8 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
                 if np.max(np.diff(cur.values) / np.diff(cur.grid)) == math.inf:
                     raise _narrow_cells(cur.meta["h"])
         if prev is not None:
-            gap = _level_gap(prev, cur, len(components))
+            # np.max, not max: a NaN gap stays NaN, and never converges
+            gap = float(np.max(np.abs(cur.evaluate(prev.grid) - prev.values)))
             if gap < REFINE_TOL:
                 cur.meta["gap"] = gap
                 return cur
@@ -371,50 +358,6 @@ def convolve_weighted(dists: Sequence[Dist], weights: VectorLike) -> NumericCDF:
 
 def _narrow_cells(h: float) -> NumericError:
     return NumericError(f"cell width {h:.3g} is too small: the CDF's slope overflows")
-
-
-def _level_gap(prev: NumericCDF, cur: NumericCDF, n: int) -> float:
-    """``max |cur.evaluate(prev.grid) - prev.values|`` for two successive
-    levels of an n-component oracle, read off the lattice in place of a
-    search.
-
-    Knot j of a level is ``(j + n/2) * h``. Where h is a normal float,
-    ``prev``'s h is ``cur``'s times 2 exactly, so ``prev`` knot j is
-    ``(2j + n) * h`` of ``cur``: for even n that is ``cur`` knot ``2j + n/2``
-    bit for bit, and for odd n it lies strictly inside ``cur``'s cell
-    ``k = 2j + (n-1)/2``, where ``np.interp`` gives ``slope * (x - xp[k]) +
-    fp[k]`` with the slope of that cell; the gap is then ``evaluate``'s bit
-    for bit. A subnormal h (weights of about 1e-306 and below) loses bits
-    when halved, and the gap may differ from ``evaluate``'s in its last
-    digits. Knots past ``cur``'s last take its last value, as ``evaluate``
-    does. It is one whole-array pass, which holds at most three arrays as
-    long as ``prev`` beside the tables: about what the level's spectral
-    product held."""
-    pv, cv = prev.values, cur.values
-    off, odd = n // 2, n % 2
-    # the prev knots whose cur cell (or knot) ends at or before cur's last knot
-    inner = min(len(pv), max(0, (len(cv) - 1 - odd - off) // 2 + 1))
-    lo = slice(off, off + 2 * inner, 2)
-    if odd:
-        hi = slice(off + 1, off + 2 * inner + 1, 2)
-        at = cur.knots(lo)
-        dev = cv[hi] - cv[lo]
-        width = cur.knots(hi)
-        width -= at
-        dev /= width
-        del width
-        x = prev.knots(slice(0, inner))
-        x -= at
-        dev *= x
-        dev += cv[lo]
-        dev -= pv[:inner]
-    else:
-        dev = cv[lo] - pv[:inner]
-    np.abs(dev, out=dev)
-    tail = np.abs(cv[-1] - pv[inner:])
-    # np.max and np.maximum, not max: a NaN gap must stay NaN, so that it
-    # never converges
-    return float(np.maximum(np.max(dev, initial=0.0), np.max(tail, initial=0.0)))
 
 
 def _product_pmf(
@@ -518,20 +461,24 @@ def _chunk_slices(fa: NumericCDF, fb: NumericCDF):
     order.
 
     Both grids are cut at the same x: the lower of the two knots that
-    follow each table's next ``_CHUNK_KNOTS`` knots. A knot in both grids
-    thus falls in one chunk, so that the comparison holds a few chunk-sized
-    arrays at a time, not several as long as both tables together. Only
-    the knots at the cuts are read.
+    follow each table's next ``_CHUNK_KNOTS`` knots, found by
+    ``np.searchsorted`` in the other table's next ``_CHUNK_KNOTS + 1``
+    knots. A knot in both grids thus falls in one chunk, so that the
+    comparison holds a few chunk-sized arrays at a time, not several as
+    long as both tables together.
     """
     na, nb = len(fa.values), len(fb.values)
     ia = ib = 0
     while ia < na or ib < nb:
+        ka = fa.knots(slice(ia, ia + _CHUNK_KNOTS + 1))
+        kb = fb.knots(slice(ib, ib + _CHUNK_KNOTS + 1))
         ja = min(ia + _CHUNK_KNOTS, na)
         jb = min(ib + _CHUNK_KNOTS, nb)
-        if ja < na and (jb == nb or fa._knot(ja) <= fb._knot(jb)):
-            jb = fb._count_below(fa._knot(ja))
+        # ka[-1] is knot ja where ja < na, and kb[-1] knot jb where jb < nb
+        if ja < na and (jb == nb or ka[-1] <= kb[-1]):
+            jb = ib + int(np.searchsorted(kb, ka[-1]))
         elif jb < nb:
-            ja = fa._count_below(fb._knot(jb))
+            ja = ia + int(np.searchsorted(ka, kb[-1]))
         yield slice(ia, ja), slice(ib, jb)
         ia, ib = ja, jb
 
@@ -544,7 +491,7 @@ def st_compare_exact(cdf_a: NumericCDF, cdf_b: NumericCDF) -> OrderVerdict:
     (``meta["grid_points"]``). The union is taken one chunk of
     ``_chunk_slices`` at a time, so that on two 1M-knot oracle tables it
     holds about 3 MB beside them; each table's knots are built a chunk at a
-    time too.
+    time too, once to find the cut and once for the chunk's window.
 
     In each chunk, d = F_A - F_B is taken at each grid's own knots (a table
     evaluated at its own knots returns its own values, and each table is

@@ -371,7 +371,7 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("stochorder: error:")
 
     def test_convolve_tiny_weight(self, capsys):
-        # warnings from the level gap, then a ParameterError on the grid
+        # one NumericError on the cells' width, and no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(["convolve", "--dists", "gengamma:1,1,1", "--weights", "1e-320"])
@@ -431,6 +431,13 @@ class TestMalformedInput:
         path.write_text("[1, 2]")
         code = run(["verify", "--scenario", str(path), "--seed", "3"])
         self.assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200_000],
+                             ids=["not_utf8", "nested_past_recursion_limit"])
+    def test_verify_file_not_readable_json(self, content, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        self.assert_one_line_error(run(["verify", "--scenario", str(path)]), capsys)
 
     @pytest.mark.parametrize("fields", [
         {"seed": 2.7}, {"n_samples": 20000.9}, {"seed": True},

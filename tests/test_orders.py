@@ -341,6 +341,24 @@ class TestConvolveWeighted:
         assert f.meta["levels"] == 4
         assert np.max(np.abs(f.values - (1 - np.exp(-f.grid / w)))) < 1e-7
 
+    def test_subnormal_cells_gap_equals_evaluate(self):
+        # h is subnormal at every level, so halving it loses bits; the gap
+        # is still evaluate's at the coarser level's knots
+        d, w = GeneralizedGamma(1, 1, 1), [1e-308] * 2
+        f = convolve_weighted([d] * 2, w)
+        top, levels = f.meta["top"], f.meta["levels"]
+        q = d.ppf(1.0 - TAIL_TOL)
+        tables = [_level_masses(d, wi, wi * q, top, INITIAL_GRID) for wi in w]
+        prev = cur = None
+        for level in range(1, levels + 1):
+            masses = [next(t) for t in tables]
+            if level >= levels - 1:
+                prev, cur = cur, _level(masses, top, INITIAL_GRID << (level - 1), level)
+        assert cur.values.tobytes() == f.values.tobytes()
+        assert prev.meta["h"] < np.finfo(float).tiny
+        want = np.max(np.abs(cur.evaluate(prev.grid) - prev.values))
+        assert repr(f.meta["gap"]) == repr(float(want))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_nan_cdf_rejected(self, n):
         # a component CDF that gives NaN makes a level table with NaN values,
@@ -695,50 +713,6 @@ class TestPaddedProduct:
             m *= 2
 
 
-def _lattice_level(n, m, top, values):
-    """A level table on the oracle's lattice: knot j is (j + n/2) * (top/m)."""
-    return NumericCDF(Lattice(0.5 * n, top / m), values(m + n if n > 1 else m))
-
-
-class TestLevelGap:
-    """The lattice read of the level gap against ``np.interp`` on the two
-    grids, bit for bit."""
-
-    @staticmethod
-    def _interp_gap(prev, cur):
-        return float(np.max(np.abs(_interp(cur, prev.grid) - prev.values)))
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_oracle_levels(self, n):
-        d = GeneralizedGamma(0.8, 1.1, 1)
-        weights = [100.0, 1.0, 7.0, 2.5, 30.0, 0.5, 12.0, 3.3][:n]
-        q = d.ppf(1.0 - TAIL_TOL)
-        top = _oracle_top(d, weights)
-        tables = [_level_masses(d, w, w * q, top, INITIAL_GRID) for w in weights]
-        m = INITIAL_GRID
-        prev = None
-        for level in range(1, 5):
-            cur = _level([next(t) for t in tables], top, m, level)
-            if prev is not None:
-                if n > 1:  # the last knots of prev lie past cur's last
-                    assert prev.grid[-1] > cur.grid[-1]
-                assert repr(orders._level_gap(prev, cur, n)) == repr(self._interp_gap(prev, cur))
-            prev = cur
-            m *= 2
-
-    @given(st.integers(1, 8), st.integers(1, 70), st.floats(1e-3, 1e4), st.integers(0, 2**31 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_random_tables(self, n, m, top, seed):
-        rng = np.random.default_rng(seed)
-
-        def values(size):
-            return np.sort(rng.random(size))
-
-        prev = _lattice_level(n, m, top, values)
-        cur = _lattice_level(n, 2 * m, top, values)
-        assert repr(orders._level_gap(prev, cur, n)) == repr(self._interp_gap(prev, cur))
-
-
 def _golden_oracle_cases():
     pins = json.loads(GOLDEN_ORACLE.read_text())
     return [pytest.param(pins[preset], id=preset) for preset in sorted(pins)]
@@ -1082,7 +1056,6 @@ class TestLatticeTables:
         assert f.grid.tobytes() == want.tobytes()
         for s in (slice(3, 90, 7), slice(-5, None), slice(None, None, -3), slice(size, None)):
             assert f.knots(s).tobytes() == want[s].tobytes(), s
-        assert [f._knot(k) for k in (0, 1, size - 1)] == [want[0], want[1], want[-1]]
 
     @pytest.mark.parametrize("h", [0.37, 1e-3, 2e-310, 1e305])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1101,14 +1074,6 @@ class TestLatticeTables:
         for i in range(0, len(x), 7):
             pick = order[i : i + 7]
             assert f.evaluate(x[pick]).tobytes() == want[pick].tobytes()
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_count_below_equals_searchsorted(self, n):
-        rng = np.random.default_rng(n)
-        for h in (0.37, 2e-310):
-            f = _lattice_table(n, 50, h, seed=n)
-            for x in _probe_points(f, rng):
-                assert f._count_below(x) == np.searchsorted(f.grid, x), x
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 9))
     @settings(max_examples=150, deadline=None)
