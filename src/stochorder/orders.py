@@ -24,9 +24,9 @@ REFINE_TOL = 1e-7
 MAX_LEVELS = 10
 INITIAL_GRID = 4096
 TAIL_TOL = 1e-9
-# knots of either table per chunk when two tables are compared: only the
-# exact comparison works in chunks, as merging two 1M-knot tables at once
-# would take many table-lengths of temporaries
+# knots of either table per chunk of the exact comparison, which builds
+# each table's chunk and a knot either side once: merging two 1M-knot
+# tables at once would take many table-lengths of temporaries
 _CHUNK_KNOTS = 1 << 15
 
 
@@ -455,88 +455,59 @@ def _convolve_level(
     )
 
 
-def _chunk_slices(fa: NumericCDF, fb: NumericCDF):
-    """Yield ``(sa, sb)``, slices of two tables' knots that hold at most
-    ``_CHUNK_KNOTS`` knots of A and at most as many of B, in increasing
-    order.
-
-    Both grids are cut at the same x: the lower of the two knots that
-    follow each table's next ``_CHUNK_KNOTS`` knots, found by
-    ``np.searchsorted`` in the other table's next ``_CHUNK_KNOTS + 1``
-    knots. A knot in both grids thus falls in one chunk, so that the
-    comparison holds a few chunk-sized arrays at a time, not several as
-    long as both tables together.
-    """
-    na, nb = len(fa.values), len(fb.values)
-    ia = ib = 0
-    while ia < na or ib < nb:
-        ka = fa.knots(slice(ia, ia + _CHUNK_KNOTS + 1))
-        kb = fb.knots(slice(ib, ib + _CHUNK_KNOTS + 1))
-        ja = min(ia + _CHUNK_KNOTS, na)
-        jb = min(ib + _CHUNK_KNOTS, nb)
-        # ka[-1] is knot ja where ja < na, and kb[-1] knot jb where jb < nb
-        if ja < na and (jb == nb or ka[-1] <= kb[-1]):
-            jb = ib + int(np.searchsorted(kb, ka[-1]))
-        elif jb < nb:
-            ja = ia + int(np.searchsorted(ka, kb[-1]))
-        yield slice(ia, ja), slice(ib, jb)
-        ia, ib = ja, jb
-
-
 def st_compare_exact(cdf_a: NumericCDF, cdf_b: NumericCDF) -> OrderVerdict:
     """Verdict from the sign pattern of F_A - F_B on the union of the two
     grids: its maxima, the sign changes that are left after dropping the
     knots where |F_A - F_B| <= ``DEFAULT_EXACT_TOL`` (the verdict's
     ``crossing_count``), and the number of distinct knots
-    (``meta["grid_points"]``). The union is taken one chunk of
-    ``_chunk_slices`` at a time, so that on two 1M-knot oracle tables it
-    holds about 3 MB beside them; each table's knots are built a chunk at a
-    time too, once to find the cut and once for the chunk's window.
+    (``meta["grid_points"]``).
 
-    In each chunk, d = F_A - F_B is taken at each grid's own knots (a table
-    evaluated at its own knots returns its own values, and each table is
-    read only on its chunk and a knot either side), and the two are put
-    in merged order by a stable sort of the grids' concatenation, which is
-    one linear merge of two sorted runs (two ``searchsorted`` calls took
-    eight times as long). A knot in both grids comes out twice in a row,
-    A's copy first, with the same d from either table: the maxima come from
-    each table's own differences, and the second copy can change no sign.
-    A sign change across a chunk edge is counted against the last sign kept
-    before it, so the result is that of the whole difference at once. (A
-    zero maximum could differ in its sign only if d held both signs of
-    zero, which needs a table that holds -0.0.)"""
+    The union is walked one chunk of x at a time, so that on two 1M-knot
+    oracle tables the comparison holds about 3 MB beside them. Each chunk
+    builds each table's knots once: its next ``_CHUNK_KNOTS`` knots, the
+    knot before them and the knot after them. Both grids are cut at the
+    same x, the lower of the two knots after, found in the other table's
+    knots by ``np.searchsorted``, so a knot in both grids falls in one
+    chunk. The chunk's knots of both tables are put in order by a stable
+    sort, which is one linear merge of two sorted runs (two
+    ``searchsorted`` calls took eight times as long), and d is
+    ``np.interp`` of A's window minus that of B's, each window holding the
+    cell of every merged knot (a table read at its own knot returns its
+    own value). A knot in both grids comes out twice in a row, with the
+    same d, and is counted once. A sign change across a cut is counted
+    against the last sign kept before it, so the result is that of the
+    whole union at once. (A zero maximum could differ in its sign only if
+    d held both signs of zero, which needs a table that holds -0.0.)"""
     highs, lows = [], []
     crossings = points = 0
     last = 0.0
     na, nb = len(cdf_a.values), len(cdf_b.values)
-    for sa, sb in _chunk_slices(cdf_a, cdf_b):
-        # each table's chunk and a knot either side of it hold the cell of
-        # every knot of the other table's chunk, as the two are cut at the
-        # same x: the knots are built once for both uses
-        wa = slice(max(sa.start - 1, 0), min(sa.stop + 1, na))
-        wb = slice(max(sb.start - 1, 0), min(sb.stop + 1, nb))
+    ia = ib = 0
+    while ia < na or ib < nb:
+        wa = slice(max(ia - 1, 0), min(ia + _CHUNK_KNOTS + 1, na))
+        wb = slice(max(ib - 1, 0), min(ib + _CHUNK_KNOTS + 1, nb))
         ka, kb = cdf_a.knots(wa), cdf_b.knots(wb)
-        ga = ka[sa.start - wa.start : sa.stop - wa.start]
-        gb = kb[sb.start - wb.start : sb.stop - wb.start]
-        da = np.interp(ga, kb, cdf_b.values[wb], left=0.0, right=float(cdf_b.values[-1]))
-        np.subtract(cdf_a.values[sa], da, out=da)
-        db = np.interp(gb, ka, cdf_a.values[wa], left=0.0, right=float(cdf_a.values[-1]))
-        db -= cdf_b.values[sb]
-        for d in (da, db):
-            if d.size:
-                highs.append(np.max(d))
-                lows.append(np.min(d))
-        grid = np.concatenate([ga, gb])
-        order = np.argsort(grid, kind="stable")
-        merged = grid[order]
-        points += len(order) - int(np.count_nonzero(merged[1:] == merged[:-1]))
-        d = np.concatenate([da, db])[order]
+        ja, jb = min(ia + _CHUNK_KNOTS, na), min(ib + _CHUNK_KNOTS, nb)
+        # ka[-1] is knot ja where ja < na, and kb[-1] knot jb where jb < nb;
+        # the knot before each chunk lies below both
+        if ja < na and (jb == nb or ka[-1] <= kb[-1]):
+            jb = wb.start + int(np.searchsorted(kb, ka[-1]))
+        elif jb < nb:
+            ja = wa.start + int(np.searchsorted(ka, kb[-1]))
+        grid = np.concatenate([ka[ia - wa.start : ja - wa.start], kb[ib - wb.start : jb - wb.start]])
+        grid.sort(kind="stable")
+        points += len(grid) - int(np.count_nonzero(grid[1:] == grid[:-1]))
+        d = np.interp(grid, ka, cdf_a.values[wa], left=0.0, right=float(cdf_a.values[-1]))
+        d -= np.interp(grid, kb, cdf_b.values[wb], left=0.0, right=float(cdf_b.values[-1]))
+        highs.append(np.max(d))
+        lows.append(np.min(d))
         signs = np.sign(d[np.abs(d) > DEFAULT_EXACT_TOL])
         if signs.size:
             crossings += int(np.count_nonzero(signs[1:] != signs[:-1]))
             if last and signs[0] != last:
                 crossings += 1
             last = signs[-1]
+        ia, ib = ja, jb
     # max of -d is -(min of d) exactly; np.max and np.min keep a NaN
     max_pos, max_neg = float(np.max(highs)), -float(np.min(lows))
     return OrderVerdict(

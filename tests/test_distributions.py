@@ -31,9 +31,11 @@ signed_power = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.1, 10.0)).map
 
 
 def _second_difference(logpdf, y: float, rel: float) -> float:
-    """Central second difference of ``logpdf`` at y, with step rel * y."""
+    """Central second difference of ``logpdf`` at y, with step rel * y,
+    over rel**2: y**2 times the curvature, with its sign, where (rel * y)**2
+    would underflow at a tiny y."""
     h = rel * y
-    return float(logpdf(y + h) - 2 * logpdf(y) + logpdf(y - h)) / h**2
+    return float(logpdf(y + h) - 2 * logpdf(y) + logpdf(y - h)) / rel**2
 
 
 class TestDensity:
@@ -232,6 +234,8 @@ class TestLogConcavity:
     # t = 10 * 0.05000000000000001 is one ulp above alpha = 0.5: not
     # log-concave for the float t, with a curvature no double resolves
     @example(True, -0.1, 0.5, 1.0, ("power", 0.05000000000000001))
+    # t = -50: the witness is 6.2e-161, where (1e-4 * y)**2 underflows to 0
+    @example(True, -0.1, 1.0, 0.015625, ("power", -5.0))
     def test_closed_form_no_has_curvature_witness(self, gengamma, r, alpha, lam, variant):
         """Wherever the closed-form rule says no, the verdict is
         NOT_LOG_CONCAVE, and the log density curves upward at the witness."""

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -909,29 +910,48 @@ def _exact_fields(fa, fb):
             v.meta["grid_points"])
 
 
+@contextlib.contextmanager
+def _knot_builds(k, fa, fb):
+    """Within, ``_CHUNK_KNOTS`` is k, and every ``Lattice.knots`` call is
+    recorded: yields the lists of the ranges of A's and of B's knots built,
+    in order."""
+    assert fa.lattice is not fb.lattice
+    builds = {id(fa.lattice): [], id(fb.lattice): []}
+    knots = Lattice.knots
+
+    def spy(lattice, r):
+        builds[id(lattice)].append(r)
+        return knots(lattice, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orders, "_CHUNK_KNOTS", k)
+        mp.setattr(Lattice, "knots", spy)
+        yield builds[id(fa.lattice)], builds[id(fb.lattice)]
+
+
 def _assert_chunks_agree(fa, fb, k):
     """With chunks of k knots, ``st_compare_exact`` gives bit for bit what
-    it gives in one chunk, which is the union-grid formula. Returns the
-    distinct knots of each chunk of ``_chunk_slices``."""
+    it gives in one chunk, which is the union-grid formula, and builds each
+    table's knots once a chunk. Returns the number of chunks."""
     assert max(len(fa.grid), len(fb.grid)) <= orders._CHUNK_KNOTS
     one_shot = _exact_fields(fa, fb)
     max_pos, max_neg, crossings, points = _union_grid_comparison(fa, fb)
     assert one_shot == (repr(max_pos), repr(max_neg), crossings, points)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orders, "_CHUNK_KNOTS", k)
-        slices = list(orders._chunk_slices(fa, fb))
+    with _knot_builds(k, fa, fb) as (built_a, built_b):
         assert _exact_fields(fa, fb) == one_shot
-    # each chunk holds at most k knots of each grid, and the chunks tile
-    # both grids
-    assert all(len(fa.grid[sa]) <= k and len(fb.grid[sb]) <= k for sa, sb in slices)
-    for grid, parts in ((fa.grid, [sa for sa, _ in slices]), (fb.grid, [sb for _, sb in slices])):
-        assert np.concatenate([grid[p] for p in parts]).tobytes() == grid.tobytes()
-    # both grids are cut at the same x, so the chunks' knots, each shared
-    # knot once, are the union grid in increasing order
-    chunks = [np.union1d(fa.grid[sa], fb.grid[sb]) for sa, sb in slices]
-    assert all(1 <= len(c) <= 2 * k for c in chunks)
-    assert np.concatenate(chunks).tobytes() == np.union1d(fa.grid, fb.grid).tobytes()
-    return chunks
+    # one build of each table a chunk: at most k + 1 knots ahead and one
+    # before, each build overlapping the one before, so that the builds
+    # cover the table; a knot left out or split across a cut would change
+    # the union's knot count above
+    na, nb = len(fa.values), len(fb.values)
+    assert len(built_a) == len(built_b)
+    for built, n in ((built_a, na), (built_b, nb)):
+        assert built[0].start == 0 and built[-1].stop == n
+        assert all(len(r) <= k + 2 for r in built)
+        assert all(p.start <= q.start < p.stop for p, q in zip(built, built[1:]))
+    # every chunk but the last takes k knots of A or k of B
+    assert -(-max(na, nb) // k) <= len(built_a) <= na // k + nb // k + 1
+    return len(built_a)
 
 
 def _chunk_case(seed):
@@ -973,9 +993,8 @@ class TestChunkedComparison:
         # every cut is a knot of A, and every other knot of A is one of B
         fa = NumericCDF(Lattice(0.0, 1.0), np.arange(12.0) / 12)
         fb = NumericCDF(Lattice(0.0, 2.0), np.linspace(0.05, 0.95, 6))
-        chunks = _assert_chunks_agree(fa, fb, k)
-        assert sum(map(len, chunks)) == 12
-        assert len(chunks) == -(-12 // k)
+        assert _assert_chunks_agree(fa, fb, k) == -(-12 // k)
+        assert st_compare_exact(fa, fb).meta["grid_points"] == 12
 
     @pytest.mark.parametrize("ratio", [4, 8, 16])
     def test_one_grid_denser(self, ratio):
@@ -1017,7 +1036,19 @@ class TestChunkedComparison:
         finally:
             tracemalloc.stop()
         assert v.meta["grid_points"] == 2 * n
-        assert extra < 6 * 2**20
+        assert extra < 4 * 2**20
+
+    def test_each_knot_built_once(self):
+        # on one lattice, each chunk builds its k knots of each table and
+        # at most one knot either side, once: 142 knots of each table here
+        n, k = 120, 10
+        fa = NumericCDF(Lattice(1.0, 0.5), np.linspace(0.0, 1.0, n))
+        fb = NumericCDF(Lattice(1.0, 0.5), np.linspace(0.0, 1.0, n) ** 2)
+        with _knot_builds(k, fa, fb) as builds:
+            st_compare_exact(fa, fb)
+        for built in builds:
+            assert sum(map(len, built)) <= n + 2 * -(-n // k)
+            assert max(map(len, built)) <= k + 2
 
 
 def _lattice_table(n, size, h, seed):
