@@ -73,26 +73,21 @@ def _text_spec(text: str) -> list[str]:
     return [name] + (args.split(",") if args else [])
 
 
-def _parse_transform_arg(text: str):
-    try:
-        return transform_from_spec(_text_spec(text))
-    except StochOrderError as exc:  # a bad or out-of-range exponent
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_dist_arg(text: str):
-    try:
-        return dist_from_spec(_text_spec(text))
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _spec_arg(from_spec):
+    """Argument type reading ``name:x,y,...`` through ``from_spec``."""
+    def parse(text: str):
+        try:
+            return from_spec(_text_spec(text))
+        except StochOrderError as exc:  # a bad spec, or an out-of-range exponent
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _parse_variant(text: str) -> ConditionVariant:
-    if text in ("convex", "convex_case"):
-        return ConditionVariant.CONVEX_CASE
-    if text in ("concave", "concave_case"):
-        return ConditionVariant.CONCAVE_CASE
-    raise argparse.ArgumentTypeError(f"variant must be convex or concave, got {text!r}")
+    try:
+        return ConditionVariant(text.removesuffix("_case"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"variant must be convex or concave, got {text!r}")
 
 
 def _parse_lc_variant(text: str):
@@ -115,9 +110,9 @@ def _resolve_output(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _emit(report: dict, config: dict, output: Optional[str]) -> None:
-    doc = {"tool": "stochorder", "version": __version__, "config": config,
-           "result": report}
+def _write_json(output: Optional[str], **doc) -> None:
+    """``doc`` after ``tool`` and ``version``, as strict JSON, to ``output`` or stdout."""
+    doc = {"tool": "stochorder", "version": __version__, **doc}
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     path = _resolve_output(output)
     if path is None:
@@ -125,6 +120,10 @@ def _emit(report: dict, config: dict, output: Optional[str]) -> None:
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _emit(report: dict, config: dict, output: Optional[str]) -> None:
+    _write_json(output, config=config, result=report)
 
 
 def _write_profile(path: str, command: str, entries: list[dict]) -> None:
@@ -139,84 +138,77 @@ def _write_profile(path: str, command: str, entries: list[dict]) -> None:
                 "cpu_s": sum(r["cpu_s"] for r in runs),
                 "wall_s": sum(r["wall_s"] for r in runs),
             }
-    doc = {"tool": "stochorder", "version": __version__, "command": command,
-           "clock": "thread CPU (time.thread_time) and wall (time.perf_counter) seconds",
-           "totals": totals, "scenarios": entries}
-    with open(_resolve_output(path), "w") as f:
-        f.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write_json(path, command=command,
+                clock="thread CPU (time.thread_time) and wall (time.perf_counter) seconds",
+                totals=totals, scenarios=entries)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stochorder", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
 
-    p = sub.add_parser("major", help="check a (weak) majorization order")
+    p = sub.add_parser("major", help="check a (weak) majorization order", parents=[output])
     p.add_argument("--x", type=_parse_vector, required=True)
     p.add_argument("--y", type=_parse_vector, required=True)
     p.add_argument("--mode", choices=sorted(_MODES), default="m")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--output")
 
-    p = sub.add_parser("chain", help="T-transform chain from sort(x) to sort(y)")
+    p = sub.add_parser("chain", help="T-transform chain from sort(x) to sort(y)", parents=[output])
     p.add_argument("--x", type=_parse_vector, required=True)
     p.add_argument("--y", type=_parse_vector, required=True)
-    p.add_argument("--output")
 
-    p = sub.add_parser("conditions", help="closed-form check of the coupling conditions")
-    p.add_argument("--phi", type=_parse_transform_arg, required=True)
-    p.add_argument("--psi", type=_parse_transform_arg, required=True)
+    p = sub.add_parser("conditions", help="closed-form check of the coupling conditions",
+                       parents=[output])
+    p.add_argument("--phi", type=_spec_arg(transform_from_spec), required=True)
+    p.add_argument("--psi", type=_spec_arg(transform_from_spec), required=True)
     p.add_argument("--variant", type=_parse_variant, default=ConditionVariant.CONVEX_CASE)
-    p.add_argument("--output")
 
-    p = sub.add_parser("classify", help="power-pair parameter region")
+    p = sub.add_parser("classify", help="power-pair parameter region", parents=[output])
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--output")
 
-    p = sub.add_parser("logconcave", help="log-concavity of a transformed variable")
-    p.add_argument("--dist", type=_parse_dist_arg, required=True)
+    p = sub.add_parser("logconcave", help="log-concavity of a transformed variable",
+                       parents=[output])
+    p.add_argument("--dist", type=_spec_arg(dist_from_spec), required=True)
     p.add_argument("--variant", type=_parse_lc_variant, default="identity")
-    p.add_argument("--output")
 
-    p = sub.add_parser("lr", help="likelihood-ratio order comparison")
-    p.add_argument("--d1", type=_parse_dist_arg, required=True)
-    p.add_argument("--d2", type=_parse_dist_arg, required=True)
-    p.add_argument("--output")
+    p = sub.add_parser("lr", help="likelihood-ratio order comparison", parents=[output])
+    p.add_argument("--d1", type=_spec_arg(dist_from_spec), required=True)
+    p.add_argument("--d2", type=_spec_arg(dist_from_spec), required=True)
 
-    p = sub.add_parser("convolve", help="CDF of a weighted sum")
+    p = sub.add_parser("convolve", help="CDF of a weighted sum", parents=[output])
     p.add_argument("--dists", required=True,
                    help="semicolon-separated specs, e.g. gengamma:1,1,1;gengamma:1,2,1")
     p.add_argument("--weights", type=_parse_vector, required=True)
     p.add_argument("--csv", help="write the CDF as two-column CSV here")
     p.add_argument("--compare-weights", type=_parse_vector, default=None,
                    help="also convolve with these weights and compare")
-    p.add_argument("--output")
 
-    p = sub.add_parser("verify", help="run one scenario file end to end")
+    p = sub.add_parser("verify", help="run one scenario file end to end", parents=[output])
     p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--output")
     p.add_argument("--profile", metavar="PATH",
                    help="write per-stage thread CPU and wall times here (JSON)")
 
-    p = sub.add_parser("counterexample", help="unique-crossing gamma demonstration")
+    p = sub.add_parser("counterexample", help="unique-crossing gamma demonstration",
+                       parents=[output])
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--a", type=_parse_vector, required=True)
     p.add_argument("--b", type=_parse_vector, required=True)
     p.add_argument("--csv", help="write x, F_a, F_b and F_a - F_b at 400 points here as CSV")
-    p.add_argument("--output")
 
-    p = sub.add_parser("suite", help="randomized theorem verification suite")
+    p = sub.add_parser("suite", help="randomized theorem verification suite", parents=[output])
     p.add_argument("--n", type=int, default=SuiteConfig.n_scenarios)
     p.add_argument("--seed", type=int, default=SuiteConfig.master_seed)
     p.add_argument("--samples", type=int, default=SuiteConfig.n_samples)
     p.add_argument("--delta", type=float, default=SuiteConfig.delta)
     p.add_argument("--presets", default=None,
                    help="comma-separated preset names (default: all)")
-    p.add_argument("--output")
     p.add_argument("--profile", metavar="PATH",
                    help="write per-stage thread CPU and wall times here (JSON)")
 
@@ -406,7 +398,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StochOrderError, OSError, json.JSONDecodeError) as exc:
+    except (StochOrderError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"stochorder: error: {exc}", file=sys.stderr)
         return 1
 

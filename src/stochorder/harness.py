@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -374,11 +375,7 @@ def _psi_variant(psi: Transform):
 
 def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisCheck:
     variant = _psi_variant(psi)
-    seen: list[Dist] = []
-    for d in dists:
-        if d in seen:
-            continue
-        seen.append(d)
+    for d in dict.fromkeys(dists):
         res = log_concavity_classify(d, variant)
         if res.verdict is LogConcavity.NOT_LOG_CONCAVE:
             return HypothesisCheck(
@@ -623,14 +620,13 @@ def run_counterexample(
 
 def write_crossing_csv(path: str, cdf_a: NumericCDF, cdf_b: NumericCDF) -> None:
     """F_a, F_b and F_a - F_b at 400 evenly spaced points of [0, the lower
-    of the two tables' last knots], as CSV for plotting."""
+    of the two tables' last knots], as CSV for plotting: one ``np.savetxt``
+    with a ``x,F_a,F_b,diff`` header and each number in ``%.10g``."""
     last = slice(-1, None)
     xs = np.linspace(0.0, min(cdf_a.knots(last)[0], cdf_b.knots(last)[0]), 400)
     va, vb = cdf_a.evaluate(xs), cdf_b.evaluate(xs)
-    with open(path, "w") as f:
-        f.write("x,F_a,F_b,diff\n")
-        for x, ya, yb in zip(xs, va, vb):
-            f.write(f"{x:.10g},{ya:.10g},{yb:.10g},{ya - yb:.10g}\n")
+    np.savetxt(path, np.column_stack((xs, va, vb, va - vb)), fmt="%.10g", delimiter=",",
+               header="x,F_a,F_b,diff", comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -904,17 +900,12 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
 
     Scenarios run on ``SUITE_LANES`` threads, which the sampling, the sorts,
     the CDF evaluations and the FFTs allow because they release the GIL.
-    Records come in index order, and the error of the lowest failing index
-    surfaces, as in a serial loop; the scenarios not yet started are
-    cancelled. Each scenario is timed by its own ``StageClock``, and the
-    report's ``clocks`` hold them in index order.
+    ``Executor.map`` yields the records in index order; the error of the
+    lowest failing index surfaces, as in a serial loop, and cancels the
+    scenarios not yet started. Each scenario is timed by its own
+    ``StageClock``, and the report's ``clocks`` hold them in index order.
     """
     clocks = [StageClock() for _ in range(config.n_scenarios)]
     with ThreadPoolExecutor(max_workers=SUITE_LANES) as lanes:
-        jobs = [lanes.submit(run_scenario, config, i, clock) for i, clock in enumerate(clocks)]
-        try:
-            records = [job.result() for job in jobs]
-        except BaseException:
-            lanes.shutdown(cancel_futures=True)
-            raise
+        records = list(lanes.map(run_scenario, repeat(config), range(config.n_scenarios), clocks))
     return SuiteReport(config, records, clocks)

@@ -184,10 +184,6 @@ class ConditionReport:
         return self.condition_a_holds and self.condition_b_holds
 
     @property
-    def worst_violation(self) -> float:
-        return max(self.worst_violation_a, self.worst_violation_b)
-
-    @property
     def worst_point(self) -> tuple[float, float]:
         if self.worst_violation_a >= self.worst_violation_b:
             return self.worst_point_a

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,6 +6,7 @@ import pytest
 
 from stochorder import cli, harness
 from stochorder.cli import run
+from stochorder.orders import dkw_epsilon
 
 
 def read_json(path):
@@ -273,6 +275,15 @@ class TestVerify:
         assert doc["config"]["seed"] == 9
         assert doc["config"]["n_samples"] == 15000
 
+    def test_delta_override_sets_the_band(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(self.scenario_dict([4.0, 1.0], [2.0, 2.0])))
+        assert run(["verify", "--scenario", str(path), "--delta", "0.05"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["delta"] == 0.05  # the file says 0.01
+        # each of the two samples adds its own half-width
+        assert doc["result"]["verdict"]["band"] == 2 * dkw_epsilon(20000, 0.05)
+
 
 class TestCounterexample:
     def test_crossing_found(self, capsys):
@@ -326,6 +337,31 @@ class TestSuite:
 
     def test_unknown_preset_exit_one(self, capsys):
         assert run(["suite", "--n", "1", "--presets", "bogus"]) == 1
+
+    def test_failed_hypotheses_record_and_exit_two(self, tmp_path, monkeypatch):
+        # no generated scenario fails its hypotheses, so the odd indices are
+        # made to fail their lr chain here
+        check_hypotheses = harness.check_hypotheses
+
+        def check(s):
+            hyp = check_hypotheses(s)
+            if int(s.label.partition("#")[2]) % 2:
+                forced = harness.HypothesisCheck(harness.CheckStatus.FAIL, "forced")
+                return dataclasses.replace(hyp, lr_chain_ok=forced)
+            return hyp
+
+        monkeypatch.setattr(harness, "check_hypotheses", check)
+        out = tmp_path / "r.json"
+        assert run(["suite", "--n", "4", "--seed", "3", "--samples", "5000",
+                    "--presets", "exp_exp", "--output", str(out)]) == 2
+        report = read_json(out)["result"]
+        assert [r["status"] for r in report["records"]] == ["consistent", "failed_hypotheses"] * 2
+        for r in report["records"][1::2]:
+            assert list(r) == ["index", "preset", "scenario", "status", "hypothesis"]
+            assert r["hypothesis"]["lr_chain_ok"] == {
+                "status": "fail", "basis": "analytic", "detail": "forced", "witness": None}
+        assert report["summary"]["run"] == 2
+        assert report["summary"]["failed_hypotheses"] == 2
 
 
 class TestMalformedInput:
@@ -425,6 +461,13 @@ class TestMalformedInput:
         text = json.dumps(TestVerify().scenario_dict([4.0, 1.0], [2.0, 2.0]))
         path.write_text(text.replace('"n_samples": 20000', '"n_samples": 1e400'))
         self.assert_one_line_error(run(["verify", "--scenario", str(path)]), capsys)
+
+    def test_verify_sample_count_past_memory(self, tmp_path, capsys):
+        # numpy refuses 10**15 doubles (7.11 PiB) before it touches memory
+        self.verify_with(tmp_path, capsys, n_samples=10**15)
+
+    def test_suite_sample_count_past_memory(self, capsys):
+        self.assert_one_line_error(run(["suite", "--n", "1", "--samples", str(10**15)]), capsys)
 
     def test_verify_file_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "s.json"
