@@ -5,7 +5,8 @@ Subcommands map one-to-one onto library operations; every report is JSON
 configuration and tool version so runs are reproducible byte for byte.
 
 Exit codes: 0 success/consistent, 2 verdict-inconsistent or
-hypothesis-failed, 1 usage/domain/numeric errors.
+hypothesis-failed, 1 usage/domain/numeric errors or a sample count too large
+to allocate.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from enum import Enum
 from typing import Optional
 
 from . import __version__
@@ -91,13 +93,16 @@ def _parse_variant(text: str) -> ConditionVariant:
 
 
 def _parse_lc_variant(text: str):
-    if text in ("identity", "log"):
+    if text in ("identity", "log", "logshift"):
         return text
     name, _, arg = text.partition(":")
-    if name == "power" and arg:
-        return ("power", float(arg))
+    if name == "power":
+        try:
+            return ("power", float(arg))
+        except ValueError:  # no number after "power:"
+            pass
     raise argparse.ArgumentTypeError(
-        f"variant must be identity, log or power:r, got {text!r}"
+        f"variant must be identity, log, logshift or power:r, got {text!r}"
     )
 
 
@@ -110,20 +115,22 @@ def _resolve_output(path: Optional[str]) -> Optional[str]:
     return path
 
 
+def _enum_value(obj):
+    """``json``'s fallback: an enum as its value; any other object still raises."""
+    return obj.value if isinstance(obj, Enum) else json.JSONEncoder().default(obj)
+
+
 def _write_json(output: Optional[str], **doc) -> None:
-    """``doc`` after ``tool`` and ``version``, as strict JSON, to ``output`` or stdout."""
+    """``doc`` after ``tool`` and ``version``, as strict JSON, to ``output`` or
+    stdout; an enum is written as its value."""
     doc = {"tool": "stochorder", "version": __version__, **doc}
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False, default=_enum_value) + "\n"
     path = _resolve_output(output)
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as f:
             f.write(text)
-
-
-def _emit(report: dict, config: dict, output: Optional[str]) -> None:
-    _write_json(output, config=config, result=report)
 
 
 def _write_profile(path: str, command: str, entries: list[dict]) -> None:
@@ -218,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_major(args) -> int:
     result = check_majorize(args.x, args.y, _MODES[args.mode], args.tol)
     config = {"x": list(args.x), "y": list(args.y), "mode": args.mode, "tol": args.tol}
-    _emit({"holds": bool(result)}, config, args.output)
+    _write_json(args.output, config=config, result={"holds": bool(result)})
     return 0
 
 
 def _cmd_chain(args) -> int:
     chain = t_transform_chain(args.x, args.y)
     config = {"x": list(args.x), "y": list(args.y)}
-    _emit({"steps": [list(s) for s in chain]}, config, args.output)
+    _write_json(args.output, config=config, result={"steps": [list(s) for s in chain]})
     return 0
 
 
@@ -233,12 +240,8 @@ def _cmd_conditions(args) -> int:
     result = asdict(closed_form_conditions(args.phi, args.psi, args.variant))
     if result["ratio_inf"] == -math.inf:  # JSON has no -Infinity
         result["ratio_inf"] = None
-    config = {
-        "phi": list(args.phi.kind),
-        "psi": list(args.psi.kind),
-        "variant": args.variant.value,
-    }
-    _emit(result, config, args.output)
+    config = {"phi": list(args.phi.kind), "psi": list(args.psi.kind), "variant": args.variant}
+    _write_json(args.output, config=config, result=result)
     return 0
 
 
@@ -247,34 +250,21 @@ def _cmd_classify(args) -> int:
     if args.output is None:
         print(region.value)
     else:
-        _emit({"region": region.value}, {"p": args.p, "q": args.q}, args.output)
+        _write_json(args.output, config={"p": args.p, "q": args.q}, result={"region": region})
     return 0
 
 
 def _cmd_logconcave(args) -> int:
     res = log_concavity_classify(args.dist, args.variant)
-    variant = args.variant if isinstance(args.variant, str) else list(args.variant)
-    config = {"dist": args.dist.label, "variant": variant}
-    _emit(
-        {"verdict": res.verdict.value, "witness": res.witness, "detail": res.detail},
-        config,
-        args.output,
-    )
+    config = {"dist": args.dist.label, "variant": args.variant}
+    _write_json(args.output, config=config, result=asdict(res))
     return 0
 
 
 def _cmd_lr(args) -> int:
     res = lr_compare(args.d1, args.d2)
     config = {"d1": args.d1.label, "d2": args.d2.label}
-    _emit(
-        {
-            "verdict": res.verdict.value,
-            "witness": list(res.witness) if res.witness is not None else None,
-            "detail": res.detail,
-        },
-        config,
-        args.output,
-    )
+    _write_json(args.output, config=config, result=asdict(res))
     return 0
 
 
@@ -300,12 +290,12 @@ def _cmd_convolve(args) -> int:
         result["csv"] = args.csv
     if args.compare_weights is not None:
         result["comparison"] = {
-            "relation": verdict.relation.value,
+            "relation": verdict.relation,
             "max_pos_dev": verdict.max_pos_dev,
             "max_neg_dev": verdict.max_neg_dev,
             "crossing_count": verdict.crossing_count,
         }
-    _emit(result, config, args.output)
+    _write_json(args.output, config=config, result=result)
     return 0
 
 
@@ -329,22 +319,17 @@ def _cmd_verify(args) -> int:
     with timed(clock, "hypotheses"):
         hyp = check_hypotheses(s)
     if not hyp.all_pass:
-        name, check = hyp.first_not_passing()
-        _emit(
-            {
-                "status": "hypothesis_not_established",
-                "failed_field": name,
-                "hypothesis": hyp.to_dict(),
-            },
-            config,
-            args.output,
-        )
+        result = {
+            "status": "hypothesis_not_established",
+            "failed_field": hyp.first_not_passing()[0],
+            "hypothesis": hyp.to_dict(),
+        }
         code = 2
     else:
         verify = verify_iid_theorem if s.is_iid else verify_noniid_theorem
         report = verify(s, hyp, clock)
-        _emit(report.to_dict(), config, args.output)
-        code = 0 if report.consistent else 2
+        result, code = report.to_dict(), 0 if report.consistent else 2
+    _write_json(args.output, config=config, result=result)
     if clock is not None:
         _write_profile(args.profile, "verify", [{"label": s.label, "stages": clock.stages}])
     return code
@@ -357,7 +342,7 @@ def _cmd_counterexample(args) -> int:
     if args.csv:
         write_crossing_csv(_resolve_output(args.csv), *report.cdfs)
         result["csv"] = args.csv
-    _emit(result, config, args.output)
+    _write_json(args.output, config=config, result=result)
     return 0 if report.consistent else 2
 
 
@@ -367,7 +352,7 @@ def _cmd_suite(args) -> int:
         presets=SuiteConfig.presets if args.presets is None else tuple(args.presets.split(",")),
     )
     report = run_suite(config)
-    _emit(report.to_dict(), config.to_dict(), args.output)
+    _write_json(args.output, config=config.to_dict(), result=report.to_dict())
     if args.profile is not None:
         entries = [
             {"index": r["index"], "preset": r["preset"], "status": r["status"],

@@ -329,14 +329,7 @@ class TheoremReport:
 
 
 def _verdict_to_dict(v: OrderVerdict) -> dict:
-    return {
-        "relation": v.relation.value,
-        "max_pos_dev": v.max_pos_dev,
-        "max_neg_dev": v.max_neg_dev,
-        "band": v.band,
-        "crossing_count": v.crossing_count,
-        "meta": {k: v.meta[k] for k in sorted(v.meta)},
-    }
+    return {**asdict(v), "relation": v.relation.value, "meta": dict(sorted(v.meta.items()))}
 
 
 def _inverse_weights(phi: Transform, w: WeightVector) -> np.ndarray:

@@ -118,6 +118,24 @@ class TestLogconcaveAndLR:
         assert res["verdict"] == "not_log_concave"
         assert res["witness"] is not None
 
+    def test_logconcave_logshift_variant(self, capsys):
+        # the check verify runs for psi = logshift, exp(X) - e
+        assert run(["logconcave", "--dist", "gengamma:1,2,1",
+                    "--variant", "logshift"]) == 0
+        res = json.loads(capsys.readouterr().out)["result"]
+        assert (res["verdict"], res["witness"]) == ("not_log_concave", 4.670774270471606)
+
+    def test_logconcave_power_variant_not_a_number(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["logconcave", "--dist", "gengamma:1,2,1", "--variant", "power:abc"])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert "_parse_lc_variant" not in err
+        assert err.splitlines()[-1] == (
+            "stochorder logconcave: error: argument --variant: "
+            "variant must be identity, log, logshift or power:r, got 'power:abc'"
+        )
+
     def test_lr_json(self, capsys):
         assert run(["lr", "--d1", "gengamma:2,1.5,1",
                     "--d2", "gengamma:2,1.5,2"]) == 0
@@ -228,6 +246,7 @@ class TestVerify:
         path.write_text(json.dumps(self.scenario_dict([2.0, 2.0], [3.0, 1.0])))
         assert run(["verify", "--scenario", str(path)]) == 2
         res = json.loads(capsys.readouterr().out)["result"]
+        assert list(res) == ["status", "failed_field", "hypothesis"]
         assert res["status"] == "hypothesis_not_established"
         assert res["failed_field"] == "majorization_ok"
 
@@ -239,6 +258,7 @@ class TestVerify:
         path.write_text(json.dumps(data))
         assert run(["verify", "--scenario", str(path)]) == 2
         res = json.loads(capsys.readouterr().out)["result"]
+        assert list(res) == ["status", "failed_field", "hypothesis"]
         assert res["status"] == "hypothesis_not_established"
         assert res["failed_field"] == "logconcavity_ok"
 
@@ -546,7 +566,22 @@ class TestStrictJSON:
         assert docs["conditions"]["result"]["ratio_inf"] == 0.5
         assert docs["suite"]["result"]["summary"]["consistent"] == 9
         assert len(read_strict(tmp_path / "profile.json")["scenarios"]) == 9
+        # key orders are part of the report's bytes
+        for name in ("lr", "logconcave"):
+            assert list(docs[name]["result"]) == ["verdict", "witness", "detail"], name
+        verdicts = [
+            v for r in docs["suite"]["result"]["records"]
+            for v in (r["report"]["verdict"], r["report"]["oracle_verdict"]) if v is not None
+        ]
+        assert len(verdicts) > 9  # the DKW verdicts and some oracle ones
+        for v in verdicts:
+            assert list(v) == ["relation", "max_pos_dev", "max_neg_dev", "band",
+                               "crossing_count", "meta"]
+            assert list(v["meta"]) == sorted(v["meta"])
 
     def test_a_non_finite_number_is_an_error(self, tmp_path):
         with pytest.raises(ValueError):
-            cli._emit({"x": float("nan")}, {}, str(tmp_path / "nan.json"))
+            cli._write_json(str(tmp_path / "nan.json"), config={}, result={"x": float("nan")})
+        # so is an object JSON cannot write; only an enum is written as its value
+        with pytest.raises(TypeError):
+            cli._write_json(str(tmp_path / "object.json"), config={}, result={"x": object()})
