@@ -5,8 +5,8 @@ Subcommands map one-to-one onto library operations; every report is JSON
 configuration and tool version so runs are reproducible byte for byte.
 
 Exit codes: 0 success/consistent, 2 verdict-inconsistent or
-hypothesis-failed, 1 usage/domain/numeric errors or a sample count too large
-to allocate.
+hypothesis-failed (for suite: any scenario not consistent), 1
+usage/domain/numeric errors or a sample count too large to allocate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from enum import Enum
@@ -29,7 +28,6 @@ from .orders import convolve_weighted
 from .harness import (
     PROFILE_STAGES,
     Scenario,
-    StageClock,
     SuiteConfig,
     _compare_weightings,
     check_hypotheses,
@@ -106,15 +104,6 @@ def _parse_lc_variant(text: str):
     )
 
 
-def _resolve_output(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
-    base = os.environ.get("STOCHORDER_OUTPUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _enum_value(obj):
     """``json``'s fallback: an enum as its value; any other object still raises."""
     return obj.value if isinstance(obj, Enum) else json.JSONEncoder().default(obj)
@@ -125,11 +114,10 @@ def _write_json(output: Optional[str], **doc) -> None:
     stdout; an enum is written as its value."""
     doc = {"tool": "stochorder", "version": __version__, **doc}
     text = json.dumps(doc, indent=2, allow_nan=False, default=_enum_value) + "\n"
-    path = _resolve_output(output)
-    if path is None:
+    if output is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as f:
+        with open(output, "w") as f:
             f.write(text)
 
 
@@ -286,7 +274,7 @@ def _cmd_convolve(args) -> int:
         "meta": cdf.meta,
     }
     if args.csv:
-        cdf.to_csv(_resolve_output(args.csv))
+        cdf.to_csv(args.csv)
         result["csv"] = args.csv
     if args.compare_weights is not None:
         result["comparison"] = {
@@ -315,8 +303,8 @@ def _cmd_verify(args) -> int:
         data["delta"] = args.delta
     s = Scenario.from_dict(data)
     config = s.to_dict()
-    clock = StageClock() if args.profile else None
-    with timed(clock, "hypotheses"):
+    stages = {}
+    with timed(stages, "hypotheses"):
         hyp = check_hypotheses(s)
     if not hyp.all_pass:
         result = {
@@ -327,11 +315,11 @@ def _cmd_verify(args) -> int:
         code = 2
     else:
         verify = verify_iid_theorem if s.is_iid else verify_noniid_theorem
-        report = verify(s, hyp, clock)
+        report = verify(s, hyp, stages)
         result, code = report.to_dict(), 0 if report.consistent else 2
     _write_json(args.output, config=config, result=result)
-    if clock is not None:
-        _write_profile(args.profile, "verify", [{"label": s.label, "stages": clock.stages}])
+    if args.profile:
+        _write_profile(args.profile, "verify", [{"label": s.label, "stages": stages}])
     return code
 
 
@@ -340,7 +328,7 @@ def _cmd_counterexample(args) -> int:
     config = {"alpha": args.alpha, "a": list(args.a), "b": list(args.b)}
     result = report.to_dict()
     if args.csv:
-        write_crossing_csv(_resolve_output(args.csv), *report.cdfs)
+        write_crossing_csv(args.csv, *report.cdfs)
         result["csv"] = args.csv
     _write_json(args.output, config=config, result=result)
     return 0 if report.consistent else 2
@@ -354,14 +342,10 @@ def _cmd_suite(args) -> int:
     report = run_suite(config)
     _write_json(args.output, config=config.to_dict(), result=report.to_dict())
     if args.profile is not None:
-        entries = [
-            {"index": r["index"], "preset": r["preset"], "status": r["status"],
-             "stages": c.stages}
-            for r, c in zip(report.records, report.clocks)
-        ]
+        entries = [{"index": r["index"], "preset": r["preset"], "status": r["status"],
+                    "stages": st} for r, st in zip(report.records, report.stages)]
         _write_profile(args.profile, "suite", entries)
-    ok = report.n_inconsistent == 0 and report.n_failed_hypotheses == 0
-    return 0 if ok else 2
+    return 0 if report.n_consistent == len(report.records) else 2
 
 
 _COMMANDS = {

@@ -20,7 +20,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import repeat
@@ -68,33 +68,24 @@ ORACLE_MAX_N = 4
 DEFAULT_N_SAMPLES = 100_000
 
 
-# the stages of a scenario that a StageClock times, in order
+# the stages of a scenario that ``timed`` records, in order
 PROFILE_STAGES = ("hypotheses", "sampling", "dkw", "oracle_a", "oracle_b", "exact")
 
 
-class StageClock:
-    """Thread CPU and wall seconds of the stages of one scenario, which the
-    command line's ``--profile`` writes. Timings never enter a report, which
-    stays byte-reproducible."""
-
-    def __init__(self):
-        self.stages: dict[str, dict[str, float]] = {}
-
-    @contextmanager
-    def stage(self, name: str):
-        cpu, wall = time.thread_time(), time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stages[name] = {
+@contextmanager
+def timed(stages: Optional[dict], name: str):
+    """Record the block's thread CPU and wall seconds as ``stages[name]``,
+    or nothing where ``stages`` is None. The command line's ``--profile``
+    writes them; they never enter a report, which stays byte-reproducible."""
+    cpu, wall = time.thread_time(), time.perf_counter()
+    try:
+        yield
+    finally:
+        if stages is not None:
+            stages[name] = {
                 "cpu_s": time.thread_time() - cpu,
                 "wall_s": time.perf_counter() - wall,
             }
-
-
-def timed(clock: Optional[StageClock], name: str):
-    """``clock.stage(name)``, or no timing where there is no clock."""
-    return nullcontext() if clock is None else clock.stage(name)
 
 
 class CheckStatus(Enum):
@@ -124,7 +115,7 @@ class HypothesisReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(c.status is CheckStatus.PASS for _, c in self.items())
+        return self.first_not_passing() is None
 
     def first_not_passing(self) -> Optional[tuple[str, HypothesisCheck]]:
         for name, c in self.items():
@@ -452,14 +443,16 @@ def _sample_weighted_sums(
     ``SeedSequence(seed)``. Each sum keeps its own law and its own n draws;
     the DKW band bounds each ECDF's error on its own and joins the two by a
     union bound, which needs no independence between the samples. Only one
-    component's draws are held at a time."""
+    component's draws are held at a time. Overflow (and a zero weight times
+    inf) passes silently; the comparison refuses the non-finite sample."""
     sum_a, sum_b, scaled = np.zeros(n), np.zeros(n), np.empty(n)
     children = np.random.SeedSequence(seed).spawn(len(dists))
-    for d, wa, wb, child in zip(dists, a, b, children):
-        draws = d.sample(n, int(child.generate_state(1)[0]))
-        sum_a += np.multiply(draws, wa, out=scaled)
-        draws *= wb
-        sum_b += draws
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, wa, wb, child in zip(dists, a, b, children):
+            draws = d.sample(n, int(child.generate_state(1)[0]))
+            sum_a += np.multiply(draws, wa, out=scaled)
+            draws *= wb
+            sum_b += draws
     return sum_a, sum_b
 
 
@@ -469,17 +462,17 @@ def _anti_theorem_deviation(v: OrderVerdict, predicted: str) -> float:
 
 
 def _compare_weightings(
-    dists: Sequence[Dist], w_a, w_b, clock: Optional[StageClock] = None
+    dists: Sequence[Dist], w_a, w_b, stages: Optional[dict] = None
 ) -> tuple[NumericCDF, NumericCDF, OrderVerdict]:
     """The oracle's tables of sum_i w_a[i] X_i and of sum_i w_b[i] X_i, and
-    their exact comparison; ``clock``, if given, times the three stages.
-    Both functions are looked up in this module at each call, where the
-    benchmark's traced run puts its wrappers."""
-    with timed(clock, "oracle_a"):
+    their exact comparison; the three stages' times go into ``stages``, if
+    given. Both functions are looked up in this module at each call, where
+    the benchmark's traced run puts its wrappers."""
+    with timed(stages, "oracle_a"):
         cdf_a = convolve_weighted(dists, w_a)
-    with timed(clock, "oracle_b"):
+    with timed(stages, "oracle_b"):
         cdf_b = convolve_weighted(dists, w_b)
-    with timed(clock, "exact"):
+    with timed(stages, "exact"):
         verdict = st_compare_exact(cdf_a, cdf_b)
     return cdf_a, cdf_b, verdict
 
@@ -489,22 +482,22 @@ def _run_comparison(
     hyp: HypothesisReport,
     a_used: np.ndarray,
     b_used: np.ndarray,
-    clock: Optional[StageClock] = None,
+    stages: Optional[dict] = None,
 ) -> TheoremReport:
     """The DKW test of the two sums and, for at most ``ORACLE_MAX_N``
     components, the oracle's, one after the other on the calling thread;
-    ``clock``, if given, times each stage."""
+    each stage's times go into ``stages``, if given."""
     predicted = "a" if s.variant is ConditionVariant.CONVEX_CASE else "b"
-    with timed(clock, "sampling"):
+    with timed(stages, "sampling"):
         sample_a, sample_b = _sample_weighted_sums(
             s.dists, a_used, b_used, s.n_samples, s.seed
         )
-    with timed(clock, "dkw"):
+    with timed(stages, "dkw"):
         verdict = st_compare_empirical(sample_a, sample_b, s.delta)
     del sample_a, sample_b
     oracle: Optional[OrderVerdict] = None
     if len(s.dists) <= ORACLE_MAX_N:
-        oracle = _compare_weightings(s.dists, a_used, b_used, clock)[2]
+        oracle = _compare_weightings(s.dists, a_used, b_used, stages)[2]
     consistent = _anti_theorem_deviation(verdict, predicted) <= verdict.band
     if oracle is not None:
         consistent = consistent and (
@@ -535,29 +528,29 @@ def _require_pass(s: Scenario, hyp: Optional[HypothesisReport]) -> HypothesisRep
 
 
 def verify_iid_theorem(
-    s: Scenario, hyp: Optional[HypothesisReport] = None, clock: Optional[StageClock] = None
+    s: Scenario, hyp: Optional[HypothesisReport] = None, stages: Optional[dict] = None
 ) -> TheoremReport:
     """Conclusion test for identically distributed components. ``hyp`` is
-    the scenario's hypothesis report, if it is already computed; ``clock``,
-    if given, times the comparison's stages."""
+    the scenario's hypothesis report, if it is already computed; the
+    comparison's stage times go into ``stages``, if given."""
     if not s.is_iid:
         raise ParameterError("verify_iid_theorem requires identical dists")
-    return _run_comparison(s, _require_pass(s, hyp), s.a.as_array(), s.b.as_array(), clock)
+    return _run_comparison(s, _require_pass(s, hyp), s.a.as_array(), s.b.as_array(), stages)
 
 
 def verify_noniid_theorem(
-    s: Scenario, hyp: Optional[HypothesisReport] = None, clock: Optional[StageClock] = None
+    s: Scenario, hyp: Optional[HypothesisReport] = None, stages: Optional[dict] = None
 ) -> TheoremReport:
     """Conclusion test for an lr-decreasing chain of components. ``hyp`` is
-    the scenario's hypothesis report, if it is already computed; ``clock``,
-    if given, times the comparison's stages.
+    the scenario's hypothesis report, if it is already computed; the
+    comparison's stage times go into ``stages``, if given.
 
     The convex case pairs the i-th largest coefficient with the i-th
     variable of the chain; the concave case pairs the i-th smallest.
     """
     step = -1 if s.variant is ConditionVariant.CONVEX_CASE else 1
     a_used, b_used = (np.sort(w.as_array())[::step] for w in (s.a, s.b))
-    return _run_comparison(s, _require_pass(s, hyp), a_used, b_used, clock)
+    return _run_comparison(s, _require_pass(s, hyp), a_used, b_used, stages)
 
 
 def run_counterexample(
@@ -807,13 +800,13 @@ def generate_scenario(
 
 @dataclass
 class SuiteReport:
-    """A suite's config, its records and one ``StageClock`` per scenario,
-    both in index order; the clocks are never part of ``to_dict``. Each
-    count of the summary is read from the records' statuses."""
+    """A suite's config, its records and one dict of stage times per
+    scenario, both in index order; the stage times never enter ``to_dict``.
+    Each count of the summary is read from the records' statuses."""
 
     config: SuiteConfig
     records: list = field(default_factory=list)
-    clocks: list = field(default_factory=list)
+    stages: list = field(default_factory=list)
 
     @property
     def n_consistent(self) -> int:
@@ -847,16 +840,16 @@ class SuiteReport:
         }
 
 
-def run_scenario(config: SuiteConfig, i: int, clock: Optional[StageClock] = None) -> dict:
+def run_scenario(config: SuiteConfig, i: int, stages: Optional[dict] = None) -> dict:
     """Record of scenario ``i`` of the suite; a pure function of the config
     and the index.
 
     A scenario with a failing hypothesis (which the generators should never
     produce) is marked failed_hypotheses; every other scenario gets a
-    consistency verdict. ``clock``, if given, times the whole scenario
-    ("scenario") and each of its stages.
+    consistency verdict. The times of the whole scenario ("scenario") and
+    of each of its stages go into ``stages``, if given.
     """
-    with timed(clock, "scenario"):
+    with timed(stages, "scenario"):
         preset = config.presets[i % len(config.presets)]
         s = generate_scenario(
             preset,
@@ -867,16 +860,16 @@ def run_scenario(config: SuiteConfig, i: int, clock: Optional[StageClock] = None
             label=f"{preset}#{i}",
         )
         record: dict = {"index": i, "preset": preset, "scenario": s.to_dict()}
-        with timed(clock, "hypotheses"):
+        with timed(stages, "hypotheses"):
             hyp = check_hypotheses(s)
         if not hyp.all_pass:
             record["status"] = "failed_hypotheses"
             record["hypothesis"] = hyp.to_dict()
             return record
         tr = (
-            verify_iid_theorem(s, hyp, clock)
+            verify_iid_theorem(s, hyp, stages)
             if s.is_iid
-            else verify_noniid_theorem(s, hyp, clock)
+            else verify_noniid_theorem(s, hyp, stages)
         )
         record["status"] = "consistent" if tr.consistent else "inconsistent"
         record["report"] = tr.to_dict()
@@ -895,10 +888,10 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     the CDF evaluations and the FFTs allow because they release the GIL.
     ``Executor.map`` yields the records in index order; the error of the
     lowest failing index surfaces, as in a serial loop, and cancels the
-    scenarios not yet started. Each scenario is timed by its own
-    ``StageClock``, and the report's ``clocks`` hold them in index order.
+    scenarios not yet started. Each scenario's stage times go into its own
+    dict, and the report's ``stages`` hold them in index order.
     """
-    clocks = [StageClock() for _ in range(config.n_scenarios)]
+    stages = [{} for _ in range(config.n_scenarios)]
     with ThreadPoolExecutor(max_workers=SUITE_LANES) as lanes:
-        records = list(lanes.map(run_scenario, repeat(config), range(config.n_scenarios), clocks))
-    return SuiteReport(config, records, clocks)
+        records = list(lanes.map(run_scenario, repeat(config), range(config.n_scenarios), stages))
+    return SuiteReport(config, records, stages)

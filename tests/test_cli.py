@@ -198,11 +198,17 @@ class TestConvolve:
         assert calls == ["convolve_weighted", "convolve_weighted", "st_compare_exact"]
         assert json.loads(capsys.readouterr().out)["result"]["comparison"]["crossing_count"] == 0
 
-    def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("STOCHORDER_OUTPUT_DIR", str(tmp_path))
-        assert run(["convolve", "--dists", "gengamma:1,1,1",
-                    "--weights", "1", "--output", "conv.json"]) == 0
-        assert (tmp_path / "conv.json").exists()
+    def test_output_path_used_as_given(self, tmp_path, capsys, monkeypatch):
+        # STOCHORDER_OUTPUT_DIR redirects no relative path
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("STOCHORDER_OUTPUT_DIR", str(elsewhere))
+        monkeypatch.chdir(tmp_path)
+        assert run(["convolve", "--dists", "gengamma:1,1,1", "--weights", "1",
+                    "--output", "conv.json", "--csv", "cdf.csv"]) == 0
+        assert read_json(tmp_path / "conv.json")["result"]["csv"] == "cdf.csv"
+        assert (tmp_path / "cdf.csv").read_text().startswith("x,F\n")
+        assert list(elsewhere.iterdir()) == []
 
 
 class TestVerify:
@@ -383,6 +389,26 @@ class TestSuite:
         assert report["summary"]["run"] == 2
         assert report["summary"]["failed_hypotheses"] == 2
 
+    def test_any_record_not_consistent_exits_two(self, tmp_path, monkeypatch):
+        # a status the summary does not count, such as one a contained oracle
+        # failure would give, must not pass the suite either
+        run_scenario = harness.run_scenario
+
+        def scenario(config, i, stages=None):
+            record = run_scenario(config, i, stages)
+            if i == 1:
+                record["status"] = "oracle_failed"
+            return record
+
+        monkeypatch.setattr(harness, "run_scenario", scenario)
+        out = tmp_path / "r.json"
+        assert run(["suite", "--n", "3", "--seed", "3", "--samples", "5000",
+                    "--presets", "exp_exp", "--output", str(out)]) == 2
+        report = read_json(out)["result"]
+        assert [r["status"] for r in report["records"]] == [
+            "consistent", "oracle_failed", "consistent"]
+        assert (report["summary"]["inconsistent"], report["summary"]["failed_hypotheses"]) == (0, 0)
+
 
 class TestMalformedInput:
     """Bad specs are rejected where they enter, with exit code 1 and a
@@ -488,6 +514,14 @@ class TestMalformedInput:
 
     def test_suite_sample_count_past_memory(self, capsys):
         self.assert_one_line_error(run(["suite", "--n", "1", "--samples", str(10**15)]), capsys)
+
+    def test_verify_overflowing_draws_without_a_warning(self, tmp_path, capsys, recwarn):
+        # every hypothesis passes, but draws of gengamma(0.001, 1, 1) overflow
+        self.verify_with(
+            tmp_path, capsys, dists=[["gengamma", 0.001, 1, 1]] * 2,
+            a=[8.705161769307118, 0.7791959211260039], b=[3.238271523680812, 2.09464416241296],
+        )
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_verify_file_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -734,10 +734,10 @@ class TestSuite:
     def test_every_scenario_has_a_clock(self):
         cfg = SuiteConfig(n_scenarios=2, master_seed=5, n_samples=5_000)
         report = run_suite(cfg)
-        assert len(report.clocks) == 2
-        for clock in report.clocks:
+        assert len(report.stages) == 2
+        for stages in report.stages:
             # n <= 4 components, so every scenario runs the oracle's stages
-            assert set(clock.stages) == {"scenario", *harness.PROFILE_STAGES}
+            assert set(stages) == {"scenario", *harness.PROFILE_STAGES}
 
     def test_summary_counts_the_records(self):
         statuses = ["consistent", "inconsistent", "consistent", "failed_hypotheses", "consistent"]
