@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from enum import Enum
@@ -52,7 +53,15 @@ _MODES = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with code 1 on usage errors."""
+    """Argument parser that exits with code 1 on usage errors, and reads an
+    argument such as ``-1,2`` or ``-1e1`` as a value; its subparsers are
+    ``_Parser``s too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -N and -N.M for values; no option of this
+        # parser starts with a digit, so "-" before a digit begins a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -67,17 +76,13 @@ def _parse_vector(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}")
 
 
-def _text_spec(text: str) -> list[str]:
-    """``name:x,y,...`` as the spec ``[name, x, y, ...]``."""
-    name, _, args = text.partition(":")
-    return [name] + (args.split(",") if args else [])
-
-
 def _spec_arg(from_spec):
-    """Argument type reading ``name:x,y,...`` through ``from_spec``."""
+    """Argument type reading ``name:x,y,...`` as the spec ``[name, x, y, ...]``
+    through ``from_spec``; a spec it refuses is a usage error of the option."""
     def parse(text: str):
+        name, _, args = text.partition(":")
         try:
-            return from_spec(_text_spec(text))
+            return from_spec([name] + (args.split(",") if args else []))
         except StochOrderError as exc:  # a bad spec, or an out-of-range exponent
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return parse
@@ -88,20 +93,6 @@ def _parse_variant(text: str) -> ConditionVariant:
         return ConditionVariant(text.removesuffix("_case"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"variant must be convex or concave, got {text!r}")
-
-
-def _parse_lc_variant(text: str):
-    if text in ("identity", "log", "logshift"):
-        return text
-    name, _, arg = text.partition(":")
-    if name == "power":
-        try:
-            return ("power", float(arg))
-        except ValueError:  # no number after "power:"
-            pass
-    raise argparse.ArgumentTypeError(
-        f"variant must be identity, log, logshift or power:r, got {text!r}"
-    )
 
 
 def _enum_value(obj):
@@ -144,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output")
+    dist, transform = _spec_arg(dist_from_spec), _spec_arg(transform_from_spec)
 
     p = sub.add_parser("major", help="check a (weak) majorization order", parents=[output])
     p.add_argument("--x", type=_parse_vector, required=True)
@@ -157,25 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditions", help="closed-form check of the coupling conditions",
                        parents=[output])
-    p.add_argument("--phi", type=_spec_arg(transform_from_spec), required=True)
-    p.add_argument("--psi", type=_spec_arg(transform_from_spec), required=True)
+    p.add_argument("--phi", type=transform, required=True)
+    p.add_argument("--psi", type=transform, required=True)
     p.add_argument("--variant", type=_parse_variant, default=ConditionVariant.CONVEX_CASE)
 
     p = sub.add_parser("classify", help="power-pair parameter region", parents=[output])
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
 
-    p = sub.add_parser("logconcave", help="log-concavity of a transformed variable",
-                       parents=[output])
-    p.add_argument("--dist", type=_spec_arg(dist_from_spec), required=True)
-    p.add_argument("--variant", type=_parse_lc_variant, default="identity")
+    p = sub.add_parser("logconcave", help="log-concavity of psi^-1(X)", parents=[output])
+    p.add_argument("--dist", type=dist, required=True)
+    p.add_argument("--psi", type=transform, default="power:1", help="default power:1, X itself")
 
     p = sub.add_parser("lr", help="likelihood-ratio order comparison", parents=[output])
-    p.add_argument("--d1", type=_spec_arg(dist_from_spec), required=True)
-    p.add_argument("--d2", type=_spec_arg(dist_from_spec), required=True)
+    p.add_argument("--d1", type=dist, required=True)
+    p.add_argument("--d2", type=dist, required=True)
 
     p = sub.add_parser("convolve", help="CDF of a weighted sum", parents=[output])
-    p.add_argument("--dists", required=True,
+    p.add_argument("--dists", type=lambda text: [dist(t) for t in text.split(";")],
+                   required=True,
                    help="semicolon-separated specs, e.g. gengamma:1,1,1;gengamma:1,2,1")
     p.add_argument("--weights", type=_parse_vector, required=True)
     p.add_argument("--csv", help="write the CDF as two-column CSV here")
@@ -243,8 +235,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_logconcave(args) -> int:
-    res = log_concavity_classify(args.dist, args.variant)
-    config = {"dist": args.dist.label, "variant": args.variant}
+    res = log_concavity_classify(args.dist, args.psi)
+    config = {"dist": args.dist.label, "psi": list(args.psi.kind)}
     _write_json(args.output, config=config, result=asdict(res))
     return 0
 
@@ -257,13 +249,12 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    dists = [dist_from_spec(_text_spec(t)) for t in args.dists.split(";")]
     if args.compare_weights is None:
-        cdf = convolve_weighted(dists, args.weights)
+        cdf = convolve_weighted(args.dists, args.weights)
     else:
-        cdf, _, verdict = _compare_weightings(dists, args.weights, args.compare_weights)
+        cdf, _, verdict = _compare_weightings(args.dists, args.weights, args.compare_weights)
     config = {
-        "dists": [d.label for d in dists],
+        "dists": [d.label for d in args.dists],
         "weights": list(args.weights),
         "compare_weights": list(args.compare_weights) if args.compare_weights else None,
     }

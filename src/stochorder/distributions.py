@@ -1,8 +1,8 @@
 """Generalized gamma machinery: densities, exact sampling via gamma draws,
-closed-form log-concavity classification of power, log and shifted-exp
-transforms of the variable, and closed-form likelihood-ratio-order
-comparison. ``Dist`` is ``GammaPower``; every layer above takes only it
-and its subclass ``GeneralizedGamma``.
+closed-form log-concavity classification of psi^{-1}(X) for a transform
+psi (a power, the log or the shifted exp of X), and closed-form
+likelihood-ratio-order comparison. ``Dist`` is ``GammaPower``; every layer
+above takes only it and its subclass ``GeneralizedGamma``.
 
 ``GammaPower(r, alpha, lam)`` is ``X = G**r`` with ``G ~ Gamma(alpha,
 rate=lam)``; ``r < 0`` gives the inverse branch needed when a decreasing
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -194,22 +194,6 @@ class LogConcavityResult:
     detail: str = ""
 
 
-VariantSpec = Union[str, tuple]  # "identity" | "log" | "logshift" | ("power", r)
-
-
-def _variant_power(variant: VariantSpec) -> Optional[float]:
-    if variant == "identity":
-        return 1.0
-    if isinstance(variant, tuple) and len(variant) == 2 and variant[0] == "power":
-        r = float(variant[1])
-        if not math.isfinite(r) or r == 0:
-            raise ParameterError(f"power variant needs a finite r != 0, got {r}")
-        return r
-    if variant == "log":
-        return None
-    raise ParameterError(f"unknown variant {variant!r}")
-
-
 def gamma_power_logconcave(t: float, alpha: float) -> bool:
     """Whether G**t (G gamma with shape alpha) has a log-concave density.
 
@@ -266,26 +250,24 @@ def _logshift_witness(x_dist: GammaPower) -> Optional[float]:
     return None
 
 
-def log_concavity_classify(
-    d: Dist, variant: VariantSpec = "identity"
-) -> LogConcavityResult:
-    """Classify log-concavity of the transformed variable, in closed form.
+def log_concavity_classify(d: Dist, psi: Transform) -> LogConcavityResult:
+    """Classify log-concavity of psi^{-1}(X), the variable the hypothesis
+    names for the transform ``psi``, in closed form.
 
-    Powers of the variable reduce to powers G**t of the underlying gamma,
-    which are log-concave iff ``gamma_power_logconcave(t, alpha)``; otherwise
-    the witness is a point of positive log-density curvature. ``log`` of the
-    variable is always log-concave, and ``logshift``, exp(X) - e, never is.
+    For psi = x^s it is X^(1/s) = G**(r/s), a power of the underlying gamma,
+    log-concave iff ``gamma_power_logconcave(t, alpha)``; otherwise the
+    witness is a point of positive log-density curvature. For psi = exp it is
+    log X, always log-concave, and for psi = logshift it is exp(X) - e, never.
     """
-    if variant == "logshift":
+    if psi.kind[0] == "logshift":
         return LogConcavityResult(
             LogConcavity.NOT_LOG_CONCAVE,
             witness=_logshift_witness(d),
             detail="exp(X) - e: positive log-density curvature",
         )
-    rv = _variant_power(variant)
-    if rv is None:  # log X = r * log G, and log G is log-concave
+    if psi.kind[0] == "exp":  # log X = r * log G, and log G is log-concave
         return LogConcavityResult(LogConcavity.LOG_CONCAVE, detail="log transform")
-    t = d.r * rv  # X**rv = G**(r*rv); |t| past the float range is > 1
+    t = d.r * (1.0 / psi.kind[1])  # X**(1/s) = G**(r/s); |t| past the float range is > 1
     if math.isfinite(t) and gamma_power_logconcave(t, d.alpha):
         return LogConcavityResult(
             LogConcavity.LOG_CONCAVE, detail=f"gamma power t={t:g}"

@@ -346,21 +346,10 @@ def _licensed_weak_mode(variant: ConditionVariant, phi: Transform) -> Majorizati
     return MajorizationMode.WEAK_SUP if increasing else MajorizationMode.WEAK_SUB
 
 
-def _psi_variant(psi: Transform):
-    """The transform of X whose log-concavity the hypothesis needs.
-
-    psi^{-1}(X) for psi = exp is log X; for psi = x^r it is X^(1/r); for
-    psi = logshift it is exp(X) - e.
-    """
-    if psi.kind[0] == "power":
-        return ("power", 1.0 / psi.kind[1])
-    return "log" if psi.kind[0] == "exp" else "logshift"
-
-
 def _check_log_concavity(dists: Sequence[Dist], psi: Transform) -> HypothesisCheck:
-    variant = _psi_variant(psi)
+    """Whether psi^{-1}(X) is log-concave for every distinct component X."""
     for d in dict.fromkeys(dists):
-        res = log_concavity_classify(d, variant)
+        res = log_concavity_classify(d, psi)
         if res.verdict is LogConcavity.NOT_LOG_CONCAVE:
             return HypothesisCheck(
                 CheckStatus.FAIL,

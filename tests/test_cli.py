@@ -33,6 +33,11 @@ class TestMajor:
         assert run(["major", "--x", "1,2", "--y", "1,2,3"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_negative_entries_are_values(self, capsys):
+        # log-weights may be negative; "-1,2" is no option
+        assert run(["major", "--x", "-1,2", "--y", "-2,3"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["holds"] is True
+
 
 class TestChain:
     def test_steps_emitted(self, capsys):
@@ -49,6 +54,11 @@ class TestClassify:
     def test_bare_region_to_stdout(self, capsys):
         assert run(["classify", "--p", "2", "--q", "2"]) == 0
         assert capsys.readouterr().out.strip() == "A3"
+
+    def test_negative_exponent_in_exponent_notation(self, capsys):
+        # regions A0 and A1 need p < 0; "-1e1" is no option
+        assert run(["classify", "--p", "-1e1", "--q", "0.5"]) == 0
+        assert capsys.readouterr().out.strip() == "A1"
 
     def test_json_output_file(self, tmp_path, capsys):
         out = tmp_path / "region.json"
@@ -106,34 +116,41 @@ class TestConditions:
 
 class TestLogconcaveAndLR:
     def test_logconcave_json(self, capsys):
-        assert run(["logconcave", "--dist", "gengamma:1,2,1",
-                    "--variant", "identity"]) == 0
-        res = json.loads(capsys.readouterr().out)["result"]
-        assert res["verdict"] == "log_concave"
+        # psi defaults to power:1, so the variable checked is X itself
+        assert run(["logconcave", "--dist", "gengamma:1,2,1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["psi"] == ["power", 1.0]
+        assert doc["result"]["verdict"] == "log_concave"
 
     def test_logconcave_power_variant(self, capsys):
-        assert run(["logconcave", "--dist", "gengamma:1,0.5,1",
-                    "--variant", "power:1"]) == 0
+        assert run(["logconcave", "--dist", "gengamma:1,0.5,1", "--psi", "power:1"]) == 0
         res = json.loads(capsys.readouterr().out)["result"]
         assert res["verdict"] == "not_log_concave"
         assert res["witness"] is not None
 
     def test_logconcave_logshift_variant(self, capsys):
         # the check verify runs for psi = logshift, exp(X) - e
-        assert run(["logconcave", "--dist", "gengamma:1,2,1",
-                    "--variant", "logshift"]) == 0
+        assert run(["logconcave", "--dist", "gengamma:1,2,1", "--psi", "logshift"]) == 0
         res = json.loads(capsys.readouterr().out)["result"]
         assert (res["verdict"], res["witness"]) == ("not_log_concave", 4.670774270471606)
 
     def test_logconcave_power_variant_not_a_number(self, capsys):
         with pytest.raises(SystemExit) as e:
-            run(["logconcave", "--dist", "gengamma:1,2,1", "--variant", "power:abc"])
+            run(["logconcave", "--dist", "gengamma:1,2,1", "--psi", "power:abc"])
         assert e.value.code == 1
         err = capsys.readouterr().err
-        assert "_parse_lc_variant" not in err
+        assert "invalid" not in err
         assert err.splitlines()[-1] == (
-            "stochorder logconcave: error: argument --variant: "
-            "variant must be identity, log, logshift or power:r, got 'power:abc'"
+            "stochorder logconcave: error: argument --psi: "
+            "transform 'power': 'abc' is not a finite number"
+        )
+
+    def test_logconcave_psi_not_finite(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["logconcave", "--dist", "gengamma:1,2,1", "--psi", "power:inf"])
+        assert e.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "stochorder logconcave: error: argument --psi:"
         )
 
     def test_lr_json(self, capsys):
@@ -449,8 +466,12 @@ class TestMalformedInput:
         self.verify_with(tmp_path, capsys, premise_mode="bogus")
 
     def test_convolve_short_dist_spec(self, capsys):
-        assert run(["convolve", "--dists", "gengamma:1,1", "--weights", "1"]) == 1
-        assert capsys.readouterr().err.startswith("stochorder: error:")
+        with pytest.raises(SystemExit) as e:
+            run(["convolve", "--dists", "gengamma:1,1", "--weights", "1"])
+        assert e.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "stochorder convolve: error: argument --dists:"
+        )
 
     def test_convolve_tiny_weight(self, capsys):
         # one NumericError on the cells' width, and no numpy warning
